@@ -2,7 +2,8 @@
 
 A high-level engine interprets a node graph under SLA-driven policies; a
 low-level grid engine maps its compute-heavy sub-workflows onto a ranked
-resource quorum and executes them on a deterministic event kernel.
+resource quorum and executes them in one deterministic pass of the timing
+recurrence that produced the mapping estimates.
 """
 
 from .ecg import EcgFeatures, EcgSignal, Thresholds, estimate_disease, extract_features, synthesize_ecg

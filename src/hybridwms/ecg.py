@@ -59,6 +59,16 @@ class EcgFeatures:
         return (self.rr_mean, self.rr_std, self.dominant_freq, self.st_deviation)
 
 
+#: The domain of each signal parameter; ``synthesize_ecg`` refuses values outside it.
+SIGNAL_DOMAINS = {
+    "bpm": (lambda v: v > 0, "must be positive"),
+    "irregularity": (lambda v: 0 <= v < 1, "must be in [0, 1)"),
+    "noise": (lambda v: v >= 0, "must be non-negative"),
+    "duration": (lambda v: v > 0, "must be positive"),
+    "rate": (lambda v: v > 0, "must be positive"),
+}
+
+
 def synthesize_ecg(
     bpm: float,
     irregularity: float = 0.0,
@@ -74,14 +84,10 @@ def synthesize_ecg(
     ``st_offset`` shifts the baseline between beats, ``noise`` is the sigma
     of additive Gaussian sample noise.
     """
-    if bpm <= 0:
-        raise ValueError("bpm must be positive")
-    if not 0 <= irregularity < 1:
-        raise ValueError("irregularity must be in [0, 1)")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
-    if duration <= 0 or rate <= 0:
-        raise ValueError("duration and rate must be positive")
+    params = {"bpm": bpm, "irregularity": irregularity, "noise": noise, "duration": duration, "rate": rate}
+    for name, (in_domain, message) in SIGNAL_DOMAINS.items():
+        if not in_domain(params[name]):
+            raise ValueError(f"{name} {message}")
 
     rng = random.Random(seed)
     rr_base = 60.0 / bpm

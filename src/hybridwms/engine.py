@@ -3,15 +3,16 @@
 A run starts from a user requirement (SLA), decides and enforces policies,
 forms the resource quorum, then walks the workflow graph node by node. Local
 nodes execute in-process and take no simulated time; grid nodes are mapped
-and executed on the event kernel, advancing the run's simulated clock by
-their makespan. Nodes whose minimum service level exceeds the SLA's are
-pruned from the walk. Every run is a pure function of its documents and seed.
+and executed by the grid engine's one-pass timing recurrence, advancing the
+run's simulated clock by their makespan. Nodes whose minimum service level
+exceeds the SLA's are pruned from the walk. Every run is a pure function of its documents and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import documents as doc
 from .ecg import (
+    SIGNAL_DOMAINS,
     EcgFeatures,
     EcgSignal,
     Thresholds,
@@ -96,6 +98,16 @@ class RunConfig:
     user_inputs: dict = field(default_factory=dict)
 
 
+def _signal_number(mapping: dict, key: str, path: str) -> float:
+    """A finite number, inside the domain ``synthesize_ecg`` accepts for ``key``."""
+    value = doc.get_number(mapping, key, path)
+    if not math.isfinite(value):
+        raise doc.SchemaError(f"{path}.{key}", "must be finite")
+    if key in SIGNAL_DOMAINS and not SIGNAL_DOMAINS[key][0](value):
+        raise doc.SchemaError(f"{path}.{key}", SIGNAL_DOMAINS[key][1])
+    return value
+
+
 def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     """Parse a run configuration document.
 
@@ -117,10 +129,10 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
             {"bpm", "irregularity", "st_offset", "noise", "duration", "rate", "seed"},
             "run_config.patient",
         )
-        patient_kwargs = {"bpm": doc.get_number(raw_patient, "bpm", "run_config.patient")}
+        patient_kwargs = {"bpm": _signal_number(raw_patient, "bpm", "run_config.patient")}
         for key in ("irregularity", "st_offset", "noise", "duration", "rate"):
             if key in raw_patient:
-                patient_kwargs[key] = doc.get_number(raw_patient, key, "run_config.patient")
+                patient_kwargs[key] = _signal_number(raw_patient, key, "run_config.patient")
         if "seed" in raw_patient:
             patient_kwargs["seed"] = doc.get_int(raw_patient, "seed", "run_config.patient")
         patient = PatientParams(**patient_kwargs)
@@ -130,10 +142,10 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
         path = f"run_config.vhs_grid[{i}]"
         record = doc.require_mapping(raw, path)
         doc.reject_unknown(record, {"bpm", "irregularity", "st_offset", "seed"}, path)
-        candidate = {"bpm": doc.get_number(record, "bpm", path)}
+        candidate = {"bpm": _signal_number(record, "bpm", path)}
         for key in ("irregularity", "st_offset"):
             if key in record:
-                candidate[key] = doc.get_number(record, key, path)
+                candidate[key] = _signal_number(record, key, path)
         if "seed" in record:
             candidate["seed"] = doc.get_int(record, "seed", path)
         candidates.append(candidate)

@@ -28,10 +28,6 @@ class EmptyPool(WmsError):
     """Resource pool is empty."""
 
 
-class EmptyQuorum(WmsError):
-    """Quorum has no members."""
-
-
 class EmptyParameterGrid(WmsError):
     """The simulation loop was started with no candidate parameters."""
 
@@ -73,7 +69,7 @@ class InfeasibleMapping(WmsError):
 
 
 class StuckSimulation(WmsError):
-    """Event queue drained while tasks remain unfinished (plan bug)."""
+    """A plan places a task before one of its producers; ``unfinished`` lists it and every later task."""
 
     def __init__(self, unfinished):
         self.unfinished = sorted(unfinished)

@@ -3,8 +3,11 @@
 An abstract sub-workflow (tasks, data edges, input files) is mapped onto the
 members of a resource quorum by a pluggable scheduler, producing a concrete
 plan with per-task time estimates and the transfers needed to stage data.
-Execution replays the plan on the event kernel; the estimator and the kernel
-share one timing model, so estimates are exact for the default scheduler.
+Mapping and execution run one recurrence in one pass over the tasks in plan
+order. Plans are topologically ordered and every resource serves its tasks
+in plan order, so a task's estimate is its execution: estimates are exact
+for every scheduler. ``MinEFT`` is HEFT's earliest-finish-time placement
+without the upward-rank ordering (Topcuoglu, Hariri & Wu, IEEE TPDS 2002).
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InfeasibleMapping, UnknownStrategy
+from .errors import InfeasibleMapping, StuckSimulation, UnknownStrategy
 from .resources import Quorum, ResourceDescriptor
 from .simkernel import (
     PlannedTask,
     PlannedTransfer,
     SimResult,
-    Simulation,
     TaskRecord,
+    TransferRecord,
     exec_time,
     transfer_time,
 )
@@ -116,35 +119,39 @@ class ConcretePlan:
 
 
 class _Estimator:
-    """Shared timing recurrence for candidate evaluation and final estimates.
+    """The timing recurrence of mapping and of execution.
 
-    Mirrors the kernel exactly: single-slot resources served in plan order,
-    transfers starting at producer end, stage-ins starting at time zero.
+    Tasks are committed in plan order to single-slot resources. A task is
+    ready when its last input arrives: a stage-in starts at time zero, and a
+    producer's output leaves at the producer's end, crossing resources by a
+    transfer. It starts once it is ready and its resource has finished every
+    task committed to it before, and runs for ``exec_time`` at its start.
+    Stage-ins are ``(source resource, bytes, consumer)`` and dependencies
+    ``(producer, consumer, bytes)``.
     """
 
-    def __init__(self, subwf: AbstractSubWorkflow, pool: dict[str, ResourceDescriptor], replica_host: str):
-        self._subwf = subwf
+    def __init__(self, pool: dict[str, ResourceDescriptor], stage_ins, dependencies):
         self._pool = pool
-        self._replica_host = replica_host
         self._avail: dict[str, float] = {}
-        self._end: dict[str, float] = {}
-        self._placed: dict[str, str] = {}
+        self.end_of: dict[str, float] = {}
+        self.placed: dict[str, str] = {}
+        self.records: list[TaskRecord] = []  # commit order
         self._stage_ins = {}
-        for file, size, consumer in subwf.inputs:
-            self._stage_ins.setdefault(consumer, []).append((file, size))
+        for src, size, consumer in stage_ins:
+            self._stage_ins.setdefault(consumer, []).append((src, size))
         self._deps_into = {}
-        for producer, consumer, size in subwf.data_deps:
+        for producer, consumer, size in dependencies:
             self._deps_into.setdefault(consumer, []).append((producer, size))
 
     def ready_time(self, task_id: str, resource_id: str) -> float:
         resource = self._pool[resource_id]
         ready = 0.0
-        for _, size in self._stage_ins.get(task_id, ()):
-            if resource_id != self._replica_host:
-                ready = max(ready, transfer_time(size, self._pool[self._replica_host], resource))
+        for src, size in self._stage_ins.get(task_id, ()):
+            if src != resource_id:
+                ready = max(ready, transfer_time(size, self._pool[src], resource))
         for producer, size in self._deps_into.get(task_id, ()):
-            arrival = self._end[producer]
-            src = self._placed[producer]
+            arrival = self.end_of[producer]
+            src = self.placed[producer]
             if src != resource_id:
                 arrival += transfer_time(size, self._pool[src], resource)
             ready = max(ready, arrival)
@@ -156,10 +163,11 @@ class _Estimator:
         end = start + exec_time(work, self._pool[resource_id], start)
         return ready, start, end
 
-    def commit(self, task_id: str, resource_id: str, end: float) -> None:
-        self._placed[task_id] = resource_id
-        self._end[task_id] = end
+    def commit(self, task_id: str, resource_id: str, ready: float, start: float, end: float) -> None:
+        self.placed[task_id] = resource_id
+        self.end_of[task_id] = end
         self._avail[resource_id] = end
+        self.records.append(TaskRecord(task_id, resource_id, ready, start, end))
 
 
 def map_workflow(
@@ -189,11 +197,10 @@ def map_workflow(
 
     order = topological_order(subwf)
     tasks = {t.id: t for t in subwf.tasks}
-    estimator = _Estimator(subwf, pool, replica_host)
+    estimator = _Estimator(pool, ((replica_host, size, consumer) for _, size, consumer in subwf.inputs), subwf.data_deps)
     rng = random.Random(seed)
 
     assignments = []
-    estimates = []
     for index, task_id in enumerate(order):
         task = tasks[task_id]
         eligible = [rid for rid in member_ids if rid in catalogs.resources_with(task.transformation)]
@@ -214,23 +221,16 @@ def map_workflow(
             else:
                 rid = eligible[rng.randrange(len(eligible))]
             ready, start, end = estimator.finish_time(task_id, task.work, rid)
-        estimator.commit(task_id, rid, end)
+        estimator.commit(task_id, rid, ready, start, end)
         assignments.append(PlannedTask(task_id, task.work, rid))
-        estimates.append(TaskRecord(task_id, rid, ready, start, end))
 
-    placed = {p.task_id: p.resource_id for p in assignments}
+    placed = estimator.placed
     transfers = tuple(
-        PlannedTransfer(
-            file=file,
-            src_resource=replica_host,
-            dst_resource=placed[consumer],
-            size_bytes=size,
-            consumer=consumer,
-            producer=None,
-        )
+        PlannedTransfer(file, replica_host, placed[consumer], size, consumer)
         for file, size, consumer in subwf.inputs
         if placed[consumer] != replica_host
     )
+    estimates = tuple(estimator.records)
     makespan = max((e.end for e in estimates), default=0.0)
     return ConcretePlan(
         subworkflow_id=subwf.id,
@@ -239,7 +239,7 @@ def map_workflow(
         assignments=tuple(assignments),
         dependencies=tuple(subwf.data_deps),
         transfers=transfers,
-        estimates=tuple(estimates),
+        estimates=estimates,
         makespan_estimate=makespan,
     )
 
@@ -282,11 +282,54 @@ class SubWorkflowResult:
 
 
 def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> SubWorkflowResult:
-    """Run a concrete plan on the event kernel."""
-    sim = Simulation(
-        plan=list(plan.assignments),
-        dependencies=list(plan.dependencies),
-        transfers=list(plan.transfers),
-        resources=pool,
-    )
-    return SubWorkflowResult(plan=plan, sim=sim.run_to_completion())
+    """Execute a concrete plan: one pass of the mapping recurrence in plan order.
+
+    Transfer records list the plan's stage-ins, which start at time zero, and
+    one transfer per dependency that crosses resources, which starts at its
+    producer's end. They are sorted by (end, start, producer's plan position,
+    dependency order), a stage-in counting as position -1 and its order
+    being its place in ``plan.transfers``.
+
+    A duplicate task, an unknown resource, or a dependency or stage-in naming
+    an unknown task raises ``ValueError``. A task placed before one of its
+    producers raises ``StuckSimulation`` naming it and every later task.
+    """
+    position: dict[str, int] = {}
+    for index, planned in enumerate(plan.assignments):
+        if planned.task_id in position:
+            raise ValueError(f"duplicate task {planned.task_id!r} in plan")
+        if planned.resource_id not in pool:
+            raise ValueError(f"task {planned.task_id!r} assigned to unknown resource {planned.resource_id!r}")
+        position[planned.task_id] = index
+    for producer, consumer, _ in plan.dependencies:
+        if producer not in position or consumer not in position:
+            raise ValueError(f"dependency {producer!r} -> {consumer!r} references unknown task")
+    for transfer in plan.transfers:
+        if transfer.consumer not in position:
+            raise ValueError(f"transfer targets unknown task {transfer.consumer!r}")
+    stuck = [position[consumer] for producer, consumer, _ in plan.dependencies if position[producer] >= position[consumer]]
+    if stuck:
+        raise StuckSimulation(p.task_id for p in plan.assignments[min(stuck) :])
+
+    stage_ins = ((t.src_resource, t.size_bytes, t.consumer) for t in plan.transfers)
+    estimator = _Estimator(pool, stage_ins, plan.dependencies)
+    for planned in plan.assignments:
+        times = estimator.finish_time(planned.task_id, planned.work, planned.resource_id)
+        estimator.commit(planned.task_id, planned.resource_id, *times)
+
+    tasks, placed, end_of = estimator.records, estimator.placed, estimator.end_of
+    moves = [((-1, i), t.file, t.src_resource, t.dst_resource, t.size_bytes, 0.0) for i, t in enumerate(plan.transfers)]
+    moves += [
+        ((position[producer], i), f"{producer}->{consumer}", placed[producer], placed[consumer], size, end_of[producer])
+        for i, (producer, consumer, size) in enumerate(plan.dependencies)
+        if placed[producer] != placed[consumer]
+    ]
+    transfers = []
+    for order, file, src, dst, size, start in moves:
+        end = start + transfer_time(size, pool[src], pool[dst])
+        transfers.append(((end, start) + order, TransferRecord(file, src, dst, size, start, end)))
+    transfers.sort(key=lambda item: item[0])
+
+    makespan = max((r.end for r in tasks), default=0.0)
+    sim = SimResult(tuple(tasks), tuple(record for _, record in transfers), makespan)
+    return SubWorkflowResult(plan=plan, sim=sim)

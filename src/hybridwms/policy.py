@@ -22,6 +22,7 @@ from .errors import (
     UnknownKey,
     UnknownLabel,
 )
+from .gridengine import SCHEDULER_KINDS
 from .resources import LEVELS, RANDOM_LEVEL
 from .workflow import SERVICE_LEVELS
 
@@ -35,8 +36,6 @@ SOFT_LABELS = {
 
 #: SLA fields a policy condition may reference without a property prefix.
 SLA_FIELDS = ("user_id", "resource_level", "performance", "service_level")
-
-SCHEDULERS = ("MinEFT", "RoundRobin", "Random")
 
 #: Application selector values: the three service levels plus a variant that
 #: forces the simulation loop to run regardless of the diagnosis.
@@ -125,13 +124,6 @@ class PropertySpec:
     source: str  # "static" or "runtime"
 
 
-@dataclass(frozen=True)
-class PropertyRecord:
-    key: str
-    value: object
-    source: str
-
-
 DEFAULT_PROPERTY_SCHEMA = {
     "grid.alert": PropertySpec(bool, False, "runtime"),
     "grid.load": PropertySpec(float, 0.0, "runtime"),
@@ -169,10 +161,6 @@ class InformationBase:
         previous = self.get(key)
         self._values[key] = spec.type(value) if spec.type is float else value
         return previous
-
-    def record(self, key: str) -> PropertyRecord:
-        spec = self._spec(key)
-        return PropertyRecord(key, self.get(key), spec.source)
 
 
 def property_get(info: InformationBase, key: str):
@@ -258,7 +246,7 @@ CONFIG_SCHEMA = {
     "resource.level": ConfigKeySpec(str, "L3", domain=LEVELS + (RANDOM_LEVEL,)),
     "resource.alpha": ConfigKeySpec(float, 0.5, minimum=0.0),
     "resource.beta": ConfigKeySpec(float, 0.5, minimum=0.0),
-    "scheduler.kind": ConfigKeySpec(str, "MinEFT", domain=SCHEDULERS),
+    "scheduler.kind": ConfigKeySpec(str, "MinEFT", domain=SCHEDULER_KINDS),
     "scheduler.seed": ConfigKeySpec(int, 0),
     "app.workflow": ConfigKeySpec(str, "EcgVhs", domain=APP_WORKFLOWS),
     "vhs.max_iter": ConfigKeySpec(int, 4, minimum=1),

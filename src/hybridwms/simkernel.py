@@ -1,19 +1,16 @@
-"""Deterministic discrete-event kernel for executing concrete plans.
+"""Timing primitives and the records of plan execution.
 
-Resources run one task at a time. Each resource serves its tasks strictly in
-plan order (head-of-line): the next task on a resource cannot start before
-every earlier plan entry for that resource has finished, even if its own
-inputs arrive sooner. Data moves between resources as non-blocking transfers
-that begin the moment the producer finishes. Ties in event time resolve by
-insertion order, so a run is a pure function of its inputs.
+``exec_time`` and ``transfer_time`` are the whole timing model. Plans are
+executed by the one-pass recurrence in ``gridengine``, which also produces
+the mapping estimates: resources run one task at a time in plan order, and
+data moves as non-blocking transfers that begin the moment the producer
+finishes (stage-ins at time zero).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import StuckSimulation
 from .resources import ResourceDescriptor, metric_at
 
 
@@ -33,27 +30,6 @@ def transfer_time(size_bytes: float, src: ResourceDescriptor, dst: ResourceDescr
         return 0.0
     rate = min(src.bandwidth, dst.bandwidth)
     return size_bytes / rate + max(src.latency, dst.latency)
-
-
-class EventQueue:
-    """Min-heap of (time, seq) events. Equal times pop in push order."""
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-
-    def push(self, time: float, kind: str, payload) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
-        self._seq += 1
-
-    def pop(self):
-        return heapq.heappop(self._heap)
-
-    def __bool__(self):
-        return bool(self._heap)
-
-    def __len__(self):
-        return len(self._heap)
 
 
 @dataclass(frozen=True)
@@ -103,7 +79,7 @@ class TransferRecord:
 @dataclass(frozen=True)
 class SimResult:
     tasks: tuple[TaskRecord, ...]  # plan order
-    transfers: tuple[TransferRecord, ...]  # completion order
+    transfers: tuple[TransferRecord, ...]  # by (end, start, producer plan position, dependency order)
     makespan: float
 
     def task(self, task_id: str) -> TaskRecord:
@@ -111,173 +87,3 @@ class SimResult:
             if record.task_id == task_id:
                 return record
         raise KeyError(task_id)
-
-
-def event_log_csv(result: SimResult) -> str:
-    """Task execution log, chronological: ``task,resource,start,end``."""
-    rows = sorted(result.tasks, key=lambda r: (r.start, r.end, r.task_id))
-    lines = ["task,resource,start,end"]
-    for r in rows:
-        lines.append(f"{r.task_id},{r.resource_id},{r.start:.6f},{r.end:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-@dataclass
-class _TaskState:
-    planned: PlannedTask
-    pending_inputs: int = 0
-    ready: float | None = None
-    start: float | None = None
-    end: float | None = None
-    arrivals: list = field(default_factory=list)
-
-
-class Simulation:
-    """Event-driven execution of a plan over single-slot resources."""
-
-    def __init__(
-        self,
-        plan: list[PlannedTask],
-        dependencies: list[tuple[str, str, float]],
-        transfers: list[PlannedTransfer],
-        resources: dict[str, ResourceDescriptor],
-    ):
-        ids = [p.task_id for p in plan]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate task in plan")
-        for planned in plan:
-            if planned.resource_id not in resources:
-                raise ValueError(f"task {planned.task_id!r} assigned to unknown resource {planned.resource_id!r}")
-        self._resources = resources
-        self._tasks = {p.task_id: _TaskState(p) for p in plan}
-        self._order = ids
-        # Per-resource service queues in plan order.
-        self._queues: dict[str, list[str]] = {}
-        for planned in plan:
-            self._queues.setdefault(planned.resource_id, []).append(planned.task_id)
-        self._head = {rid: 0 for rid in self._queues}
-        self._idle = {rid: True for rid in self._queues}
-
-        self._events = EventQueue()
-        self._transfer_records: list[TransferRecord] = []
-
-        # Cross-resource producer edges become transfers at producer end;
-        # same-resource edges deliver instantly at producer end.
-        self._consumers_of: dict[str, list[tuple[str, float]]] = {}
-        for producer, consumer, size in dependencies:
-            if producer not in self._tasks or consumer not in self._tasks:
-                raise ValueError(f"dependency {producer!r} -> {consumer!r} references unknown task")
-            self._consumers_of.setdefault(producer, []).append((consumer, size))
-            self._tasks[consumer].pending_inputs += 1
-        self._pending_transfers = list(transfers)
-        for transfer in self._pending_transfers:
-            if transfer.consumer not in self._tasks:
-                raise ValueError(f"transfer targets unknown task {transfer.consumer!r}")
-            if transfer.producer is None:
-                self._tasks[transfer.consumer].pending_inputs += 1
-
-    def run_to_completion(self) -> SimResult:
-        for transfer in self._pending_transfers:
-            if transfer.producer is None:
-                self._start_transfer(transfer, 0.0)
-        for state in self._tasks.values():
-            if state.pending_inputs == 0:
-                state.ready = 0.0
-        for rid in sorted(self._queues):
-            self._dispatch(rid, 0.0)
-
-        while self._events:
-            now, _, kind, payload = self._events.pop()
-            if kind == "task_end":
-                self._on_task_end(payload, now)
-            elif kind == "transfer_end":
-                self._on_transfer_end(payload, now)
-            else:
-                raise AssertionError(f"unknown event kind {kind!r}")
-
-        unfinished = sorted(t for t, s in self._tasks.items() if s.end is None)
-        if unfinished:
-            raise StuckSimulation(unfinished)
-
-        records = tuple(
-            TaskRecord(
-                task_id=tid,
-                resource_id=self._tasks[tid].planned.resource_id,
-                ready=self._tasks[tid].ready,
-                start=self._tasks[tid].start,
-                end=self._tasks[tid].end,
-            )
-            for tid in self._order
-        )
-        makespan = max((r.end for r in records), default=0.0)
-        return SimResult(records, tuple(self._transfer_records), makespan)
-
-    # -- event handlers ----------------------------------------------------
-
-    def _dispatch(self, resource_id: str, now: float) -> None:
-        """Start the head-of-line task if the resource is free and it is ready."""
-        if not self._idle.get(resource_id, False):
-            return
-        queue = self._queues[resource_id]
-        head = self._head[resource_id]
-        if head >= len(queue):
-            return
-        state = self._tasks[queue[head]]
-        if state.ready is None:
-            return
-        start = max(now, state.ready)
-        duration = exec_time(state.planned.work, self._resources[resource_id], start)
-        state.start = start
-        state.end = start + duration
-        self._idle[resource_id] = False
-        self._events.push(state.end, "task_end", state.planned.task_id)
-
-    def _on_task_end(self, task_id: str, now: float) -> None:
-        state = self._tasks[task_id]
-        resource_id = state.planned.resource_id
-        self._idle[resource_id] = True
-        self._head[resource_id] += 1
-        for consumer, size in self._consumers_of.get(task_id, ()):  # plan insertion order
-            dst = self._tasks[consumer].planned.resource_id
-            if dst == resource_id:
-                self._deliver(consumer, now)
-            else:
-                transfer = PlannedTransfer(
-                    file=f"{task_id}->{consumer}",
-                    src_resource=resource_id,
-                    dst_resource=dst,
-                    size_bytes=size,
-                    consumer=consumer,
-                    producer=task_id,
-                )
-                self._start_transfer(transfer, now)
-        self._dispatch(resource_id, now)
-
-    def _start_transfer(self, transfer: PlannedTransfer, now: float) -> None:
-        duration = transfer_time(
-            transfer.size_bytes,
-            self._resources[transfer.src_resource],
-            self._resources[transfer.dst_resource],
-        )
-        record = TransferRecord(
-            file=transfer.file,
-            src_resource=transfer.src_resource,
-            dst_resource=transfer.dst_resource,
-            size_bytes=transfer.size_bytes,
-            start=now,
-            end=now + duration,
-        )
-        self._events.push(record.end, "transfer_end", (record, transfer.consumer))
-
-    def _on_transfer_end(self, payload, now: float) -> None:
-        record, consumer = payload
-        self._transfer_records.append(record)
-        self._deliver(consumer, now)
-
-    def _deliver(self, consumer: str, now: float) -> None:
-        state = self._tasks[consumer]
-        state.pending_inputs -= 1
-        state.arrivals.append(now)
-        if state.pending_inputs == 0:
-            state.ready = max(state.arrivals)
-            self._dispatch(state.planned.resource_id, now)

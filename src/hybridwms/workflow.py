@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from . import documents as doc
 from .errors import CycleError, SchemaError
@@ -71,7 +72,7 @@ class WorkflowGraph:
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
 
-    @property
+    @cached_property
     def _by_id(self) -> dict[str, Node]:
         return {n.id: n for n in self.nodes}
 

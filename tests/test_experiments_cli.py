@@ -272,6 +272,20 @@ def test_cli_validate_flags_broken_documents(tmp_path, capsys):
     assert out.count(": ok") == 4
 
 
+def test_cli_rejects_out_of_domain_candidate_before_running(tmp_path, capsys):
+    document = load_json(data_path("run_config.json"))
+    document["vhs_grid"][2]["irregularity"] = 1.5
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(json.dumps(document))
+    assert main(["validate", "--run-config", str(config_path)]) == 2
+    assert "run-config: error: run_config.vhs_grid[2].irregularity" in capsys.readouterr().out
+    assert main(["run", "--run-config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "error: run_config.vhs_grid[2].irregularity" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_document_is_a_clean_error(tmp_path, capsys):
     code = main(["run", "--pool", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()

@@ -1,28 +1,39 @@
 """Catalog generation, workflow mapping, and plan execution tests."""
 
+import hashlib
+import importlib.resources
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from hybridwms.documents import dump_json, load_json
+from hybridwms.engine import parse_run_config, record_document, run_workflow
 from hybridwms.errors import InfeasibleMapping, UnknownStrategy
+from hybridwms.experiments import load_workflow_bundle
 from hybridwms.gridengine import (
     Catalogs,
     execute_plan,
     generate_catalogs,
     map_workflow,
 )
+from hybridwms.policy import parse_repository, parse_sla
 from hybridwms.resources import (
     AllocationCostParams,
     MetricTrace,
     Quorum,
     ResourceDescriptor,
     generate_arq,
+    parse_pool,
 )
 from hybridwms.simkernel import exec_time, transfer_time
 from hybridwms.workflow import AbstractSubWorkflow, TaskSpec, topological_order
 
 PARAMS = AllocationCostParams()
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PACKAGED_SLAS = ("balanced", "high_performance", "low_cost")
 
 
 def make_resource(rid, site, cpu_rate=100.0, sys_base=0.0, bandwidth=1e7, latency=0.05, noise=0.0, seed=0):
@@ -253,7 +264,8 @@ def replay_estimates(plan, pool):
     return records
 
 
-def test_estimates_match_independent_replay_and_simulation():
+def seeded_plans():
+    """Yield ``(plan, pool, subwf, replica host)`` for 25 seeded random mappings."""
     rng = random.Random(99)
     for case in range(25):
         pool = random_pool(rng, rng.randint(2, 6))
@@ -262,6 +274,11 @@ def test_estimates_match_independent_replay_and_simulation():
         quorum = generate_arq(list(pool.values()), level, rng.uniform(0, 3600), PARAMS)
         scheduler = rng.choice(["MinEFT", "RoundRobin", "Random"])
         plan = map_workflow(subwf, quorum, pool, scheduler=scheduler, seed=case)
+        yield plan, pool, subwf, quorum.members[0]
+
+
+def test_estimates_match_independent_replay_and_simulation():
+    for plan, pool, _, _ in seeded_plans():
         replay = replay_estimates(plan, pool)
         for estimate, (tid, ready, start, end) in zip(plan.estimates, replay):
             assert estimate.task_id == tid
@@ -274,6 +291,78 @@ def test_estimates_match_independent_replay_and_simulation():
             assert estimate.start == simulated.start
             assert estimate.end == simulated.end
         assert result.makespan == plan.makespan_estimate
+
+
+def tied_plans():
+    """Yield ``(plan, pool, subwf, replica host)`` on identical noiseless
+    resources, where many transfers end at the same time."""
+    rng = random.Random(7)
+    for case in range(60):
+        pool = {f"r{i}": make_resource(f"r{i}", f"site{i % 2}", bandwidth=1e6, latency=0.1) for i in range(rng.randint(2, 6))}
+        ids = [f"t{i:02d}" for i in range(rng.randint(2, 12))]
+        tasks = tuple(TaskSpec(tid, rng.choice([100.0, 200.0]), "tf") for tid in ids)
+        deps = [(a, b, rng.choice([0.0, 1e6])) for i, a in enumerate(ids) for b in ids[i + 1 :] if rng.random() < 0.3]
+        rng.shuffle(deps)  # so dependency order differs from producer plan order
+        inputs = tuple((f"in{k}", rng.choice([0.0, 1e6]), rng.choice(ids)) for k in range(3))
+        subwf = AbstractSubWorkflow("tied", tasks, tuple(deps), inputs)
+        quorum = quorum_of(pool, *pool)
+        plan = map_workflow(subwf, quorum, pool, scheduler=rng.choice(["MinEFT", "RoundRobin", "Random"]), seed=case)
+        yield plan, pool, subwf, quorum.members[0]
+
+
+def test_transfer_records_follow_producer_ends():
+    # One record per stage-in whose consumer is off the replica host (start 0)
+    # and one per cross-resource dependency (start at the producer's end), in
+    # (end, start, producer plan position, dependency order) order; stage-ins
+    # count as position -1.
+    for plan, pool, subwf, host in itertools.chain(seeded_plans(), tied_plans()):
+        result = execute_plan(plan, pool)
+        placed = {p.task_id: p.resource_id for p in plan.assignments}
+        position = {p.task_id: i for i, p in enumerate(plan.assignments)}
+        end = {r.task_id: r.end for r in result.sim.tasks}
+        keyed = []
+        for index, (file, size, consumer) in enumerate(subwf.inputs):
+            dst = placed[consumer]
+            if dst != host:
+                keyed.append(((-1, index), (file, host, dst, size, 0.0)))
+        for index, (producer, consumer, size) in enumerate(subwf.data_deps):
+            src, dst = placed[producer], placed[consumer]
+            if src != dst:
+                keyed.append(((position[producer], index), (f"{producer}->{consumer}", src, dst, size, end[producer])))
+        expected = []
+        for order, (file, src, dst, size, start) in keyed:
+            finish = start + transfer_time(size, pool[src], pool[dst])
+            expected.append(((finish, start) + order, (file, src, dst, size, start, finish)))
+        expected.sort()
+        actual = [(r.file, r.src_resource, r.dst_resource, r.size_bytes, r.start, r.end) for r in result.sim.transfers]
+        assert actual == [record for _, record in expected]
+
+
+def digest(document) -> str:
+    return hashlib.sha256(dump_json(document).encode("utf-8")).hexdigest()
+
+
+def packaged_run_digests() -> dict:
+    """Digests of ``run_record.json`` for each packaged SLA with default documents."""
+    data = importlib.resources.files("hybridwms") / "data"
+    bundle = load_workflow_bundle(data / "workflows/heart-disease.json")
+    pool = parse_pool(load_json(data / "pool.json"))
+    repo = parse_repository(load_json(data / "policies.json"))
+    config = parse_run_config(load_json(data / "run_config.json"))
+    digests = {}
+    for name in PACKAGED_SLAS:
+        sla = parse_sla(load_json(data / f"slas/{name}.json"))
+        record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
+        digests[name] = digest(record_document(record))
+    return digests
+
+
+def test_execution_records_match_golden():
+    # The digests were written by the discrete-event kernel that the one-pass
+    # recurrence replaced, so they pin the records across that change.
+    golden = json.loads((GOLDEN / "execution_digests.json").read_text(encoding="utf-8"))
+    assert [digest(execute_plan(plan, pool).as_document()) for plan, pool, _, _ in seeded_plans()] == golden["plans"]
+    assert packaged_run_digests() == golden["runs"]
 
 
 def test_assignments_follow_topological_order():

@@ -1,10 +1,14 @@
 """End-to-end engine tests over the packaged documents and inline fixtures."""
 
+import copy
 import importlib.resources
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridwms.documents import load_json
 from hybridwms.ecg import extract_features, synthesize_ecg
@@ -110,6 +114,44 @@ def test_parse_run_config_rejects_unknown_keys():
         parse_run_config({"seed": 1, "patient": {"bpm": 60}, "thresholds": {"zap": 1}})
     with pytest.raises(SchemaError):
         parse_run_config({"seed": 1})
+
+
+#: The signal-parameter domains ``synthesize_ecg`` enforces, restated.
+SIGNAL_DOMAINS = {
+    "bpm": lambda v: v > 0,
+    "irregularity": lambda v: 0 <= v < 1,
+    "st_offset": lambda v: True,
+    "noise": lambda v: v >= 0,
+    "duration": lambda v: v > 0,
+    "rate": lambda v: v > 0,
+}
+PACKAGED_RUN_CONFIG = load_json(data_path("run_config.json"))
+#: ``(candidate index or None for the patient, key)`` of every signal field.
+SIGNAL_FIELDS = [(None, key) for key in PACKAGED_RUN_CONFIG["patient"] if key in SIGNAL_DOMAINS] + [
+    (index, key) for index in range(len(PACKAGED_RUN_CONFIG["vhs_grid"])) for key in ("bpm", "irregularity", "st_offset")
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(SIGNAL_FIELDS),
+    value=st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans(), st.none(), st.text(max_size=3)),
+)
+def test_run_config_signal_fields_parse_cleanly_or_raise_schema_error(field, value):
+    index, key = field
+    document = copy.deepcopy(PACKAGED_RUN_CONFIG)
+    if index is None:
+        target, path = document["patient"], "run_config.patient"
+    else:
+        target, path = document["vhs_grid"][index], f"run_config.vhs_grid[{index}]"
+    target[key] = value
+    try:
+        config = parse_run_config(document)
+    except SchemaError as err:
+        assert err.path == f"{path}.{key}"
+        return
+    number = getattr(config.patient, key) if index is None else config.candidates[index][key]
+    assert math.isfinite(number) and SIGNAL_DOMAINS[key](number)
 
 
 def test_replace_seed_keeps_everything_else():

@@ -1,16 +1,15 @@
-"""Event-driven execution kernel tests with hand-computed expectations."""
+"""Timing model and plan execution tests with hand-computed expectations."""
 
 import random
 
 import pytest
 
 from hybridwms.errors import StuckSimulation
+from hybridwms.gridengine import ConcretePlan, execute_plan
 from hybridwms.resources import AllocationCostParams, MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
     PlannedTask,
     PlannedTransfer,
-    Simulation,
-    event_log_csv,
     exec_time,
     transfer_time,
 )
@@ -62,11 +61,12 @@ def test_transfer_time_bottleneck_and_latency():
     assert transfer_time(0.0, a, b) == pytest.approx(0.30)
 
 
-# -- kernel --------------------------------------------------------------------
+# -- plan execution --------------------------------------------------------------
 
 
 def run(plan, deps=(), transfers=(), resources=()):
-    return Simulation(list(plan), list(deps), list(transfers), {r.id: r for r in resources}).run_to_completion()
+    concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), (), 0.0)
+    return execute_plan(concrete, {r.id: r for r in resources}).sim
 
 
 def test_single_task():
@@ -145,6 +145,18 @@ def test_stage_in_transfers_start_at_time_zero():
     assert [t.start for t in result.transfers] == [0.0, 0.0]
 
 
+def test_stage_in_precedes_a_transfer_with_equal_start_and_end():
+    # a zero-work producer ends at 0, so its output and the stage-in both
+    # start at 0 and end at 1.1; stage-ins sort first
+    r1 = make_resource("r1", site="x", bandwidth=1e6, latency=0.1)
+    r2 = make_resource("r2", site="y", bandwidth=1e6, latency=0.1)
+    plan = [PlannedTask("p", 0.0, "r2"), PlannedTask("c", 100.0, "r1")]
+    transfers = [PlannedTransfer("in", "r2", "r1", 1e6, "c")]
+    result = run(plan, [("p", "c", 1e6)], transfers, resources=[r1, r2])
+    assert [(t.file, t.start, t.end) for t in result.transfers] == [("in", 0.0, pytest.approx(1.1)), ("p->c", 0.0, pytest.approx(1.1))]
+    assert result.transfers[0].end == result.transfers[1].end
+
+
 def test_load_dependent_duration_uses_start_time():
     # sinusoidal load, no noise: duration must be evaluated at the task's start
     trace = MetricTrace(base=0.5, amplitude=0.4, period=40.0)
@@ -195,15 +207,3 @@ def test_empty_plan_finishes_at_zero():
     assert result.makespan == 0.0
     assert result.tasks == ()
 
-
-def test_event_log_csv_is_chronological_fixed_point():
-    r1 = make_resource("r1", cpu_rate=100.0)
-    r2 = make_resource("r2", site="x", cpu_rate=100.0)
-    plan = [PlannedTask("b", 100.0, "r1"), PlannedTask("a", 200.0, "r2")]
-    text = event_log_csv(run(plan, resources=[r1, r2]))
-    lines = text.splitlines()
-    assert lines[0] == "task,resource,start,end"
-    assert lines[1] == "a,r2,0.000000,2.000000" or lines[1] == "b,r1,0.000000,1.000000"
-    # ties on start break by (end, id): b ends first
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["b", "a"]
-    assert "\r" not in text and text.endswith("\n")
