@@ -1,0 +1,4 @@
+"""``python -m hybridwms``: the command-line interface."""
+from .cli import main
+
+raise SystemExit(main())

@@ -5,6 +5,8 @@ baseline shift, with optional beat-to-beat jitter and measurement noise. The
 extractor recovers beat statistics, the dominant spectral component, and the
 baseline deviation; a fixed-order rule table maps those features to one of
 four outcomes. All randomness is seeded.
+The spectral scan steps a phasor along its frequency grid (Goertzel 1958):
+one complex multiply per sample and step, not a cos/sin pair, in O(n) memory.
 """
 
 from __future__ import annotations
@@ -116,20 +118,12 @@ def detect_beats(signal: EcgSignal) -> np.ndarray:
     peak = float(values.max(initial=0.0)) if len(values) else 0.0
     if peak <= 0:
         raise NoBeatsDetected("signal has no positive excursion")
-    above = values >= 0.5 * peak
-    beats = []
-    i = 0
-    n = len(values)
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and above[j]:
-            j += 1
-        run = values[i:j]
-        beats.append((i + int(np.argmax(run))) / signal.rate)
-        i = j
+    above = np.concatenate(([False], values >= 0.5 * peak, [False]))
+    edges = np.flatnonzero(np.diff(above)).tolist()  # run starts and ends alternate
+    beats = [
+        (start + int(np.argmax(values[start:end]))) / signal.rate
+        for start, end in zip(edges[::2], edges[1::2])
+    ]
     if len(beats) < 2:
         raise NoBeatsDetected(f"found {len(beats)} beat(s), need at least 2")
     return np.asarray(beats)
@@ -139,21 +133,23 @@ def dominant_frequency(signal: EcgSignal) -> float:
     """Frequency of maximal spectral power on the fixed scan grid.
 
     Single-bin transform of the mean-removed signal; the lowest frequency
-    wins a tie.
+    wins a tie. Phasor recurrence (Goertzel 1958): ``z = x·e^{-2πi·FREQ_MIN·t}``
+    is multiplied by ``e^{-2πi·FREQ_STEP·t}`` once per grid step, and a step's
+    power is ``|Σz|²``. Powers differ from direct cos/sin sums only by rounding;
+    only their argmax must match, as the result is a grid frequency.
     """
     x = signal.values - signal.values.mean()
     t = signal.times
     steps = int(round((FREQ_MAX - FREQ_MIN) / FREQ_STEP)) + 1
-    best_f = FREQ_MIN
-    best_p = -1.0
+    z = x * np.exp(-2j * math.pi * FREQ_MIN * t)
+    w = np.exp(-2j * math.pi * FREQ_STEP * t)
+    powers = np.empty(steps)
     for k in range(steps):
-        f = FREQ_MIN + k * FREQ_STEP
-        angle = -2.0 * math.pi * f * t
-        power = float(np.dot(x, np.cos(angle)) ** 2 + np.dot(x, np.sin(angle)) ** 2)
-        if power > best_p:
-            best_p = power
-            best_f = f
-    return round(best_f, 10)
+        total = z.sum()
+        powers[k] = total.real**2 + total.imag**2
+        z *= w
+    # argmax takes the first maximum: the lowest frequency wins a tie
+    return round(FREQ_MIN + int(np.argmax(powers)) * FREQ_STEP, 10)
 
 
 def extract_features(signal: EcgSignal) -> EcgFeatures:
@@ -163,11 +159,13 @@ def extract_features(signal: EcgSignal) -> EcgFeatures:
     rr_mean = float(rr.mean())
     rr_std = float(rr.std())  # population spread
 
-    # Baseline deviation: everything further than 3 sigma from any beat.
+    # Baseline deviation: everything further than 3 sigma from any beat. Beats
+    # are sorted, and no beat is nearer (even rounded) than the two around a sample.
     times = signal.times
-    outside = np.ones(len(times), dtype=bool)
-    for beat in beats:
-        outside &= np.abs(times - beat) > 3 * BEAT_SIGMA
+    around = np.concatenate(([-np.inf], beats, [np.inf]))
+    after = np.searchsorted(beats, times) + 1
+    nearest = np.minimum(np.abs(times - around[after - 1]), np.abs(times - around[after]))
+    outside = nearest > 3 * BEAT_SIGMA
     st_dev = float(signal.values[outside].mean()) if outside.any() else 0.0
 
     return EcgFeatures(

@@ -11,6 +11,7 @@ exceeds the SLA's are pruned from the walk. Every run is a pure function of its 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import struct
@@ -367,6 +368,12 @@ def _loop_setting(ctx: _Context, key: str, payload_value):
     return payload_value
 
 
+@functools.lru_cache(maxsize=1024)
+def _candidate_features(bpm, irregularity, st_offset, seed, duration, rate) -> EcgFeatures:
+    """Features of a noiseless VHS candidate, which depend on these arguments alone (features are kept, never signals)."""
+    return extract_features(synthesize_ecg(bpm, irregularity, st_offset, 0.0, duration, rate, seed))
+
+
 def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     payload = node.payload
     max_iter = _loop_setting(ctx, "vhs.max_iter", payload["max_iterations"])
@@ -382,16 +389,15 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     for i in range(min(max_iter, len(ctx.candidates))):
         candidate = ctx.candidates[i]
         result = _dispatch_grid(ctx, node.id, payload["subworkflow"])
-        signal = synthesize_ecg(
-            bpm=candidate["bpm"],
-            irregularity=candidate.get("irregularity", 0.0),
-            st_offset=candidate.get("st_offset", 0.0),
-            noise=0.0,
-            duration=ctx.patient_duration,
-            rate=ctx.patient_rate,
-            seed=candidate.get("seed", 0),
+        features = _candidate_features(
+            candidate["bpm"],
+            candidate.get("irregularity", 0.0),
+            candidate.get("st_offset", 0.0),
+            candidate.get("seed", 0),
+            ctx.patient_duration,
+            ctx.patient_rate,
         )
-        distance = feature_distance(extract_features(signal), patient_features)
+        distance = feature_distance(features, patient_features)
         matched = distance <= tolerance
         iterations.append(VhsIteration(i + 1, dict(candidate), distance, matched, result.makespan))
         if matched:

@@ -203,7 +203,8 @@ def map_workflow(
     assignments = []
     for index, task_id in enumerate(order):
         task = tasks[task_id]
-        eligible = [rid for rid in member_ids if rid in catalogs.resources_with(task.transformation)]
+        provided = set(catalogs.resources_with(task.transformation))
+        eligible = [rid for rid in member_ids if rid in provided]
         if not eligible:
             raise InfeasibleMapping(f"no resource provides transformation {task.transformation!r}")
         if scheduler == "MinEFT":

@@ -43,18 +43,14 @@ class PlannedTask:
 
 @dataclass(frozen=True)
 class PlannedTransfer:
-    """A file movement required before a task may run.
-
-    ``producer`` is None for stage-in of an existing replica; such transfers
-    start at time zero.
-    """
+    """Stage-in of an existing replica to the resource of the task that reads
+    it; such transfers start at time zero."""
 
     file: str
     src_resource: str
     dst_resource: str
     size_bytes: float
     consumer: str
-    producer: str | None = None
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 """Signal synthesis, feature extraction, and diagnosis rule tests."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hybridwms.ecg import (
     BEAT_SIGMA,
     DISEASES,
+    FREQ_MAX,
+    FREQ_MIN,
+    FREQ_STEP,
     EcgFeatures,
     EcgSignal,
     Thresholds,
@@ -194,3 +200,184 @@ def test_feature_distance_is_asymmetric_in_reference():
     a = EcgFeatures(1.0, 0.1, 1.0, 0.0)
     b = EcgFeatures(2.0, 0.1, 1.0, 0.0)
     assert feature_distance(a, b) != feature_distance(b, a)
+
+
+# -- oracles: the direct loop versions of the scan, the beat finder and the mask --
+
+
+def oracle_scan(signal):
+    """(frequency, powers): one cos/sin pair per grid step; strict ``>`` keeps the lowest on a tie."""
+    x = signal.values - signal.values.mean()
+    t = signal.times
+    steps = int(round((FREQ_MAX - FREQ_MIN) / FREQ_STEP)) + 1
+    best_f, best_p, powers = FREQ_MIN, -1.0, []
+    for k in range(steps):
+        f = FREQ_MIN + k * FREQ_STEP
+        angle = -2.0 * math.pi * f * t
+        power = float(np.dot(x, np.cos(angle)) ** 2 + np.dot(x, np.sin(angle)) ** 2)
+        powers.append(power)
+        if power > best_p:
+            best_p, best_f = power, f
+    return round(best_f, 10), np.array(powers)
+
+
+def oracle_beats(signal):
+    """Peaks of the runs above half the maximum, found one sample at a time."""
+    values = signal.values
+    peak = float(values.max(initial=0.0)) if len(values) else 0.0
+    if peak <= 0:
+        raise NoBeatsDetected("signal has no positive excursion")
+    above = values >= 0.5 * peak
+    beats, i, n = [], 0, len(values)
+    while i < n:
+        if not above[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and above[j]:
+            j += 1
+        beats.append((i + int(np.argmax(values[i:j]))) / signal.rate)
+        i = j
+    if len(beats) < 2:
+        raise NoBeatsDetected(f"found {len(beats)} beat(s), need at least 2")
+    return np.asarray(beats)
+
+
+def oracle_st_deviation(signal, beats):
+    """Mean of the samples further than 3 sigma from every beat, checking every beat."""
+    times = signal.times
+    outside = np.ones(len(times), dtype=bool)
+    for beat in beats:
+        outside &= np.abs(times - beat) > 3 * BEAT_SIGMA
+    return float(signal.values[outside].mean()) if outside.any() else 0.0
+
+
+def accepted_frequencies(signal):
+    """The oracle's frequency, plus every grid frequency whose oracle power is
+    within 1e-9 of the maximum, relative to the largest power any grid step can
+    reach, ``(Σ|x|)²``: rounding may pick any member of such a near-tie. After
+    mean removal a constant signal leaves a residual of a few ulps whose grid
+    powers are all equal or all zero in exact arithmetic, so a near-tie can
+    hold many frequencies, and its powers are rounding residue of any size."""
+    best, powers = oracle_scan(signal)
+    bound = np.abs(signal.values - signal.values.mean()).sum() ** 2
+    near = np.flatnonzero(powers >= powers.max() - 1e-9 * bound)
+    return {best} | {round(FREQ_MIN + int(k) * FREQ_STEP, 10) for k in near}
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def beats_or_error(find, signal):
+    try:
+        return find(signal)
+    except NoBeatsDetected:
+        return "no beats"
+
+
+synthetic_ecgs = st.builds(
+    synthesize_ecg,
+    bpm=st.floats(30.0, 330.0),
+    irregularity=st.floats(0.0, 0.4),
+    st_offset=st.floats(-0.5, 0.5),
+    noise=st.floats(0.0, 0.3),
+    duration=st.floats(4.0, 90.0),
+    rate=st.floats(100.0, 500.0),
+    seed=st.integers(0, 2**31),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signal=synthetic_ecgs)
+@example(signal=synthesize_ecg(bpm=60, duration=4.0, rate=100.0))
+@example(signal=synthesize_ecg(bpm=200, irregularity=0.3, noise=0.3, duration=90.0, rate=500.0, seed=9))
+def test_fast_paths_match_the_oracles_on_synthetic_ecgs(signal):
+    assert dominant_frequency(signal) in accepted_frequencies(signal)
+    beats = beats_or_error(oracle_beats, signal)
+    found = beats_or_error(detect_beats, signal)
+    if isinstance(beats, str):
+        assert found == beats
+        return
+    assert np.array_equal(found, beats)
+    assert bits(extract_features(signal).st_deviation) == bits(oracle_st_deviation(signal, beats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, int(round((FREQ_MAX - FREQ_MIN) / FREQ_STEP)) - 1),
+    offset=st.floats(0.01, 0.99),
+    phase=st.floats(0.0, 2 * math.pi),
+    amplitude=st.floats(0.01, 10.0),
+    duration=st.floats(4.0, 90.0),
+    rate=st.sampled_from([100.0, 250.0, 360.0, 500.0]),
+)
+def test_scan_matches_the_oracle_on_tones_between_grid_points(k, offset, phase, amplitude, duration, rate):
+    t = np.arange(int(duration * rate)) / rate
+    f = FREQ_MIN + (k + offset) * FREQ_STEP
+    signal = EcgSignal(values=amplitude * np.cos(2 * math.pi * f * t + phase), rate=rate)
+    assert dominant_frequency(signal) in accepted_frequencies(signal)
+
+
+@pytest.mark.parametrize("k, duration, rate", [(7, 10.0, 100.0), (40, 12.34, 250.0), (90, 30.0, 500.0)])
+def test_scan_matches_the_oracle_on_close_calls(k, duration, rate):
+    # a tone between grid steps k and k+1, 1e-8 of a step either side of where
+    # their oracle powers tie: the gap (~1e-8 of the largest power) is no near-tie,
+    # yet accumulated rounding in a weaker recurrence would flip it
+    t = np.arange(int(duration * rate)) / rate
+
+    def tone(offset):
+        f = FREQ_MIN + (k + offset) * FREQ_STEP
+        return EcgSignal(values=np.cos(2 * math.pi * f * t + 0.3), rate=rate)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        powers = oracle_scan(tone(mid))[1]
+        lo, hi = (mid, hi) if powers[k] >= powers[k + 1] else (lo, mid)
+    for offset in (lo - 1e-8, hi + 1e-8):
+        signal = tone(offset)
+        assert accepted_frequencies(signal) == {oracle_scan(signal)[0]}
+        assert dominant_frequency(signal) == oracle_scan(signal)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(value=st.floats(-100.0, 100.0), n=st.integers(2, 20000), rate=st.floats(100.0, 500.0))
+@example(value=1.799806078595907, n=999, rate=100.0)  # every grid power ties in exact arithmetic
+@example(value=8.799806078595907, n=1000, rate=100.0)  # every grid power is 0 in exact arithmetic
+def test_scan_matches_the_oracle_on_constant_signals(value, n, rate):
+    signal = EcgSignal(values=np.full(n, value), rate=rate)
+    assert dominant_frequency(signal) in accepted_frequencies(signal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([-1.0, 0.0, 0.4, 0.5, 0.7, 1.0, 2.0]), min_size=1, max_size=40))
+@example(values=[1.0, 0.0, 1.0])  # single-sample runs on the first and the last sample
+@example(values=[2.0, 2.0, 0.0, 0.0, 1.0])
+@example(values=[0.0, 1.0, 0.0, 1.0, 1.0])
+def test_detect_beats_matches_the_oracle_on_arbitrary_runs(values):
+    signal = EcgSignal(values=np.array(values), rate=100.0)
+    beats = beats_or_error(oracle_beats, signal)
+    found = beats_or_error(detect_beats, signal)
+    assert (found == beats) if isinstance(beats, str) else np.array_equal(found, beats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 2000),
+    rate=st.sampled_from([100.0, 250.0, 500.0]),
+    baseline=st.floats(-0.4, 0.4),
+)
+def test_st_deviation_matches_the_oracle_for_beats_anywhere(data, n, rate, baseline):
+    # unit spikes on a sub-threshold noisy baseline, at any samples, the first and last included
+    positions = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=40, unique=True))
+    values = baseline + 0.05 * np.random.default_rng(n).standard_normal(n)
+    values[positions] = 1.0
+    signal = EcgSignal(values=values, rate=rate)
+    beats = beats_or_error(oracle_beats, signal)
+    if isinstance(beats, str):
+        with pytest.raises(NoBeatsDetected):
+            extract_features(signal)
+        return
+    assert bits(extract_features(signal).st_deviation) == bits(oracle_st_deviation(signal, beats))

@@ -2,7 +2,11 @@
 
 import importlib.resources
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,14 @@ def test_cli_validate_reports_every_document(capsys):
     out = capsys.readouterr().out
     for label in ("workflow", "sla", "pool", "repo", "run-config"):
         assert f"{label}: ok" in out
+
+
+def test_python_dash_m_hybridwms_runs_the_cli():
+    package_root = Path(importlib.resources.files("hybridwms")).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "hybridwms", "validate"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "run-config: ok" in done.stdout
 
 
 def test_cli_validate_flags_broken_documents(tmp_path, capsys):

@@ -227,7 +227,6 @@ def test_stage_in_transfers_only_for_tasks_off_the_replica_host():
     assert len(plan.transfers) == 1
     (transfer,) = plan.transfers
     assert (transfer.file, transfer.src_resource, transfer.dst_resource) == ("fb", "r1", "r3")
-    assert transfer.producer is None
 
 
 # -- estimates vs. execution -----------------------------------------------------

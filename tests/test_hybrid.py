@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridwms.documents import load_json
+from hybridwms.documents import dump_json, load_json
 from hybridwms.ecg import extract_features, synthesize_ecg
 from hybridwms.engine import (
     PatientParams,
@@ -19,6 +19,7 @@ from hybridwms.engine import (
     derive_seed,
     node_timings_csv,
     parse_run_config,
+    _candidate_features,
     record_document,
     replace_seed,
     run_workflow,
@@ -26,6 +27,7 @@ from hybridwms.engine import (
 from hybridwms.errors import (
     EmptyParameterGrid,
     MissingInput,
+    NoBeatsDetected,
     NodeError,
     RunError,
     SchemaError,
@@ -348,6 +350,48 @@ def test_empty_candidate_grid_fails_the_loop_node():
     assert isinstance(err.value.cause, NodeError)
     assert err.value.cause.node_id == "vhs-loop"
     assert isinstance(err.value.cause.cause, EmptyParameterGrid)
+
+
+# -- candidate feature memo ------------------------------------------------------------
+
+
+def test_memoised_candidate_features_equal_a_direct_extraction():
+    _, _, _, config = load_defaults()
+    for candidate in config.candidates:
+        args = (candidate["bpm"], candidate.get("irregularity", 0.0), candidate.get("st_offset", 0.0))
+        seed = candidate.get("seed", 0)
+        direct = extract_features(synthesize_ecg(*args, noise=0.0, duration=30.0, rate=250.0, seed=seed))
+        assert _candidate_features(*args, seed, 30.0, 250.0) == direct
+        assert _candidate_features(*args, seed, 30.0, 250.0) == direct  # from the cache
+
+
+def test_runs_give_the_same_record_from_a_cold_or_a_warm_memo():
+    bundle, pool, repo, config = load_defaults()
+
+    def record():
+        run = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("High Performance"), config)
+        return dump_json(record_document(run))
+
+    _candidate_features.cache_clear()
+    cold = record()
+    assert _candidate_features.cache_info().currsize > 0
+    assert record() == cold
+
+
+def test_candidate_memo_is_bounded():
+    maxsize = _candidate_features.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_candidate_memo_does_not_cache_failures():
+    # one beat in 3.5 s: extraction fails, and must fail again rather than be remembered
+    before = _candidate_features.cache_info()
+    for _ in range(2):
+        with pytest.raises(NoBeatsDetected):
+            _candidate_features(30.0, 0.0, 0.0, 0, 3.5, 250.0)
+    after = _candidate_features.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.currsize == before.currsize
 
 
 # -- recorded samples -----------------------------------------------------------------
