@@ -20,6 +20,7 @@ from .resources import (
     AllocationCostParams,
     ResourceDescriptor,
     average_cost_table,
+    cost_grid,
     cost_table_csv,
     generate_arq,
     quorum_grid_mean,
@@ -128,12 +129,13 @@ def run_cost_study(
     horizon: int = 24,
     samples_per_hour: int = 60,
 ) -> CostStudy:
-    """Hourly mean allocation cost per resource, plus per-level quorum means."""
-    table = average_cost_table(pool, horizon, samples_per_hour, params)
-    means = []
-    for level in LEVELS:
-        quorum = generate_arq(pool, level, 0.0, params)
-        means.append((level, quorum_grid_mean(pool, quorum, horizon, samples_per_hour, params)))
+    """Hourly mean allocation cost of the six resources ranked best at t=0
+    (all of a smaller pool), plus per-level quorum means. Each cost is
+    evaluated once per grid instant; table and means reduce that one grid."""
+    grid = cost_grid(pool, horizon, samples_per_hour, params)
+    quorums = [generate_arq(pool, level, 0.0, params) for level in LEVELS]
+    table = average_cost_table(grid, quorums[-1].members[:6], samples_per_hour)
+    means = [(quorum.level, quorum_grid_mean(grid, quorum)) for quorum in quorums]
     lines = ["level,mean_ac"]
     for level, mean in means:
         lines.append(f"{level},{mean:.6f}")

@@ -3,7 +3,9 @@ ranking, and resource quorum generation.
 
 Every metric evaluation is a pure function of (trace fields, t); noise is
 counter-based (hash of seed and quantized t), so evaluation order can never
-change a result.
+change a result. The cost study evaluates each resource's cost once per
+instant of its hour grid (``cost_grid``); the hourly table and the quorum
+means are reductions over that grid.
 """
 
 from __future__ import annotations
@@ -167,27 +169,22 @@ def hour_instants(hour: int, samples_per_hour: int) -> list[float]:
     return [hour * 3600.0 + k * step for k in range(samples_per_hour)]
 
 
-def average_cost_table(pool, horizon: int, samples_per_hour: int, params: AllocationCostParams) -> CostTable:
-    """Mean allocation cost per hour for the six top-ranked resources.
-
-    Ranking is taken at t=0; pools of six or fewer keep every resource.
-    """
+def cost_grid(pool, horizon: int, samples_per_hour: int, params: AllocationCostParams) -> dict[str, list[float]]:
+    """Each resource's allocation cost at every instant of hours 0..horizon-1, hour-major."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1 hour")
     if samples_per_hour < 1:
         raise ValueError("samples_per_hour must be >= 1")
-    ranking = rank_resources(pool, 0.0, params)
-    ids = [rid for rid, _ in ranking[:6]] if len(ranking) > 6 else [rid for rid, _ in ranking]
-    by_id = {res.id: res for res in pool}
-    rows = []
-    for hour in range(horizon):
-        instants = hour_instants(hour, samples_per_hour)
-        row = []
-        for rid in ids:
-            res = by_id[rid]
-            row.append(sum(allocation_cost(res, t, params) for t in instants) / len(instants))
-        rows.append(tuple(row))
-    return CostTable(tuple(ids), tuple(rows), samples_per_hour)
+    instants = [t for hour in range(horizon) for t in hour_instants(hour, samples_per_hour)]
+    return {res.id: [allocation_cost(res, t, params) for t in instants] for res in pool}
+
+
+def average_cost_table(grid: dict[str, list[float]], resource_ids, samples_per_hour: int) -> CostTable:
+    """Mean allocation cost per hour of each listed resource, from its grid costs."""
+    s = samples_per_hour
+    horizon = len(grid[resource_ids[0]]) // s
+    rows = tuple(tuple(sum(grid[rid][h * s : (h + 1) * s]) / s for rid in resource_ids) for h in range(horizon))
+    return CostTable(tuple(resource_ids), rows, s)
 
 
 def cost_table_csv(table: CostTable) -> str:
@@ -197,17 +194,14 @@ def cost_table_csv(table: CostTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def quorum_grid_mean(pool, quorum: Quorum, horizon: int, samples_per_hour: int, params: AllocationCostParams) -> float:
-    """Mean allocation cost of a quorum's members over the full hour grid."""
-    by_id = {res.id: res for res in pool}
+def quorum_grid_mean(grid: dict[str, list[float]], quorum: Quorum) -> float:
+    """Mean allocation cost of a quorum's members over the full cost grid."""
+    columns = [grid[rid] for rid in quorum.members]
     total = 0.0
-    count = 0
-    for hour in range(horizon):
-        for t in hour_instants(hour, samples_per_hour):
-            for rid in quorum.members:
-                total += allocation_cost(by_id[rid], t, params)
-                count += 1
-    return total / count
+    for costs in zip(*columns):  # instant-major, members in quorum order: fixes the float addition order
+        for cost in costs:
+            total += cost
+    return total / (len(columns) * len(columns[0]))
 
 
 def parse_trace(raw: dict, path: str) -> MetricTrace:
@@ -230,6 +224,8 @@ def parse_trace(raw: dict, path: str) -> MetricTrace:
 def parse_pool(document) -> list[ResourceDescriptor]:
     """Parse a resource pool document (JSON array of resource records)."""
     raw_pool = doc.require_list(document, "pool")
+    if not raw_pool:
+        raise doc.SchemaError("pool", "must list at least one resource")
     pool = []
     seen = set()
     for i, raw in enumerate(raw_pool):

@@ -52,6 +52,7 @@ from hybridwms.resources import (
     Quorum,
     ResourceDescriptor,
     allocation_cost,
+    cost_grid,
     generate_arq,
     hour_instants,
     metric_at,
@@ -144,7 +145,7 @@ def test_criterion_2_l1_quorum_is_the_exhaustive_optimum(capsys):
         quorum = generate_arq(pool, "L1", 0.0, params)
         assert len(quorum.members) == 2
         assert tuple(sorted(quorum.members)) == best_subset
-        lived = quorum_grid_mean(pool, quorum, horizon, samples, params)
+        lived = quorum_grid_mean(cost_grid(pool, horizon, samples, params), quorum)
         assert lived == pytest.approx(best_mean, abs=1e-9)
         info["detail"] = f"optimum {{{', '.join(best_subset)}}} mean {best_mean:.6f} over 28 subsets"
 
@@ -182,7 +183,7 @@ def test_criterion_3_quorum_nesting_and_mean_monotonicity(capsys):
             l1, l2, l3 = (set(quorums[lv].members) for lv in ("L1", "L2", "L3"))
             assert l1 <= l2 <= l3
             means = [
-                quorum_grid_mean(pool, quorums[lv], horizon, samples, params) for lv in ("L1", "L2", "L3")
+                quorum_grid_mean(cost_grid(pool, horizon, samples, params), quorums[lv]) for lv in ("L1", "L2", "L3")
             ]
             assert means[0] <= means[1] + 1e-9
             assert means[1] <= means[2] + 1e-9

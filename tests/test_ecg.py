@@ -58,6 +58,15 @@ def test_synthesis_validation():
         synthesize_ecg(bpm=60, duration=0)
 
 
+def test_synthesis_refuses_work_beyond_its_bounds():
+    # Each call is cheap even without the bounds, so a missing bound fails here instead of hanging.
+    for kwargs in (dict(bpm=1e9, duration=0.01), dict(bpm=60, duration=3601, rate=1), dict(bpm=60, duration=0.01, rate=2001)):
+        with pytest.raises(ValueError):
+            synthesize_ecg(**kwargs)
+    for kwargs in (dict(bpm=1000, duration=1), dict(bpm=60, duration=3600, rate=1), dict(bpm=60, duration=0.1, rate=2000)):
+        synthesize_ecg(**kwargs)
+
+
 # -- beat detection --------------------------------------------------------------
 
 

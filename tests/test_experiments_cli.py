@@ -1,8 +1,11 @@
 """Experiment harness and command-line tests."""
 
+import hashlib
 import importlib.resources
 import json
+import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -24,7 +27,9 @@ from hybridwms.experiments import (
     summary_csv,
 )
 from hybridwms.policy import parse_repository
-from hybridwms.resources import parse_pool
+from hybridwms.resources import AllocationCostParams, MetricTrace, ResourceDescriptor, parse_pool
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def data_path(rel):
@@ -125,6 +130,68 @@ def test_cost_study_table_keeps_six_columns():
     quorum_lines = study.quorum_csv.splitlines()
     assert quorum_lines[0] == "level,mean_ac"
     assert [ln.split(",")[0] for ln in quorum_lines[1:]] == ["L1", "L2", "L3"]
+
+
+#: (pool seed, resources, horizon, samples per hour) of the seeded cost-study
+#: cases; pools of six or fewer keep every resource as a table column.
+COST_CASES = (
+    (11, 1, 3, 7),
+    (12, 2, 24, 4),
+    (13, 3, 2, 60),
+    (14, 5, 6, 10),
+    (15, 6, 4, 5),
+    (16, 7, 24, 12),
+    (17, 12, 5, 6),
+    (18, 20, 3, 20),
+    (19, 33, 2, 15),
+    (20, 48, 4, 3),
+    (21, 64, 24, 2),
+    (22, 64, 1, 60),
+)
+
+
+def noisy_cost_case(seed, n):
+    """A pool of periodic, phased, noisy traces and random weights.
+
+    Every fifth resource copies its predecessor's traces, so costs tie and
+    the ranking falls back to resource ids.
+    """
+    rng = random.Random(seed)
+
+    def trace():
+        return MetricTrace(
+            base=rng.uniform(0.0, 1.0),
+            amplitude=rng.choice([0.0, rng.uniform(0.0, 0.3)]),
+            period=rng.choice([900.0, 3600.0, 5400.0, 7200.0]),
+            phase=rng.uniform(0.0, 2 * math.pi),
+            noise_sigma=rng.uniform(0.0, 0.1),
+            seed=rng.randrange(1 << 32),
+        )
+
+    pool = []
+    for i in range(n):
+        net, sys_ = (pool[-1].net_trace, pool[-1].sys_trace) if i % 5 == 4 else (trace(), trace())
+        pool.append(ResourceDescriptor(f"r{i:02d}", f"site{i % 3}", 100.0, net, sys_, 1e8, 0.01))
+    return pool, AllocationCostParams(rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0))
+
+
+def cost_study_digest(study) -> str:
+    return hashlib.sha256((study.table_csv + study.quorum_csv).encode("utf-8")).hexdigest()
+
+
+def cost_study_digests() -> dict:
+    """Digests of the packaged pool's study and of each seeded case's."""
+    _, pool, _, _ = load_defaults()
+    seeded = []
+    for seed, n, horizon, samples in COST_CASES:
+        case_pool, params = noisy_cost_case(seed, n)
+        seeded.append(cost_study_digest(run_cost_study(case_pool, params, horizon, samples)))
+    return {"packaged": cost_study_digest(run_cost_study(pool)), "seeded": seeded}
+
+
+def test_cost_study_matches_golden():
+    golden = json.loads((GOLDEN / "cost_study_digests.json").read_text(encoding="utf-8"))
+    assert cost_study_digests() == golden
 
 
 # -- policy comparison --------------------------------------------------------------
@@ -247,6 +314,13 @@ def test_cli_cost_table(tmp_path, capsys):
     assert (tmp_path / "quorum_means.csv").read_text().splitlines()[0] == "level,mean_ac"
 
 
+def test_cli_cost_table_files_match_golden(tmp_path, capsys):
+    assert main(["experiment", "cost-table", "--out-dir", str(tmp_path)]) == 0
+    written = (tmp_path / "cost_table.csv").read_bytes() + (tmp_path / "quorum_means.csv").read_bytes()
+    golden = json.loads((GOLDEN / "cost_study_digests.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(written).hexdigest() == golden["packaged"]
+
+
 def test_cli_policy_comparison(tmp_path, capsys):
     code = main(
         ["experiment", "policy-comparison", "--out-dir", str(tmp_path), "--replicates", "2"]
@@ -294,6 +368,27 @@ def test_cli_rejects_out_of_domain_candidate_before_running(tmp_path, capsys):
     assert main(["run", "--run-config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert "error: run_config.vhs_grid[2].irregularity" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_candidate_beyond_the_work_bound(tmp_path, capsys):
+    document = load_json(data_path("run_config.json"))
+    document["vhs_grid"][0]["bpm"] = 1e9
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(json.dumps(document))
+    assert main(["validate", "--run-config", str(config_path)]) == 2
+    assert "run-config: error: run_config.vhs_grid[0].bpm" in capsys.readouterr().out
+
+
+def test_cli_rejects_an_empty_pool_at_parse_time(tmp_path, capsys):
+    empty = tmp_path / "pool.json"
+    empty.write_text("[]")
+    assert main(["validate", "--pool", str(empty)]) == 2
+    assert "pool: error: pool: must list at least one resource" in capsys.readouterr().out
+    assert main(["experiment", "cost-table", "--pool", str(empty), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "error: pool: must list at least one resource" in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
 

@@ -120,12 +120,12 @@ def test_parse_run_config_rejects_unknown_keys():
 
 #: The signal-parameter domains ``synthesize_ecg`` enforces, restated.
 SIGNAL_DOMAINS = {
-    "bpm": lambda v: v > 0,
+    "bpm": lambda v: 0 < v <= 1000,
     "irregularity": lambda v: 0 <= v < 1,
     "st_offset": lambda v: True,
     "noise": lambda v: v >= 0,
-    "duration": lambda v: v > 0,
-    "rate": lambda v: v > 0,
+    "duration": lambda v: 0 < v <= 3600,
+    "rate": lambda v: 0 < v <= 2000,
 }
 PACKAGED_RUN_CONFIG = load_json(data_path("run_config.json"))
 #: ``(candidate index or None for the patient, key)`` of every signal field.

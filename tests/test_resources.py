@@ -2,18 +2,24 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hybridwms import experiments, resources
 from hybridwms.errors import EmptyPool, SchemaError
 from hybridwms.resources import (
     LEVELS,
     RANDOM_LEVEL,
     AllocationCostParams,
+    CostTable,
     MetricTrace,
     ResourceDescriptor,
     allocation_cost,
     average_cost_table,
+    cost_grid,
     cost_table_csv,
     generate_arq,
     hour_instants,
@@ -194,9 +200,52 @@ def test_random_quorum_varies_with_seed():
 # -- cost tables -------------------------------------------------------------
 
 
+def study_table(pool, horizon, samples_per_hour, params=PARAMS):
+    """``run_cost_study`` on the pool, and the cost table it reduced from its grid."""
+    built = []
+
+    def keep(*args):
+        built.append(average_cost_table(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "average_cost_table", keep)
+        study = experiments.run_cost_study(pool, params, horizon, samples_per_hour)
+    return built[0], study
+
+
+def oracle_cost_table(pool, horizon, samples_per_hour, params):
+    """Loop version of the study's table: every cell evaluates its own instants."""
+    ranking = rank_resources(pool, 0.0, params)
+    ids = [rid for rid, _ in ranking[:6]] if len(ranking) > 6 else [rid for rid, _ in ranking]
+    by_id = {res.id: res for res in pool}
+    rows = []
+    for hour in range(horizon):
+        instants = hour_instants(hour, samples_per_hour)
+        row = []
+        for rid in ids:
+            res = by_id[rid]
+            row.append(sum(allocation_cost(res, t, params) for t in instants) / len(instants))
+        rows.append(tuple(row))
+    return CostTable(tuple(ids), tuple(rows), samples_per_hour)
+
+
+def oracle_quorum_mean(pool, quorum, horizon, samples_per_hour, params):
+    """Loop version of a quorum's grid mean: every term evaluates its own cost."""
+    by_id = {res.id: res for res in pool}
+    total = 0.0
+    count = 0
+    for hour in range(horizon):
+        for t in hour_instants(hour, samples_per_hour):
+            for rid in quorum.members:
+                total += allocation_cost(by_id[rid], t, params)
+                count += 1
+    return total / count
+
+
 def test_cost_table_keeps_six_best_of_larger_pool():
     pool = random_pool(random.Random(3), 10)
-    table = average_cost_table(pool, horizon=4, samples_per_hour=6, params=PARAMS)
+    table, _ = study_table(pool, horizon=4, samples_per_hour=6)
     ranking = [rid for rid, _ in rank_resources(pool, 0.0, PARAMS)]
     assert list(table.resource_ids) == ranking[:6]
     assert len(table.rows) == 4
@@ -205,7 +254,7 @@ def test_cost_table_keeps_six_best_of_larger_pool():
 
 def test_cost_table_small_pool_keeps_everyone():
     pool = random_pool(random.Random(4), 3)
-    table = average_cost_table(pool, horizon=2, samples_per_hour=4, params=PARAMS)
+    table, _ = study_table(pool, horizon=2, samples_per_hour=4)
     assert len(table.resource_ids) == 3
 
 
@@ -225,7 +274,7 @@ def test_cost_table_cells_are_hourly_means():
         for i, r in enumerate(pool)
     ]
     samples = 5
-    table = average_cost_table(pool, horizon=3, samples_per_hour=samples, params=PARAMS)
+    table, _ = study_table(pool, horizon=3, samples_per_hour=samples)
     by_id = {r.id: r for r in pool}
     for hour, row in enumerate(table.rows):
         for rid, cell in zip(table.resource_ids, row):
@@ -236,13 +285,13 @@ def test_cost_table_cells_are_hourly_means():
 
 def test_cost_table_constant_traces_give_identical_rows():
     pool = [make_resource("a", 0.2, 0.1), make_resource("b", 0.5, 0.4)]
-    table = average_cost_table(pool, horizon=5, samples_per_hour=3, params=PARAMS)
+    table, _ = study_table(pool, horizon=5, samples_per_hour=3)
     assert len(set(table.rows)) == 1
 
 
 def test_cost_table_csv_layout():
     pool = [make_resource("a", 0.2, 0.1), make_resource("b", 0.5, 0.4)]
-    text = cost_table_csv(average_cost_table(pool, 2, 2, PARAMS))
+    text = cost_table_csv(study_table(pool, 2, 2)[0])
     lines = text.splitlines()
     assert lines[0] == "hour,a,b"
     assert len(lines) == 3
@@ -259,7 +308,7 @@ def test_cost_table_csv_layout():
 def test_quorum_grid_mean_is_member_average():
     pool = [make_resource("a", 0.2, 0.2), make_resource("b", 0.4, 0.4), make_resource("c", 0.8, 0.8)]
     quorum = generate_arq(pool, "L2", 0.0, PARAMS)
-    mean = quorum_grid_mean(pool, quorum, horizon=2, samples_per_hour=3, params=PARAMS)
+    mean = quorum_grid_mean(cost_grid(pool, horizon=2, samples_per_hour=3, params=PARAMS), quorum)
     # constant traces: cost of a is 0.2, b is 0.4, every instant
     assert mean == pytest.approx(0.3, abs=1e-12)
 
@@ -267,9 +316,68 @@ def test_quorum_grid_mean_is_member_average():
 def test_cost_table_argument_validation():
     pool = [make_resource("a", 0.2, 0.1)]
     with pytest.raises(ValueError):
-        average_cost_table(pool, 0, 4, PARAMS)
+        cost_grid(pool, 0, 4, PARAMS)
     with pytest.raises(ValueError):
-        average_cost_table(pool, 4, 0, PARAMS)
+        cost_grid(pool, 4, 0, PARAMS)
+
+
+@st.composite
+def cost_cases(draw):
+    """A pool of 1-12 resources (periodic and noise parts each off or on;
+    some resources copy their predecessor's traces, so costs tie), weights,
+    a horizon of 1-4 hours and 1-7 samples per hour."""
+
+    def trace():
+        return MetricTrace(
+            base=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+            amplitude=draw(st.just(0.0) | st.floats(1e-3, 0.6)),
+            period=draw(st.floats(60.0, 86400.0)),
+            phase=draw(st.floats(0.0, 2 * math.pi)),
+            noise_sigma=draw(st.just(0.0) | st.floats(1e-3, 0.3)),
+            seed=draw(st.integers(0, (1 << 64) - 1)),
+        )
+
+    pool = []
+    for i in range(draw(st.integers(1, 12))):
+        traces = (pool[-1].net_trace, pool[-1].sys_trace) if pool and draw(st.booleans()) else (trace(), trace())
+        pool.append(ResourceDescriptor(f"r{i:02d}", "s", 100.0, *traces, 1e8, 0.01))
+    alpha, beta = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    assume(alpha + beta > 0)
+    return pool, AllocationCostParams(alpha, beta), draw(st.integers(1, 4)), draw(st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cost_cases())
+def test_cost_study_equals_the_loop_oracles(case):
+    pool, params, horizon, samples = case
+    table, study = study_table(pool, horizon, samples, params)
+    expected = oracle_cost_table(pool, horizon, samples, params)
+    assert table.resource_ids == expected.resource_ids
+    assert table.rows == expected.rows
+    assert study.table_csv == cost_table_csv(expected)
+    assert study.level_means == tuple(
+        (level, oracle_quorum_mean(pool, generate_arq(pool, level, 0.0, params), horizon, samples, params))
+        for level in LEVELS
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+def test_cost_study_evaluates_each_grid_cost_once(monkeypatch, n):
+    pool = random_pool(random.Random(n), n, noise=0.05)
+    horizon, samples = 3, 5
+    calls = Counter()
+
+    def counted(res, t, params):
+        calls[res.id, t] += 1
+        return allocation_cost(res, t, params)
+
+    monkeypatch.setattr(resources, "allocation_cost", counted)
+    experiments.run_cost_study(pool, PARAMS, horizon, samples)
+    assert sum(calls.values()) == n * horizon * samples + 3 * n
+    grid = {(res.id, t) for res in pool for hour in range(horizon) for t in hour_instants(hour, samples)}
+    assert set(calls) == grid
+    # every grid pair once; t=0 also ranks each resource once per level
+    assert all(count == (4 if t == 0.0 else 1) for (_, t), count in calls.items())
 
 
 # -- pool documents ----------------------------------------------------------
@@ -296,6 +404,12 @@ def test_parse_pool_reads_traces_and_defaults():
     assert res.net_trace == MetricTrace(base=0.2)
     assert res.sys_trace.amplitude == 0.1
     assert res.sys_trace.seed == 4
+
+
+def test_parse_pool_rejects_an_empty_pool():
+    with pytest.raises(SchemaError) as err:
+        parse_pool([])
+    assert err.value.path == "pool"
 
 
 def test_parse_pool_rejects_duplicate_id():
