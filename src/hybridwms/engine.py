@@ -39,7 +39,7 @@ from .errors import (
     UnknownStrategy,
     WmsError,
 )
-from .gridengine import SubWorkflowResult, execute_plan, map_workflow
+from .gridengine import RateMemo, SubWorkflowResult, execute_plan, map_workflow
 from .policy import (
     DEFAULT_PROVENANCE,
     ConfigRegistry,
@@ -282,6 +282,7 @@ class _Context:
     dispatch_index: int = 0
     dispatches: list = field(default_factory=list)
     vhs: LoopRecord | None = None
+    rates: RateMemo = field(default_factory=dict)  # shared by every dispatch over pool_map
 
 
 def _features_detail(features: EcgFeatures) -> dict:
@@ -342,8 +343,8 @@ def _dispatch_grid(ctx: _Context, node_id: str, subworkflow_id: str) -> SubWorkf
     subwf = ctx.subworkflows[subworkflow_id]
     scheduler = ctx.registry.get("scheduler.kind")
     seed = derive_seed(ctx.run_seed, ctx.registry.get("scheduler.seed"), ctx.dispatch_index, "sched")
-    plan = map_workflow(subwf, ctx.quorum, ctx.pool_map, scheduler=scheduler, seed=seed)
-    result = execute_plan(plan, ctx.pool_map)
+    plan = map_workflow(subwf, ctx.quorum, ctx.pool_map, scheduler=scheduler, seed=seed, rates=ctx.rates)
+    result = execute_plan(plan, ctx.pool_map, rates=ctx.rates)
     record = DispatchRecord(
         index=ctx.dispatch_index,
         node_id=node_id,

@@ -61,30 +61,28 @@ class PolicySetConfig:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str  # "cost_table" or "policy_comparison"
+    kind: str  # always "policy_comparison"
     replicates: int = 1
     base_seed: int = 0
     configs: tuple[PolicySetConfig, ...] = ()
-    horizon: int = 24
 
     def __post_init__(self):
-        if self.kind not in ("cost_table", "policy_comparison"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.kind == "policy_comparison" and len(self.configs) < 2:
+        if len(self.configs) < 2:
             raise ValueError("policy comparison needs at least two configurations")
 
 
 def parse_experiment_spec(document) -> ExperimentSpec:
+    """Parse a policy-comparison spec, the only kind of experiment document;
+    the cost study reads nothing but the pool."""
     root = doc.require_mapping(document, "experiment")
-    doc.reject_unknown(root, {"kind", "replicates", "base_seed", "configs", "horizon"}, "experiment")
     kind = doc.get_str(root, "kind", "experiment")
+    if kind != "policy_comparison":
+        raise doc.SchemaError("experiment.kind", f"expected 'policy_comparison', got {kind!r}")
+    doc.reject_unknown(root, {"kind", "replicates", "base_seed", "configs"}, "experiment")
     replicates = doc.get_int(root, "replicates", "experiment") if "replicates" in root else 1
     base_seed = doc.get_int(root, "base_seed", "experiment") if "base_seed" in root else 0
-    horizon = doc.get_int(root, "horizon", "experiment") if "horizon" in root else 24
 
     configs = []
     seen = set()
@@ -101,9 +99,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
         configs.append(PolicySetConfig(name=name, sla=sla, extra_policies=extra))
 
     try:
-        return ExperimentSpec(
-            kind=kind, replicates=replicates, base_seed=base_seed, configs=tuple(configs), horizon=horizon
-        )
+        return ExperimentSpec(kind=kind, replicates=replicates, base_seed=base_seed, configs=tuple(configs))
     except ValueError as exc:
         raise doc.SchemaError("experiment", str(exc)) from exc
 
@@ -199,8 +195,6 @@ def run_policy_comparison(
     replicates see the same patient. A failing run stops the study; rows
     completed so far are kept and the failure becomes an error row.
     """
-    if spec.kind != "policy_comparison":
-        raise ValueError("spec is not a policy comparison")
     rows: list[ComparisonRow] = []
     for config in spec.configs:
         for replicate in range(1, spec.replicates + 1):

@@ -23,12 +23,15 @@ from .simkernel import (
     SimResult,
     TaskRecord,
     TransferRecord,
-    exec_time,
+    effective_rate,
+    exec_time,  # noqa: F401 -- kept at this name; bench/tracing.py counts calls through it
     transfer_time,
 )
 from .workflow import AbstractSubWorkflow, topological_order
 
 SCHEDULER_KINDS = ("MinEFT", "RoundRobin", "Random")
+
+RateMemo = dict[tuple[str, float], float]  # effective rate by (resource id, start), for one pool
 
 
 @dataclass(frozen=True)
@@ -125,13 +128,17 @@ class _Estimator:
     ready when its last input arrives: a stage-in starts at time zero, and a
     producer's output leaves at the producer's end, crossing resources by a
     transfer. It starts once it is ready and its resource has finished every
-    task committed to it before, and runs for ``exec_time`` at its start.
-    Stage-ins are ``(source resource, bytes, consumer)`` and dependencies
-    ``(producer, consumer, bytes)``.
+    task committed to it before, and runs for ``exec_time`` at its start:
+    its work divided by its resource's ``effective_rate`` then. Stage-ins are
+    ``(source resource, bytes, consumer)`` and dependencies ``(producer,
+    consumer, bytes)``. ``rates`` memoizes each rate by ``(resource id,
+    start)``, so it is evaluated once per pair; estimators over the same pool
+    may share it, and ``None`` gives this estimator its own.
     """
 
-    def __init__(self, pool: dict[str, ResourceDescriptor], stage_ins, dependencies):
+    def __init__(self, pool: dict[str, ResourceDescriptor], stage_ins, dependencies, rates: RateMemo | None):
         self._pool = pool
+        self._rates = {} if rates is None else rates
         self._avail: dict[str, float] = {}
         self.end_of: dict[str, float] = {}
         self.placed: dict[str, str] = {}
@@ -160,8 +167,10 @@ class _Estimator:
     def finish_time(self, task_id: str, work: float, resource_id: str) -> tuple[float, float, float]:
         ready = self.ready_time(task_id, resource_id)
         start = max(ready, self._avail.get(resource_id, 0.0))
-        end = start + exec_time(work, self._pool[resource_id], start)
-        return ready, start, end
+        rate = self._rates.get((resource_id, start))
+        if rate is None:
+            rate = self._rates[resource_id, start] = effective_rate(self._pool[resource_id], start)
+        return ready, start, start + work / rate
 
     def commit(self, task_id: str, resource_id: str, ready: float, start: float, end: float) -> None:
         self.placed[task_id] = resource_id
@@ -177,13 +186,15 @@ def map_workflow(
     scheduler: str = "MinEFT",
     seed: int = 0,
     catalogs: Catalogs | None = None,
+    rates: RateMemo | None = None,
 ) -> ConcretePlan:
     """Assign every task of the sub-workflow to a quorum member.
 
     ``MinEFT`` greedily minimizes each task's estimated finish time (ties go
     to the lowest resource id), ``RoundRobin`` cycles through the quorum in
     rank order, and ``Random`` draws uniformly from the eligible members
-    using the given seed.
+    using the given seed. ``rates`` is the estimator's rate memo; calls over
+    the same pool may share one (the engine shares one per run).
     """
     if scheduler not in SCHEDULER_KINDS:
         raise UnknownStrategy(f"unknown scheduler {scheduler!r}")
@@ -197,7 +208,8 @@ def map_workflow(
 
     order = topological_order(subwf)
     tasks = {t.id: t for t in subwf.tasks}
-    estimator = _Estimator(pool, ((replica_host, size, consumer) for _, size, consumer in subwf.inputs), subwf.data_deps)
+    stage_ins = ((replica_host, size, consumer) for _, size, consumer in subwf.inputs)
+    estimator = _Estimator(pool, stage_ins, subwf.data_deps, rates)
     rng = random.Random(seed)
 
     assignments = []
@@ -282,7 +294,9 @@ class SubWorkflowResult:
         }
 
 
-def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> SubWorkflowResult:
+def execute_plan(
+    plan: ConcretePlan, pool: dict[str, ResourceDescriptor], rates: RateMemo | None = None
+) -> SubWorkflowResult:
     """Execute a concrete plan: one pass of the mapping recurrence in plan order.
 
     Transfer records list the plan's stage-ins, which start at time zero, and
@@ -294,6 +308,7 @@ def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> Sub
     A duplicate task, an unknown resource, or a dependency or stage-in naming
     an unknown task raises ``ValueError``. A task placed before one of its
     producers raises ``StuckSimulation`` naming it and every later task.
+    ``rates`` is the estimator's rate memo, as for ``map_workflow``.
     """
     position: dict[str, int] = {}
     for index, planned in enumerate(plan.assignments):
@@ -313,7 +328,7 @@ def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> Sub
         raise StuckSimulation(p.task_id for p in plan.assignments[min(stuck) :])
 
     stage_ins = ((t.src_resource, t.size_bytes, t.consumer) for t in plan.transfers)
-    estimator = _Estimator(pool, stage_ins, plan.dependencies)
+    estimator = _Estimator(pool, stage_ins, plan.dependencies, rates)
     for planned in plan.assignments:
         times = estimator.finish_time(planned.task_id, planned.work, planned.resource_id)
         estimator.commit(planned.task_id, planned.resource_id, *times)

@@ -1,10 +1,11 @@
 """Timing primitives and the records of plan execution.
 
-``exec_time`` and ``transfer_time`` are the whole timing model. Plans are
-executed by the one-pass recurrence in ``gridengine``, which also produces
-the mapping estimates: resources run one task at a time in plan order, and
-data moves as non-blocking transfers that begin the moment the producer
-finishes (stage-ins at time zero).
+``effective_rate``, ``exec_time`` and ``transfer_time`` are the whole timing
+model; ``effective_rate`` alone turns load into speed. Plans are executed by
+the one-pass recurrence in ``gridengine``, which also produces the mapping
+estimates: resources run one task at a time in plan order, and data moves as
+non-blocking transfers that begin the moment the producer finishes (stage-ins
+at time zero).
 """
 
 from __future__ import annotations
@@ -14,14 +15,18 @@ from dataclasses import dataclass
 from .resources import ResourceDescriptor, metric_at
 
 
-def exec_time(work: float, resource: ResourceDescriptor, t_start: float) -> float:
-    """Task duration on a resource whose effective speed degrades with load.
+def effective_rate(resource: ResourceDescriptor, t: float) -> float:
+    """Speed of a resource at time ``t``: nominal speed degraded by system load.
 
-    A fully loaded system keeps 10% of nominal speed, so the duration stays
+    A fully loaded system keeps 10% of nominal speed, so task durations stay
     finite for any load value.
     """
-    load = metric_at(resource.sys_trace, t_start)
-    return work / (resource.cpu_rate * (1.0 - 0.9 * load))
+    return resource.cpu_rate * (1.0 - 0.9 * metric_at(resource.sys_trace, t))
+
+
+def exec_time(work: float, resource: ResourceDescriptor, t_start: float) -> float:
+    """Task duration on a resource, at its effective speed when the task starts."""
+    return work / effective_rate(resource, t_start)
 
 
 def transfer_time(size_bytes: float, src: ResourceDescriptor, dst: ResourceDescriptor) -> float:

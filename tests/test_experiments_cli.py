@@ -70,9 +70,18 @@ def test_bundle_missing_subworkflow_file(tmp_path):
 # -- experiment specs ----------------------------------------------------------
 
 
+def two_config_spec(**fields) -> dict:
+    """The smallest valid policy-comparison document, plus ``fields``."""
+    configs = [
+        {"name": "a", "sla": {"user_id": "u", "soft_label": "Balanced"}},
+        {"name": "b", "sla": {"user_id": "u", "soft_label": "Low Cost"}},
+    ]
+    return {"kind": "policy_comparison", "configs": configs, **fields}
+
+
 def test_parse_experiment_spec_defaults():
-    spec = parse_experiment_spec({"kind": "cost_table"})
-    assert (spec.replicates, spec.base_seed, spec.horizon) == (1, 0, 24)
+    spec = parse_experiment_spec(two_config_spec())
+    assert (spec.replicates, spec.base_seed) == (1, 0)
 
 
 def test_parse_experiment_spec_comparison():
@@ -87,9 +96,9 @@ def test_parse_experiment_spec_rejections():
     with pytest.raises(SchemaError):
         parse_experiment_spec({"kind": "mystery"})
     with pytest.raises(SchemaError):
-        parse_experiment_spec({"kind": "cost_table", "extra": 1})
+        parse_experiment_spec(two_config_spec(extra=1))
     with pytest.raises(SchemaError):
-        parse_experiment_spec({"kind": "cost_table", "replicates": 0})
+        parse_experiment_spec(two_config_spec(replicates=0))
     with pytest.raises(SchemaError):
         parse_experiment_spec(
             {
@@ -107,6 +116,27 @@ def test_parse_experiment_spec_rejections():
                 ],
             }
         )
+
+
+def test_parse_experiment_spec_accepts_only_policy_comparisons():
+    # The cost study reads only the pool, so no spec can describe one.
+    with pytest.raises(SchemaError) as err:
+        parse_experiment_spec(two_config_spec(kind="cost_table"))
+    assert err.value.path == "experiment.kind"
+    with pytest.raises(SchemaError) as err:
+        parse_experiment_spec(two_config_spec(horizon=6))
+    assert err.value.path == "experiment.horizon"
+
+
+def test_cli_rejects_a_cost_table_spec_without_a_traceback(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "cost_table", "horizon": 6}))
+    code = main(["experiment", "policy-comparison", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "experiment.kind" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 # -- cost study ------------------------------------------------------------------

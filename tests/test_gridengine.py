@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hybridwms import gridengine, simkernel
 from hybridwms.documents import dump_json, load_json
 from hybridwms.engine import parse_run_config, record_document, run_workflow
 from hybridwms.errors import InfeasibleMapping, UnknownStrategy
@@ -292,6 +293,36 @@ def test_estimates_match_independent_replay_and_simulation():
         assert result.makespan == plan.makespan_estimate
 
 
+def test_each_load_is_read_once_per_resource_and_start(monkeypatch):
+    # An estimator times many candidate placements that start on the same
+    # resource at the same instant; it reads that load once.
+    finish_time, metric_at = gridengine._Estimator.finish_time, simkernel.metric_at
+    timing = []  # (estimator, resource id) of the finish_time running now
+    placements = []  # (estimator, resource id, start) of every finish_time
+    reads = []  # (estimator, resource id, t) of every metric_at call
+
+    def observed_finish_time(estimator, task_id, work, resource_id):
+        timing.append((estimator, resource_id))
+        try:
+            ready, start, end = finish_time(estimator, task_id, work, resource_id)
+        finally:
+            timing.pop()
+        placements.append((estimator, resource_id, start))
+        return ready, start, end
+
+    def counted_metric_at(trace, t):
+        reads.append((*timing[-1], t))
+        return metric_at(trace, t)
+
+    monkeypatch.setattr(gridengine._Estimator, "finish_time", observed_finish_time)
+    monkeypatch.setattr(simkernel, "metric_at", counted_metric_at)
+    for plan, pool, _, _ in seeded_plans():  # maps each plan, then executes it
+        execute_plan(plan, pool)
+    assert len(reads) == len(set(reads))  # no estimator reads a (resource, start) twice
+    assert set(reads) == set(placements)  # and each one it timed was read
+    assert len(reads) < len(placements)  # the seeded mappings do repeat placements
+
+
 def tied_plans():
     """Yield ``(plan, pool, subwf, replica host)`` on identical noiseless
     resources, where many transfers end at the same time."""
@@ -354,6 +385,28 @@ def packaged_run_digests() -> dict:
         record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
         digests[name] = digest(record_document(record))
     return digests
+
+
+def test_a_run_reads_each_load_once_per_resource_and_start(monkeypatch):
+    # Every dispatch of a run maps and executes over the run's one pool, so
+    # they share one rate memo: no later dispatch reads a load read before.
+    reads = []
+    metric_at = simkernel.metric_at
+
+    def counted_metric_at(trace, t):
+        reads.append((id(trace), t))  # each packaged resource has its own trace
+        return metric_at(trace, t)
+
+    monkeypatch.setattr(simkernel, "metric_at", counted_metric_at)
+    data = importlib.resources.files("hybridwms") / "data"
+    bundle = load_workflow_bundle(data / "workflows/heart-disease.json")
+    pool = parse_pool(load_json(data / "pool.json"))
+    repo = parse_repository(load_json(data / "policies.json"))
+    config = parse_run_config(load_json(data / "run_config.json"))
+    sla = parse_sla(load_json(data / "slas/high_performance.json"))
+    record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
+    assert len(record.dispatches) == 5  # the ECG dispatch, then four VHS iterations
+    assert reads and len(reads) == len(set(reads))
 
 
 def test_execution_records_match_golden():
