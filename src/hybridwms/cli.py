@@ -3,19 +3,18 @@
 Subcommands: ``run`` (one workflow end to end), ``experiment cost-table``,
 ``experiment policy-comparison``, and ``validate`` (documents only). Every
 document flag defaults to the packaged example documents, so each command
-works out of the box.
+works out of the box. ``validate`` runs the same document loaders as ``run``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
 
 from . import documents as doc
-from .engine import node_timings_csv, parse_run_config, record_document, replace_seed, run_workflow
+from .engine import node_timings_csv, parse_run_config, record_document, run_workflow
 from .errors import WmsError
 from .experiments import (
     ComparisonAborted,
@@ -30,21 +29,39 @@ from .policy import parse_repository, parse_sla
 from .resources import parse_pool
 
 
-def _data_path(rel: str) -> str:
-    return str(resources.files("hybridwms") / "data" / rel)
+#: Each document flag: its packaged default under ``data/`` and the parser of
+#: its raw document, given the file's directory. The workflow is read with its
+#: sub-workflow files by ``load_workflow_bundle``. Every command, ``validate``
+#: included, loads its documents through ``_load``, so all run the same checks.
+DOCUMENTS = {
+    "workflow": ("workflows/heart-disease.json", None),
+    "sla": ("slas/high_performance.json", lambda raw, base: parse_sla(raw)),
+    "pool": ("pool.json", lambda raw, base: parse_pool(raw)),
+    "repo": ("policies.json", lambda raw, base: parse_repository(raw)),
+    "run-config": ("run_config.json", lambda raw, base: parse_run_config(raw, base_dir=base)),
+    "spec": ("comparison.json", lambda raw, base: parse_experiment_spec(raw)),
+}
+
+#: The documents of one run, in the order ``run`` and ``validate`` load them.
+RUN_DOCUMENTS = ("workflow", "sla", "pool", "repo", "run-config")
 
 
 def _doc_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    defaults = {
-        "workflow": _data_path("workflows/heart-disease.json"),
-        "sla": _data_path("slas/high_performance.json"),
-        "pool": _data_path("pool.json"),
-        "repo": _data_path("policies.json"),
-        "run-config": _data_path("run_config.json"),
-        "spec": _data_path("comparison.json"),
-    }
     for name in names:
-        parser.add_argument(f"--{name}", default=defaults[name], metavar="FILE")
+        default = str(resources.files("hybridwms") / "data" / DOCUMENTS[name][0])
+        parser.add_argument(f"--{name}", default=default, metavar="FILE")
+
+
+def _load(args, name: str, **overrides):
+    """Load and check the document of flag ``name``. Overrides that are not
+    None are written into the raw document before it is parsed."""
+    path = getattr(args, name.replace("-", "_"))
+    if name == "workflow":
+        return load_workflow_bundle(path)
+    raw = doc.load_json(path)
+    if isinstance(raw, dict):
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
+    return DOCUMENTS[name][1](raw, str(Path(path).parent))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one workflow run")
-    _doc_flags(run_p, "workflow", "sla", "pool", "repo", "run-config")
+    _doc_flags(run_p, *RUN_DOCUMENTS)
     run_p.add_argument("--out-dir", default="out", metavar="DIR")
     run_p.add_argument("--seed", type=int, default=None, help="override the run seed")
 
@@ -70,118 +87,76 @@ def build_parser() -> argparse.ArgumentParser:
     pc_p.add_argument("--replicates", type=int, default=None, help="override the replicate count")
 
     val_p = sub.add_parser("validate", help="parse and validate documents")
-    _doc_flags(val_p, "workflow", "sla", "pool", "repo", "run-config")
+    _doc_flags(val_p, *RUN_DOCUMENTS)
 
     return parser
 
 
-def _out_dir(args) -> Path:
+def _write(args, texts: dict[str, str]) -> list[Path]:
+    """Write each named text into ``--out-dir``; returns the paths written."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in texts.items():
+        doc.write_text(out / name, text)
+    return [out / name for name in texts]
 
 
 def cmd_run(args) -> int:
-    bundle = load_workflow_bundle(args.workflow)
-    pool = parse_pool(doc.load_json(args.pool))
-    repo = parse_repository(doc.load_json(args.repo))
-    sla = parse_sla(doc.load_json(args.sla))
-    config_path = Path(getattr(args, "run_config"))
-    config = parse_run_config(doc.load_json(config_path), base_dir=str(config_path.parent))
-    if args.seed is not None:
-        config = replace_seed(config, args.seed)
+    bundle, sla, pool, repo = (_load(args, name) for name in ("workflow", "sla", "pool", "repo"))
+    config = _load(args, "run-config", seed=args.seed)
 
     record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
-
-    out = _out_dir(args)
-    record_path = out / "run_record.json"
-    timings_path = out / "node_timings.csv"
-    doc.write_text(record_path, doc.dump_json(record_document(record)))
-    doc.write_text(timings_path, node_timings_csv(record))
-
+    paths = _write(args, {"run_record.json": doc.dump_json(record_document(record)), "node_timings.csv": node_timings_csv(record)})
     print(
         f"run {record.run_id}: diagnosis={record.diagnosis or 'none'} "
         f"completion={record.completion_time:.6f}s nodes={len(record.nodes)} "
         f"dispatches={len(record.dispatches)}"
     )
-    print(f"wrote {record_path}")
-    print(f"wrote {timings_path}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_cost_table(args) -> int:
-    pool = parse_pool(doc.load_json(args.pool))
-    study = run_cost_study(pool)
-    out = _out_dir(args)
-    table_path = out / "cost_table.csv"
-    quorum_path = out / "quorum_means.csv"
-    doc.write_text(table_path, study.table_csv)
-    doc.write_text(quorum_path, study.quorum_csv)
+    study = run_cost_study(_load(args, "pool"))
+    paths = _write(args, {"cost_table.csv": study.table_csv, "quorum_means.csv": study.quorum_csv})
     for level, mean in study.level_means:
         print(f"{level} quorum mean allocation cost: {mean:.6f}")
     print(f"lowest-mean level: {study.best_level}")
-    print(f"wrote {table_path}")
-    print(f"wrote {quorum_path}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_policy_comparison(args) -> int:
-    bundle = load_workflow_bundle(args.workflow)
-    pool = parse_pool(doc.load_json(args.pool))
-    repo = parse_repository(doc.load_json(args.repo))
-    config_path = Path(getattr(args, "run_config"))
-    run_config = parse_run_config(doc.load_json(config_path), base_dir=str(config_path.parent))
-    spec = parse_experiment_spec(doc.load_json(args.spec))
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, base_seed=args.seed)
-    if args.replicates is not None:
-        spec = dataclasses.replace(spec, replicates=args.replicates)
-
-    out = _out_dir(args)
-    rows_path = out / "comparison.csv"
-    summary_path = out / "comparison_summary.csv"
+    bundle, pool, repo, run_config = (_load(args, name) for name in ("workflow", "pool", "repo", "run-config"))
+    spec = _load(args, "spec", base_seed=args.seed, replicates=args.replicates)
     try:
         result = run_policy_comparison(spec, bundle, pool, repo, run_config)
     except ComparisonAborted as exc:
-        doc.write_text(rows_path, comparison_csv(exc.partial))
-        doc.write_text(summary_path, summary_csv(exc.partial))
+        paths = _write(args, {"comparison.csv": comparison_csv(exc.partial), "comparison_summary.csv": summary_csv(exc.partial)})
         print(f"error: {exc}", file=sys.stderr)
-        print(f"wrote partial {rows_path}", file=sys.stderr)
+        print(f"wrote partial {paths[0]}", file=sys.stderr)
         return 3
 
-    doc.write_text(rows_path, comparison_csv(result))
-    doc.write_text(summary_path, summary_csv(result))
+    paths = _write(args, {"comparison.csv": comparison_csv(result), "comparison_summary.csv": summary_csv(result)})
     for s in result.summaries:
-        print(
-            f"{s.config}: mean={s.mean:.6f} stddev={s.stddev:.6f} "
-            f"min={s.min:.6f} max={s.max:.6f}"
-        )
-    print(f"wrote {rows_path}")
-    print(f"wrote {summary_path}")
+        print(f"{s.config}: mean={s.mean:.6f} stddev={s.stddev:.6f} min={s.min:.6f} max={s.max:.6f}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    checks = [
-        ("workflow", args.workflow, lambda p: load_workflow_bundle(p)),
-        ("sla", args.sla, lambda p: parse_sla(doc.load_json(p))),
-        ("pool", args.pool, lambda p: parse_pool(doc.load_json(p))),
-        ("repo", args.repo, lambda p: parse_repository(doc.load_json(p))),
-        (
-            "run-config",
-            getattr(args, "run_config"),
-            lambda p: parse_run_config(doc.load_json(p), base_dir=str(Path(p).parent)),
-        ),
-    ]
     failures = 0
-    for label, path, check in checks:
+    for name in RUN_DOCUMENTS:
         try:
-            check(path)
+            _load(args, name)
         except WmsError as exc:
             failures += 1
-            print(f"{label}: error: {exc}")
+            print(f"{name}: error: {exc}")
         else:
-            print(f"{label}: ok ({path})")
+            print(f"{name}: ok ({getattr(args, name.replace('-', '_'))})")
     return 2 if failures else 0
 
 

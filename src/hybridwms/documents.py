@@ -147,9 +147,10 @@ def get_str(mapping: dict, key: str, path: str) -> str:
 
 
 def get_number(mapping: dict, key: str, path: str) -> float:
+    """A finite number; ``json`` reads ``NaN`` and ``Infinity``, no document may hold them."""
     value = get_required(mapping, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", "expected number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{path}.{key}", "expected finite number")
     return float(value)
 
 

@@ -36,6 +36,14 @@ class Thresholds:
     arrhythmia_rr: float = 0.12
 
 
+#: The domain of each diagnosis threshold; ``parse_run_config`` refuses values outside it.
+THRESHOLD_DOMAINS = {
+    "fibrillation_freq": (lambda v: v > 0, "must be positive"),
+    "ischemia_st": (lambda v: v >= 0, "must be non-negative"),
+    "arrhythmia_rr": (lambda v: v >= 0, "must be non-negative"),
+}
+
+
 @dataclass
 class EcgSignal:
     values: np.ndarray

@@ -5,7 +5,8 @@ forms the resource quorum, then walks the workflow graph node by node. Local
 nodes execute in-process and take no simulated time; grid nodes are mapped
 and executed by the grid engine's one-pass timing recurrence, advancing the
 run's simulated clock by their makespan. Nodes whose minimum service level
-exceeds the SLA's are pruned from the walk. Every run is a pure function of its documents and seed.
+exceeds the enforced ``app.workflow`` are pruned from the walk; the SLA reaches
+the engine only through policy. Every run is a pure function of its documents and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import numpy as np
 
 from . import documents as doc
 from .ecg import (
+    DISEASES,
     SIGNAL_DOMAINS,
+    THRESHOLD_DOMAINS,
     EcgFeatures,
     EcgSignal,
     Thresholds,
@@ -62,8 +65,10 @@ from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, servic
 
 
 def derive_seed(run_seed: int, scheduler_seed: int, index: int, purpose: str) -> int:
-    """Stable per-use seed so independent draws never share a stream."""
-    raw = struct.pack("<qqq", run_seed, scheduler_seed, index) + purpose.encode("utf-8")
+    """Stable per-use seed so independent draws never share a stream; seeds
+    enter as 64-bit two's complement, so any int works."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    raw = struct.pack("<QQQ", run_seed & mask, scheduler_seed & mask, index & mask) + purpose.encode("utf-8")
     digest = hashlib.blake2b(raw, digest_size=8).digest()
     return int.from_bytes(digest, "little") & 0x7FFFFFFFFFFFFFFF
 
@@ -84,33 +89,52 @@ class PatientParams:
 
 
 @dataclass(frozen=True)
-class PatientSample:
-    """Reference to a recorded signal: a JSON file with {rate, values}."""
-
-    file: str
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int
-    patient: PatientParams | PatientSample
+    patient: PatientParams | EcgSignal  # synthesis parameters, or a recorded sample loaded at parse time
     candidates: tuple[dict, ...] = ()
     thresholds: Thresholds = Thresholds()
     user_inputs: dict = field(default_factory=dict)
 
 
-def _signal_number(mapping: dict, key: str, path: str) -> float:
-    """A finite number, inside the domain ``synthesize_ecg`` accepts for ``key``."""
+#: The signal parameters ``synthesize_ecg`` accepts and the diagnosis thresholds.
+_DOMAINS = {**SIGNAL_DOMAINS, **THRESHOLD_DOMAINS}
+
+
+def _domain_number(mapping: dict, key: str, path: str) -> float:
+    """A finite number, inside ``key``'s domain when ``_DOMAINS`` states one."""
     value = doc.get_number(mapping, key, path)
-    if not math.isfinite(value):
-        raise doc.SchemaError(f"{path}.{key}", "must be finite")
-    if key in SIGNAL_DOMAINS and not SIGNAL_DOMAINS[key][0](value):
-        raise doc.SchemaError(f"{path}.{key}", SIGNAL_DOMAINS[key][1])
+    if key in _DOMAINS and not _DOMAINS[key][0](value):
+        raise doc.SchemaError(f"{path}.{key}", _DOMAINS[key][1])
     return value
 
 
+def _signal_record(record: dict, path: str) -> dict:
+    """The fields of a patient or candidate record whose keys were checked:
+    ``bpm`` is required, ``seed`` an integer, the rest numbers in their domains."""
+    fields = {"bpm": _domain_number(record, "bpm", path)}
+    for key in record:
+        fields[key] = doc.get_int(record, key, path) if key == "seed" else _domain_number(record, key, path)
+    return fields
+
+
+def _load_sample(file: str) -> EcgSignal:
+    """A recorded signal: a JSON file with a ``rate`` in its signal domain and
+    a non-empty list of finite ``values``."""
+    root = doc.require_mapping(doc.load_json(file), "patient_sample")
+    doc.reject_unknown(root, {"rate", "values"}, "patient_sample")
+    rate = _domain_number(root, "rate", "patient_sample")
+    values = doc.require_list(doc.get_required(root, "values", "patient_sample"), "patient_sample.values")
+    if not values:
+        raise doc.SchemaError("patient_sample.values", "must not be empty")
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise doc.SchemaError(f"patient_sample.values[{i}]", "expected a finite number")
+    return EcgSignal(values=np.asarray(values, dtype=float), rate=rate)
+
+
 def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
-    """Parse a run configuration document.
+    """Parse a run configuration document, loading and checking a sample file.
 
     ``base_dir`` anchors relative sample-file references; it defaults to the
     working directory.
@@ -123,33 +147,21 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     if "file" in raw_patient:
         doc.reject_unknown(raw_patient, {"file"}, "run_config.patient")
         file = doc.get_str(raw_patient, "file", "run_config.patient")
-        patient = PatientSample(file=str(Path(base_dir or ".") / file))
+        patient = _load_sample(str(Path(base_dir or ".") / file))
     else:
         doc.reject_unknown(
             raw_patient,
             {"bpm", "irregularity", "st_offset", "noise", "duration", "rate", "seed"},
             "run_config.patient",
         )
-        patient_kwargs = {"bpm": _signal_number(raw_patient, "bpm", "run_config.patient")}
-        for key in ("irregularity", "st_offset", "noise", "duration", "rate"):
-            if key in raw_patient:
-                patient_kwargs[key] = _signal_number(raw_patient, key, "run_config.patient")
-        if "seed" in raw_patient:
-            patient_kwargs["seed"] = doc.get_int(raw_patient, "seed", "run_config.patient")
-        patient = PatientParams(**patient_kwargs)
+        patient = PatientParams(**_signal_record(raw_patient, "run_config.patient"))
 
     candidates = []
     for i, raw in enumerate(doc.require_list(root.get("vhs_grid", []), "run_config.vhs_grid")):
         path = f"run_config.vhs_grid[{i}]"
         record = doc.require_mapping(raw, path)
         doc.reject_unknown(record, {"bpm", "irregularity", "st_offset", "seed"}, path)
-        candidate = {"bpm": _signal_number(record, "bpm", path)}
-        for key in ("irregularity", "st_offset"):
-            if key in record:
-                candidate[key] = _signal_number(record, key, path)
-        if "seed" in record:
-            candidate["seed"] = doc.get_int(record, "seed", path)
-        candidates.append(candidate)
+        candidates.append(_signal_record(record, path))
 
     user_inputs = {}
     if "user_inputs" in root:
@@ -159,7 +171,7 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     if "thresholds" in root:
         raw_thr = doc.require_mapping(root["thresholds"], "run_config.thresholds")
         doc.reject_unknown(raw_thr, {"fibrillation_freq", "ischemia_st", "arrhythmia_rr"}, "run_config.thresholds")
-        kwargs = {key: doc.get_number(raw_thr, key, "run_config.thresholds") for key in raw_thr}
+        kwargs = {key: _domain_number(raw_thr, key, "run_config.thresholds") for key in raw_thr}
         thresholds = Thresholds(**kwargs)
 
     return RunConfig(
@@ -171,17 +183,10 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     )
 
 
-def _load_patient_signal(config: RunConfig) -> EcgSignal:
+def _patient_signal(config: RunConfig) -> EcgSignal:
     patient = config.patient
-    if isinstance(patient, PatientSample):
-        raw = doc.load_json(patient.file)
-        root = doc.require_mapping(raw, "patient_sample")
-        doc.reject_unknown(root, {"rate", "values"}, "patient_sample")
-        rate = doc.get_number(root, "rate", "patient_sample")
-        values = doc.require_list(doc.get_required(root, "values", "patient_sample"), "patient_sample.values")
-        if rate <= 0 or not values:
-            raise doc.SchemaError("patient_sample", "needs a positive rate and non-empty values")
-        return EcgSignal(values=np.asarray(values, dtype=float), rate=float(rate))
+    if isinstance(patient, EcgSignal):
+        return patient
     seed = patient.seed if patient.seed is not None else config.seed
     return synthesize_ecg(
         bpm=patient.bpm,
@@ -192,6 +197,10 @@ def _load_patient_signal(config: RunConfig) -> EcgSignal:
         rate=patient.rate,
         seed=seed,
     )
+
+
+#: Each key a data-retrieval node may read, and the run input behind it.
+DATA_SOURCES = {"patient.ecg": _patient_signal}
 
 
 # --------------------------------------------------------------------------
@@ -270,11 +279,7 @@ class _Context:
     pool_map: dict[str, ResourceDescriptor]
     registry: ConfigRegistry
     quorum: Quorum
-    run_seed: int
-    patient_duration: float
-    patient_rate: float
-    candidates: tuple[dict, ...]
-    thresholds: Thresholds
+    config: RunConfig
     sources: dict
     user_inputs: dict
     workspace: dict = field(default_factory=dict)
@@ -327,13 +332,14 @@ def _rule_disease_routing(ctx: _Context) -> str:
     features = ctx.workspace.get("features")
     if features is None:
         raise MissingInput("features")
-    diagnosis = estimate_disease(features, ctx.thresholds)
+    diagnosis = estimate_disease(features, ctx.config.thresholds)
     ctx.workspace["diagnosis"] = diagnosis
     return diagnosis
 
 
+#: Each rule table: the rule, and every outcome it can return (a branch each).
 DECISION_RULES = {
-    "disease-routing": _rule_disease_routing,
+    "disease-routing": (_rule_disease_routing, DISEASES),
 }
 
 
@@ -342,7 +348,7 @@ def _dispatch_grid(ctx: _Context, node_id: str, subworkflow_id: str) -> SubWorkf
         raise UnknownStrategy(f"unknown subworkflow {subworkflow_id!r}")
     subwf = ctx.subworkflows[subworkflow_id]
     scheduler = ctx.registry.get("scheduler.kind")
-    seed = derive_seed(ctx.run_seed, ctx.registry.get("scheduler.seed"), ctx.dispatch_index, "sched")
+    seed = derive_seed(ctx.config.seed, ctx.registry.get("scheduler.seed"), ctx.dispatch_index, "sched")
     plan = map_workflow(subwf, ctx.quorum, ctx.pool_map, scheduler=scheduler, seed=seed, rates=ctx.rates)
     result = execute_plan(plan, ctx.pool_map, rates=ctx.rates)
     record = DispatchRecord(
@@ -379,7 +385,8 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     payload = node.payload
     max_iter = _loop_setting(ctx, "vhs.max_iter", payload["max_iterations"])
     tolerance = _loop_setting(ctx, "vhs.tolerance", payload["tolerance"])
-    if not ctx.candidates:
+    candidates, signal = ctx.config.candidates, ctx.sources["patient.ecg"]
+    if not candidates:
         raise EmptyParameterGrid("no candidate parameter sets configured")
     patient_features = ctx.workspace.get("features")
     if patient_features is None:
@@ -387,16 +394,16 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
 
     iterations = []
     matched = False
-    for i in range(min(max_iter, len(ctx.candidates))):
-        candidate = ctx.candidates[i]
+    for i in range(min(max_iter, len(candidates))):
+        candidate = candidates[i]
         result = _dispatch_grid(ctx, node.id, payload["subworkflow"])
         features = _candidate_features(
             candidate["bpm"],
             candidate.get("irregularity", 0.0),
             candidate.get("st_offset", 0.0),
             candidate.get("seed", 0),
-            ctx.patient_duration,
-            ctx.patient_rate,
+            signal.duration,
+            signal.rate,
         )
         distance = feature_distance(features, patient_features)
         matched = distance <= tolerance
@@ -427,18 +434,12 @@ def _execute_node(ctx: _Context, node: Node):
     payload = node.payload
     successors = sorted(ctx.graph.successors(node.id))
 
-    if node.kind is NodeKind.DATA_RETRIEVAL:
+    if node.kind in (NodeKind.DATA_RETRIEVAL, NodeKind.USER_INPUT):
         key = payload["key"]
-        if key not in ctx.sources:
+        inputs = ctx.sources if node.kind is NodeKind.DATA_RETRIEVAL else ctx.user_inputs
+        if key not in inputs:
             raise MissingInput(key)
-        ctx.workspace[key] = ctx.sources[key]
-        return {"key": key}, successors
-
-    if node.kind is NodeKind.USER_INPUT:
-        key = payload["key"]
-        if key not in ctx.user_inputs:
-            raise MissingInput(key)
-        ctx.workspace[key] = ctx.user_inputs[key]
+        ctx.workspace[key] = inputs[key]
         return {"key": key}, successors
 
     if node.kind is NodeKind.LOCAL_TASK:
@@ -461,7 +462,7 @@ def _execute_node(ctx: _Context, node: Node):
         name = payload["rule_table"]
         if name not in DECISION_RULES:
             raise UnknownStrategy(f"unknown rule table {name!r}")
-        outcome = DECISION_RULES[name](ctx)
+        outcome = DECISION_RULES[name][0](ctx)
         branches = payload["branches"]
         if outcome not in branches:
             raise UnknownStrategy(f"rule outcome {outcome!r} has no branch")
@@ -528,24 +529,19 @@ def _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id, us
     else:
         quorum = generate_arq(pool, level, 0.0, params)
 
-    patient_signal = _load_patient_signal(config)
-
     ctx = _Context(
         graph=graph,
         subworkflows=dict(subworkflows),
         pool_map={r.id: r for r in pool},
         registry=registry,
         quorum=quorum,
-        run_seed=config.seed,
-        patient_duration=patient_signal.duration,
-        patient_rate=patient_signal.rate,
-        candidates=config.candidates,
-        thresholds=config.thresholds,
-        sources={"patient.ecg": patient_signal},
+        config=config,
+        sources={key: read(config) for key, read in DATA_SOURCES.items()},
         user_inputs={**config.user_inputs, **(user_inputs or {})},
     )
 
-    service = expanded.service_level
+    service = registry.get("app.workflow")
+    service = "EcgVhs" if service == "EcgVhsAlways" else service
     included = {n.id: service_rank(n.min_service) <= service_rank(service) for n in graph.nodes}
 
     outcomes = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import documents as doc
-from .engine import RunConfig, replace_seed, run_workflow
+from .engine import DATA_SOURCES, DECISION_RULES, LOCAL_FUNCTIONS, RunConfig, replace_seed, run_workflow
 from .errors import RunError
 from .policy import Policy, Sla, parse_repository, parse_sla
 from .resources import (
@@ -25,7 +25,7 @@ from .resources import (
     generate_arq,
     quorum_grid_mean,
 )
-from .workflow import AbstractSubWorkflow, WorkflowGraph, parse_subworkflow, parse_workflow
+from .workflow import AbstractSubWorkflow, NodeKind, WorkflowGraph, parse_subworkflow, parse_workflow
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,30 @@ class WorkflowBundle:
     subworkflows: dict[str, AbstractSubWorkflow]
 
 
+#: Node payload entries that name something the engine registers, and its registry.
+_REGISTERED_NAMES = (
+    (NodeKind.LOCAL_TASK, "function", LOCAL_FUNCTIONS),
+    (NodeKind.GRID_SUB_WORKFLOW, "produces", LOCAL_FUNCTIONS),
+    (NodeKind.DECISION, "rule_table", DECISION_RULES),
+    (NodeKind.DATA_RETRIEVAL, "key", DATA_SOURCES),
+)
+
+
 def load_workflow_bundle(path) -> WorkflowBundle:
-    """Load a workflow document and its sibling ``<subworkflow-id>.json`` files."""
+    """Load a workflow document and its sibling ``<subworkflow-id>.json`` files,
+    and check that every function or data source a node names is registered
+    with the engine, and that a decision has a branch for each rule outcome."""
     path = Path(path)
     graph = parse_workflow(doc.load_json(path))
     subworkflows = {}
-    for node in graph.nodes:
+    for i, node in enumerate(graph.nodes):
+        for kind, key, registry in _REGISTERED_NAMES:
+            if node.kind is kind and key in node.payload and node.payload[key] not in registry:
+                raise doc.SchemaError(f"workflow.nodes[{i}].payload.{key}", f"expected one of {sorted(registry)}")
+        if node.kind is NodeKind.DECISION:
+            missing = [o for o in DECISION_RULES[node.payload["rule_table"]][1] if o not in node.payload["branches"]]
+            if missing:
+                raise doc.SchemaError(f"workflow.nodes[{i}].payload.branches", f"no branch for outcome {missing[0]!r}")
         sub_id = node.payload.get("subworkflow")
         if sub_id and sub_id not in subworkflows:
             subworkflows[sub_id] = parse_subworkflow(doc.load_json(path.parent / f"{sub_id}.json"))
@@ -61,7 +79,6 @@ class PolicySetConfig:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str  # always "policy_comparison"
     replicates: int = 1
     base_seed: int = 0
     configs: tuple[PolicySetConfig, ...] = ()
@@ -99,7 +116,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
         configs.append(PolicySetConfig(name=name, sla=sla, extra_policies=extra))
 
     try:
-        return ExperimentSpec(kind=kind, replicates=replicates, base_seed=base_seed, configs=tuple(configs))
+        return ExperimentSpec(replicates=replicates, base_seed=base_seed, configs=tuple(configs))
     except ValueError as exc:
         raise doc.SchemaError("experiment", str(exc)) from exc
 

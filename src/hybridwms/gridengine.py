@@ -51,13 +51,6 @@ class Catalogs:
                 return rid
         raise KeyError(file)
 
-    def as_document(self) -> dict:
-        return {
-            "transformations": [{"transformation": t, "resource": r} for t, r in self.transformations],
-            "replicas": [{"file": f, "resource": r} for f, r in self.replicas],
-            "sites": [{"site": s, "members": list(m)} for s, m in self.sites],
-        }
-
 
 def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum, pool: dict[str, ResourceDescriptor]) -> Catalogs:
     """Build transformation, replica and site catalogs for a mapping round.

@@ -10,6 +10,7 @@ into a closed-schema configuration registry with full provenance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,6 +22,7 @@ from .errors import (
     UnknownConfigKey,
     UnknownKey,
     UnknownLabel,
+    WmsError,
 )
 from .gridengine import SCHEDULER_KINDS
 from .resources import LEVELS, RANDOM_LEVEL
@@ -121,33 +123,25 @@ class PolicySet:
 class PropertySpec:
     type: type
     default: object
-    source: str  # "static" or "runtime"
 
 
-DEFAULT_PROPERTY_SCHEMA = {
-    "grid.alert": PropertySpec(bool, False, "runtime"),
-    "grid.load": PropertySpec(float, 0.0, "runtime"),
-    "site.maintenance": PropertySpec(bool, False, "static"),
+PROPERTY_SCHEMA = {
+    "grid.alert": PropertySpec(bool, False),
+    "grid.load": PropertySpec(float, 0.0),
+    "site.maintenance": PropertySpec(bool, False),
 }
 
 
 class InformationBase:
     """Typed key-value store supplying auxiliary condition inputs."""
 
-    def __init__(self, schema: dict[str, PropertySpec] | None = None, values: dict[str, object] | None = None):
-        self._schema = dict(DEFAULT_PROPERTY_SCHEMA if schema is None else schema)
+    def __init__(self):
         self._values: dict[str, object] = {}
-        for key, value in (values or {}).items():
-            self.set(key, value)
-
-    @property
-    def schema(self) -> dict[str, PropertySpec]:
-        return dict(self._schema)
 
     def _spec(self, key: str) -> PropertySpec:
-        if key not in self._schema:
+        if key not in PROPERTY_SCHEMA:
             raise UnknownKey(f"property {key!r} is not declared")
-        return self._schema[key]
+        return PROPERTY_SCHEMA[key]
 
     def get(self, key: str):
         spec = self._spec(key)
@@ -288,6 +282,8 @@ class ConfigRegistry:
             raise TypeMismatch(f"config key {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
         if spec.type is float:
             value = float(value)
+            if not math.isfinite(value):
+                raise InvalidConfigValue(f"config key {key!r} must be finite, got {value!r}")
         if spec.domain is not None and value not in spec.domain:
             raise InvalidConfigValue(f"config key {key!r} must be one of {list(spec.domain)}, got {value!r}")
         if spec.minimum is not None and value < spec.minimum:
@@ -354,17 +350,17 @@ def parse_sla(document: dict) -> Sla:
             if value not in domain:
                 raise doc.SchemaError(f"sla.{key}", f"expected one of {list(domain)}")
             fields[key] = value
-    if soft is not None and (not isinstance(soft, str) or not soft):
-        raise doc.SchemaError("sla.soft_label", "expected non-empty string")
+    if soft is not None and (not isinstance(soft, str) or soft not in SOFT_LABELS):
+        raise doc.SchemaError("sla.soft_label", f"expected one of {list(SOFT_LABELS)}")
     if soft is None and len(fields) != 3:
         raise doc.SchemaError("sla", "needs either soft_label or all of resource_level, performance, service_level")
     return Sla(user_id=user_id, soft_label=soft, **fields)
 
 
-def parse_repository(document, property_schema: dict[str, PropertySpec] | None = None) -> list[Policy]:
+def parse_repository(document) -> list[Policy]:
     """Parse a policy repository document (JSON array of policy records)."""
-    schema = DEFAULT_PROPERTY_SCHEMA if property_schema is None else property_schema
     raw_repo = doc.require_list(document, "policies")
+    scratch = ConfigRegistry()  # checks each action as enforcement will
     policies = []
     seen = set()
     for i, raw in enumerate(raw_repo):
@@ -388,19 +384,28 @@ def parse_repository(document, property_schema: dict[str, PropertySpec] | None =
             pred = doc.require_mapping(raw_pred, pred_path)
             doc.reject_unknown(pred, {"key", "op", "value"}, pred_path)
             key = doc.get_str(pred, "key", pred_path)
-            if key not in SLA_FIELDS and key not in schema:
+            if key not in SLA_FIELDS and key not in PROPERTY_SCHEMA:
                 raise doc.SchemaError(f"{pred_path}.key", f"{key!r} is neither an SLA field nor a declared property")
             op = doc.get_str(pred, "op", pred_path)
             if op not in ("==", "!=", "<=", ">="):
                 raise doc.SchemaError(f"{pred_path}.op", f"unknown operator {op!r}")
-            condition.append(Predicate(key, op, doc.get_required(pred, "value", pred_path)))
+            value = doc.get_required(pred, "value", pred_path)
+            expected = str if key in SLA_FIELDS else PROPERTY_SCHEMA[key].type
+            if op in ("<=", ">=") and not _type_ok(value, expected):
+                raise doc.SchemaError(f"{pred_path}.value", f"{op} needs a {expected.__name__} value")
+            condition.append(Predicate(key, op, value))
 
         actions = []
         for j, raw_action in enumerate(doc.require_list(doc.get_required(record, "actions", path), f"{path}.actions")):
             action_path = f"{path}.actions[{j}]"
             action = doc.require_mapping(raw_action, action_path)
             doc.reject_unknown(action, {"key", "value"}, action_path)
-            actions.append((doc.get_str(action, "key", action_path), doc.get_required(action, "value", action_path)))
+            key, value = doc.get_str(action, "key", action_path), doc.get_required(action, "value", action_path)
+            try:
+                scratch.set(key, value, pid)
+            except WmsError as exc:
+                raise doc.SchemaError(action_path, str(exc)) from None
+            actions.append((key, value))
         if not actions:
             raise doc.SchemaError(f"{path}.actions", "policy needs at least one action")
 

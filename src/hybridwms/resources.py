@@ -30,9 +30,10 @@ _NOISE_TICKS_PER_SECOND = 1000  # noise value is constant within 1 ms
 
 
 def _unit_normal(seed: int, t: float) -> float:
-    """Deterministic standard normal derived from (seed, quantized t)."""
+    """Deterministic standard normal derived from (seed, quantized t); both
+    enter as 64-bit two's complement, so any int seed and finite t work."""
     tick = round(t * _NOISE_TICKS_PER_SECOND)
-    raw = struct.pack("<Qq", seed & 0xFFFFFFFFFFFFFFFF, tick)
+    raw = struct.pack("<QQ", seed & 0xFFFFFFFFFFFFFFFF, tick & 0xFFFFFFFFFFFFFFFF)
     digest = hashlib.blake2b(raw, digest_size=16).digest()
     a, b = struct.unpack("<QQ", digest)
     u1 = (a + 1) / 2.0**64  # (0, 1], keeps log finite
@@ -54,8 +55,8 @@ class MetricTrace:
             raise ValueError("base must be in [0, 1]")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
+        if not self.period >= 1e-3:
+            raise ValueError("period must be >= 0.001")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -91,12 +92,14 @@ class ResourceDescriptor:
     latency: float  # seconds
 
     def __post_init__(self):
-        if self.cpu_rate <= 0:
-            raise ValueError("cpu_rate must be > 0")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
+        # With the sub-workflow bounds on work (1e12) and bytes (1e15), these keep
+        # every simulated duration below about 1e18 s: clocks and trace phases stay finite.
+        if not self.cpu_rate >= 1e-3:
+            raise ValueError("cpu_rate must be >= 0.001")
+        if not self.bandwidth >= 1e-3:
+            raise ValueError("bandwidth must be >= 0.001")
+        if not 0 <= self.latency <= 1e6:
+            raise ValueError("latency must be in [0, 1e6]")
 
 
 def allocation_cost(res: ResourceDescriptor, t: float, params: AllocationCostParams) -> float:

@@ -279,8 +279,7 @@ def _parse_payload(kind: NodeKind, payload: dict, path: str) -> dict:
         max_iter = out["max_iterations"]
         if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
             raise SchemaError(f"{path}.max_iterations", "expected integer >= 1")
-        tol = out["tolerance"]
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
+        if doc.get_number(out, "tolerance", path) <= 0:
             raise SchemaError(f"{path}.tolerance", "expected number > 0")
     for key in ("function", "subworkflow", "rule_table", "key", "produces", "back_edge"):
         if key in out and (not isinstance(out[key], str) or not out[key]):
@@ -318,8 +317,8 @@ def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
             raise SchemaError(f"{path}.id", f"duplicate task id {task_id!r}")
         seen.add(task_id)
         work = doc.get_number(task, "work", path)
-        if work <= 0:
-            raise SchemaError(f"{path}.work", "work must be > 0")
+        if not 0 < work <= 1e12:  # with the bounds on resources, keeps simulated time finite
+            raise SchemaError(f"{path}.work", "work must be in (0, 1e12]")
         tasks.append(TaskSpec(task_id, work, doc.get_str(task, "transformation", path)))
 
     deps = []
@@ -330,10 +329,10 @@ def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
             raise SchemaError(path, "expected [producer, consumer, bytes]")
         producer, consumer, size = triple
         for end in (producer, consumer):
-            if end not in seen:
+            if not isinstance(end, str) or end not in seen:
                 raise SchemaError(path, f"unknown task {end!r}")
-        if isinstance(size, bool) or not isinstance(size, (int, float)) or size < 0:
-            raise SchemaError(f"{path}[2]", "bytes must be a number >= 0")
+        if isinstance(size, bool) or not isinstance(size, (int, float)) or not 0 <= size <= 1e15:
+            raise SchemaError(f"{path}[2]", "bytes must be a number in [0, 1e15]")
         deps.append((producer, consumer, float(size)))
 
     inputs = []
@@ -343,8 +342,8 @@ def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
         doc.reject_unknown(entry, {"file", "bytes", "consumer"}, path)
         file_id = doc.get_str(entry, "file", path)
         size = doc.get_number(entry, "bytes", path)
-        if size < 0:
-            raise SchemaError(f"{path}.bytes", "bytes must be >= 0")
+        if not 0 <= size <= 1e15:
+            raise SchemaError(f"{path}.bytes", "bytes must be in [0, 1e15]")
         consumer = doc.get_str(entry, "consumer", path)
         if consumer not in seen:
             raise SchemaError(f"{path}.consumer", f"unknown task {consumer!r}")

@@ -1,0 +1,291 @@
+"""Every run input is checked once, at the boundary, by the loader that both
+``validate`` and ``run`` call: a document set that validates runs."""
+
+import contextlib
+import copy
+import importlib.resources
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hybridwms import documents
+from hybridwms.cli import build_parser, cmd_run, main
+from hybridwms.ecg import synthesize_ecg
+from hybridwms.engine import parse_run_config, run_workflow
+from hybridwms.errors import (
+    EmptyParameterGrid,
+    MissingInput,
+    NoBeatsDetected,
+    NodeError,
+    NoMatchingPolicy,
+    RunError,
+    WmsError,
+)
+from hybridwms.experiments import load_workflow_bundle
+from hybridwms.policy import parse_repository, parse_sla
+from hybridwms.resources import parse_pool
+
+
+def data_path(rel):
+    return importlib.resources.files("hybridwms") / "data" / rel
+
+
+#: The document flags of ``run`` and ``validate`` and their packaged files.
+FLAGS = {
+    "--workflow": "workflows/heart-disease.json",
+    "--sla": "slas/high_performance.json",
+    "--pool": "pool.json",
+    "--repo": "policies.json",
+    "--run-config": "run_config.json",
+}
+FILES = tuple(FLAGS.values()) + ("workflows/ecg-analysis.json", "workflows/vhs-simulation.json")
+PACKAGED = {rel: documents.load_json(data_path(rel)) for rel in FILES}
+
+#: Run outcomes a document set that validates may still reach. Each depends on
+#: the signal or on how documents fit together, which no single loader sees:
+#: a signal with fewer than two beats; a repository with no policy of some kind
+#: for the SLA (the decision point refuses); a loop that runs while the run
+#: config lists no candidates; a node that reads what no earlier node wrote.
+RUN_OUTCOMES = (NoBeatsDetected, NoMatchingPolicy, EmptyParameterGrid, MissingInput)
+
+
+def write_documents(root: Path, docs: dict) -> list[str]:
+    for rel, document in docs.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(json.dumps(document))
+    return [arg for flag, rel in FLAGS.items() for arg in (flag, str(root / rel))]
+
+
+def quiet_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_failure(argv) -> Exception:
+    """The innermost cause of a failing ``run``."""
+    with pytest.raises(WmsError) as err:
+        cmd_run(build_parser().parse_args(argv))
+    cause = err.value
+    while isinstance(cause, (RunError, NodeError)):
+        cause = cause.cause
+    return cause
+
+
+def paths(value, prefix=()):
+    """The key or index path of every value inside a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield prefix + (key,)
+        yield from paths(item, prefix + (key,))
+
+
+def strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from strings(item)
+
+
+NAMES = st.sampled_from(sorted({s for document in PACKAGED.values() for s in strings(document)}))
+NUMBERS = st.one_of(st.floats(), st.integers())
+#: Any JSON scalar (NaN, infinities, huge and tiny numbers included), empty
+#: containers, and every name the packaged documents use, so a name can land
+#: in a field where it is not valid.
+VALUES = st.one_of(NUMBERS, st.booleans(), st.none(), st.text(max_size=4), NAMES, st.sampled_from([[], {}]))
+
+
+@st.composite
+def replacement(draw, current):
+    """Mostly a value of the current one's kind, so that many mutated
+    documents still validate; otherwise any value."""
+    if draw(st.integers(0, 3)) == 0 or isinstance(current, (bool, dict, list)) or current is None:
+        return draw(VALUES)
+    return draw(NAMES if isinstance(current, str) else NUMBERS)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The packaged documents with one or two values replaced or deleted."""
+    docs = copy.deepcopy(PACKAGED)
+    for _ in range(draw(st.integers(1, 2))):
+        rel = draw(st.sampled_from(FILES))
+        path = draw(st.sampled_from(list(paths(docs[rel])) or [None]))
+        if path is None:
+            continue
+        parent = docs[rel]
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.integers(0, 4)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(replacement(parent[path[-1]]))
+    return docs
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=mutated_documents())
+def test_validate_ok_means_run_does_not_fail_on_a_document(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        flags = write_documents(root, docs)
+        validated, _, _ = quiet_main(["validate"] + flags)
+        run_argv = ["run"] + flags + ["--out-dir", str(root / "out")]
+        ran, _, err = quiet_main(run_argv)
+        assert "Traceback" not in err
+        assert validated in (0, 2)
+        assert ran in (0, 2)
+        if validated == 2:
+            # run loads the same documents with the same loaders, and stops before any output
+            assert ran == 2
+            assert not (root / "out").exists()
+        elif ran == 2:
+            assert isinstance(run_failure(run_argv), RUN_OUTCOMES)
+
+
+def write_json(path: Path, document) -> str:
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def mutated(rel, edit):
+    document = copy.deepcopy(PACKAGED[rel])
+    edit(document)
+    return document
+
+
+def set_threshold(key, value):
+    def edit(document):
+        document["thresholds"] = {key: value}
+
+    return edit
+
+
+def set_payload(index, key, value):
+    def edit(document):
+        document["nodes"][index]["payload"][key] = value
+
+    return edit
+
+
+#: (packaged file, edit, the field path ``validate`` and ``run`` must name).
+DOCUMENT_FAULTS = [
+    ("run_config.json", set_threshold("fibrillation_freq", float("nan")), "run_config.thresholds.fibrillation_freq"),
+    ("run_config.json", set_threshold("arrhythmia_rr", -0.1), "run_config.thresholds.arrhythmia_rr"),
+    ("run_config.json", set_threshold("ischemia_st", -1), "run_config.thresholds.ischemia_st"),
+    ("run_config.json", set_threshold("fibrillation_freq", 0), "run_config.thresholds.fibrillation_freq"),
+    ("workflows/heart-disease.json", set_payload(0, "key", "nope"), "workflow.nodes[0].payload.key"),
+    ("workflows/heart-disease.json", set_payload(1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
+    ("workflows/heart-disease.json", set_payload(2, "rule_table", "nope"), "workflow.nodes[2].payload.rule_table"),
+    ("workflows/heart-disease.json", set_payload(3, "function", "nope"), "workflow.nodes[3].payload.function"),
+    ("workflows/heart-disease.json", set_payload(4, "tolerance", float("nan")), "workflow.nodes[4].payload.tolerance"),
+    ("workflows/heart-disease.json", lambda d: d["nodes"][2]["payload"]["branches"].pop("normal"), "workflow.nodes[2].payload.branches"),
+    ("slas/high_performance.json", lambda d: d.update(soft_label="Best Effort"), "sla.soft_label"),
+    ("policies.json", lambda d: d[0]["actions"][0].update(value="L9"), "policies[0].actions[0]"),
+    ("policies.json", lambda d: d[6]["actions"][1].update(value="six"), "policies[6].actions[1]"),
+    ("policies.json", lambda d: d[6]["actions"][2].update(value=float("nan")), "policies[6].actions[2]"),
+    ("policies.json", lambda d: d[3]["actions"][0].update(key="scheduler.colour"), "policies[3].actions[0]"),
+    ("policies.json", lambda d: d[0]["condition"][0].update(op="<=", value=3), "policies[0].condition[0].value"),
+    ("pool.json", lambda d: d[0]["sys_trace"].update(period=5e-324), "pool[0].sys_trace"),
+    ("pool.json", lambda d: d[1].update(cpu_rate=1e-300), "pool[1]"),
+    ("pool.json", lambda d: d[2].update(latency=1e300), "pool[2]"),
+    ("pool.json", lambda d: d[3].update(bandwidth=float("inf")), "pool[3].bandwidth"),
+    ("workflows/vhs-simulation.json", lambda d: d["tasks"][1].update(work=1e20), "subworkflow.tasks[1].work"),
+    ("workflows/vhs-simulation.json", lambda d: d["data_deps"][0].__setitem__(0, {}), "subworkflow.data_deps[0]"),
+    ("workflows/vhs-simulation.json", lambda d: d["data_deps"][1].__setitem__(2, 1e300), "subworkflow.data_deps[1][2]"),
+    ("workflows/ecg-analysis.json", lambda d: d["inputs"][0].update(bytes=float("nan")), "subworkflow.inputs[0].bytes"),
+]
+
+
+@pytest.mark.parametrize("rel, edit, field", DOCUMENT_FAULTS, ids=[fault[2] for fault in DOCUMENT_FAULTS])
+def test_validate_and_run_reject_a_document_fault_with_its_path(tmp_path, rel, edit, field):
+    flags = write_documents(tmp_path, {**PACKAGED, rel: mutated(rel, edit)})
+    code, out, err = quiet_main(["validate"] + flags)
+    assert code == 2
+    assert f"error: {field}" in out
+    code, out, err = quiet_main(["run"] + flags + ["--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {field}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_opens_the_sample_file(tmp_path):
+    signal = synthesize_ecg(bpm=330, noise=0.02, duration=30, seed=17)
+    values = [float(v) for v in signal.values]
+    values[17] = float("nan")
+    write_json(tmp_path / "sample.json", {"rate": signal.rate, "values": values})
+    config = write_json(tmp_path / "run_config.json", {"seed": 5, "patient": {"file": "sample.json"}})
+    code, out, _ = quiet_main(["validate", "--run-config", config])
+    assert code == 2
+    assert "run-config: error: patient_sample.values[17]: expected a finite number" in out
+    code, _, err = quiet_main(["run", "--run-config", config, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: patient_sample.values[17]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "sample, field",
+    [
+        ({"rate": 0, "values": [1.0]}, "patient_sample.rate"),
+        ({"rate": 5000, "values": [1.0]}, "patient_sample.rate"),
+        ({"rate": 250, "values": []}, "patient_sample.values"),
+        ({"rate": 250, "values": [1.0, True]}, "patient_sample.values[1]"),
+        ({"rate": 250, "values": [1.0, "2"]}, "patient_sample.values[1]"),
+        ({"rate": 250}, "patient_sample.values"),
+        ({"rate": 250, "values": [1.0], "unit": "mV"}, "patient_sample.unit"),
+        ([1.0, 2.0], "patient_sample"),
+    ],
+)
+def test_sample_file_is_checked_at_parse_time(tmp_path, sample, field):
+    write_json(tmp_path / "sample.json", sample)
+    with pytest.raises(WmsError) as err:
+        parse_run_config({"seed": 1, "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
+    assert err.value.path == field
+
+
+def test_a_run_reads_no_document(tmp_path, monkeypatch):
+    signal = synthesize_ecg(bpm=330, noise=0.02, duration=30, seed=17)
+    write_json(tmp_path / "sample.json", {"rate": signal.rate, "values": [float(v) for v in signal.values]})
+    config = parse_run_config({**PACKAGED["run_config.json"], "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
+    bundle = load_workflow_bundle(data_path("workflows/heart-disease.json"))
+    pool = parse_pool(PACKAGED["pool.json"])
+    repo = parse_repository(PACKAGED["policies.json"])
+    sla = parse_sla(PACKAGED["slas/high_performance.json"])
+
+    def refuse(path):
+        raise AssertionError(f"run read {path}")
+
+    monkeypatch.setattr(documents, "load_json", refuse)
+    record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
+    assert record.diagnosis == "fibrillation"
+
+
+def test_replicates_flag_is_checked_by_the_spec_parser(tmp_path):
+    code, _, err = quiet_main(["experiment", "policy-comparison", "--replicates", "0", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: experiment: replicates must be >= 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_is_written_into_the_run_config(tmp_path):
+    # Seeds enter the run's seed derivation as 64-bit two's complement, so any integer runs.
+    for seed in (7, -3, 2**64 + 7):
+        code, out, _ = quiet_main(["run", "--seed", str(seed), "--out-dir", str(tmp_path / str(seed))])
+        assert code == 0
+        assert f"run run-{seed}:" in out
+        assert json.loads((tmp_path / str(seed) / "run_record.json").read_text())["seed"] == seed

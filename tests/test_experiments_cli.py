@@ -86,7 +86,6 @@ def test_parse_experiment_spec_defaults():
 
 def test_parse_experiment_spec_comparison():
     spec = comparison_spec(replicates=20)
-    assert spec.kind == "policy_comparison"
     assert spec.replicates == 20
     assert [c.name for c in spec.configs] == ["SET-A", "SET-B", "SET-C"]
     assert spec.configs[1].extra_policies[0].id == "RP-RND"

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridwms.documents import dump_json, load_json
-from hybridwms.ecg import extract_features, synthesize_ecg
+from hybridwms.ecg import EcgSignal, extract_features, synthesize_ecg
 from hybridwms.engine import (
     PatientParams,
-    PatientSample,
     RunConfig,
     derive_seed,
     node_timings_csv,
@@ -100,9 +99,11 @@ def test_parse_run_config_synthetic_patient():
 
 
 def test_parse_run_config_sample_file_resolves_against_base_dir(tmp_path):
+    (tmp_path / "sample.json").write_text(json.dumps({"rate": 100, "values": [0.5, -1, 2.25]}))
     config = parse_run_config({"seed": 1, "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
-    assert isinstance(config.patient, PatientSample)
-    assert config.patient.file == str(tmp_path / "sample.json")
+    assert isinstance(config.patient, EcgSignal)
+    assert config.patient.rate == 100.0
+    assert config.patient.values.tolist() == [0.5, -1.0, 2.25]
 
 
 def test_parse_run_config_rejects_unknown_keys():
@@ -217,6 +218,18 @@ def test_low_cost_run_prunes_past_the_analysis():
     assert len(record.dispatches) == 1
     assert record.config["app.workflow"]["value"] == "EcgOnly"
     assert record.quorum.level == "L3"
+
+
+def test_pruning_follows_the_enforced_app_workflow_not_the_sla():
+    # The SLA asks for EcgVhs; a higher-priority policy enforces EcgOnly, and the engine acts on that.
+    bundle, pool, repo, config = load_defaults()
+    override = Policy("HWP-ONLY", PolicyKind.APP, 100, (Predicate("service_level", "==", "EcgVhs"),), (("app.workflow", "EcgOnly"),))
+    record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo + [override], sla_label("High Performance"), config)
+    assert record.expanded_sla.service_level == "EcgVhs"
+    assert record.config["app.workflow"] == {"value": "EcgOnly", "provenance": "HWP-ONLY"}
+    assert [n.node_id for n in record.nodes] == ["get-patient-data", "ecg-analysis"]
+    assert len(record.dispatches) == 1
+    assert record.diagnosis is None
 
 
 def test_balanced_run_stops_at_diagnosis_when_loop_is_beyond_service():
@@ -413,10 +426,8 @@ def test_sample_file_patient_round_trips_exactly(tmp_path):
 
 def test_sample_file_validation(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps({"rate": 0, "values": [1.0]}))
-    config = parse_run_config({"seed": 5, "patient": {"file": "bad.json"}}, base_dir=str(tmp_path))
-    bundle, pool, repo, _ = load_defaults()
-    with pytest.raises(RunError):
-        run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("Balanced"), config)
+    with pytest.raises(SchemaError):
+        parse_run_config({"seed": 5, "patient": {"file": "bad.json"}}, base_dir=str(tmp_path))
 
 
 # -- inline graphs ------------------------------------------------------------------
