@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one workflow end to end), ``experiment cost-table``,
 ``experiment policy-comparison``, and ``validate`` (documents only). Every
 document flag defaults to the packaged example documents, so each command
-works out of the box. ``validate`` runs the same document loaders as ``run``.
+works out of the box. ``validate`` runs the same document loaders as ``run``
+and ``experiment policy-comparison``, for every document in ``DOCUMENTS``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ DOCUMENTS = {
     "spec": ("comparison.json", lambda raw, base: parse_experiment_spec(raw)),
 }
 
-#: The documents of one run, in the order ``run`` and ``validate`` load them.
-RUN_DOCUMENTS = ("workflow", "sla", "pool", "repo", "run-config")
-
 
 def _doc_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one workflow run")
-    _doc_flags(run_p, *RUN_DOCUMENTS)
+    _doc_flags(run_p, "workflow", "sla", "pool", "repo", "run-config")
     run_p.add_argument("--out-dir", default="out", metavar="DIR")
     run_p.add_argument("--seed", type=int, default=None, help="override the run seed")
 
@@ -87,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc_p.add_argument("--replicates", type=int, default=None, help="override the replicate count")
 
     val_p = sub.add_parser("validate", help="parse and validate documents")
-    _doc_flags(val_p, *RUN_DOCUMENTS)
+    _doc_flags(val_p, *DOCUMENTS)
 
     return parser
 
@@ -149,7 +147,7 @@ def cmd_policy_comparison(args) -> int:
 
 def cmd_validate(args) -> int:
     failures = 0
-    for name in RUN_DOCUMENTS:
+    for name in DOCUMENTS:
         try:
             _load(args, name)
         except WmsError as exc:

@@ -1,7 +1,13 @@
 """Signal synthesis, feature extraction, and diagnosis rule tests."""
 
+import importlib.resources
 import math
+import os
+import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hybridwms.ecg import (
     EcgFeatures,
     EcgSignal,
     Thresholds,
+    _gauss_noise,
     detect_beats,
     dominant_frequency,
     estimate_disease,
@@ -390,3 +397,78 @@ def test_st_deviation_matches_the_oracle_for_beats_anywhere(data, n, rate, basel
             extract_features(signal)
         return
     assert bits(extract_features(signal).st_deviation) == bits(oracle_st_deviation(signal, beats))
+
+
+# -- noise: one gauss call per sample is the oracle of the bulk replay -------------
+
+
+def oracle_noise(rng, n, sigma):
+    return np.array([rng.gauss(0.0, sigma) for _ in range(n)], dtype=float)
+
+
+def same_bits(a, b):
+    """Equal as bit patterns: 0.0 and -0.0 differ, and so would two NaNs' payloads."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # σ near 1.7e308 makes ±inf, as gauss does
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    draws=st.integers(0, 50),
+    n=st.integers(0, 3) | st.integers(0, 5000),
+    sigma=st.floats(0.0, 1e300) | st.sampled_from([5e-324, 1e-300, 1e-6, 1.0, 1.7e308]),
+)
+@example(seed=0, draws=0, n=0, sigma=1.0)
+@example(seed=1, draws=3, n=1, sigma=0.05)
+@example(seed=2, draws=50, n=4001, sigma=1e-300)
+def test_noise_replays_the_gauss_loop_bit_for_bit(seed, draws, n, sigma):
+    # the uniform draws stand in for the beat loop, which runs before the noise
+    oracle, replay = random.Random(seed), random.Random(seed)
+    for rng in (oracle, replay):
+        for _ in range(draws):
+            rng.uniform(-1.0, 1.0)
+    assert same_bits(_gauss_noise(replay, n, sigma), oracle_noise(oracle, n, sigma))
+    assert replay.getstate() == oracle.getstate()  # the stream and a pending second normal
+    assert replay.random() == oracle.random()
+
+
+def oracle_beat_stream(bpm, irregularity, duration, seed):
+    """The generator as the beat loop leaves it: one uniform per planted beat."""
+    rng = random.Random(seed)
+    rr_base = 60.0 / bpm
+    t = rr_base
+    while t < duration:
+        t += rr_base * (1.0 + irregularity * rng.uniform(-1.0, 1.0))
+    return rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bpm=st.floats(30.0, 330.0),
+    irregularity=st.floats(0.0, 0.4),
+    st_offset=st.floats(-0.5, 0.5),
+    noise=st.floats(1e-9, 0.3),
+    duration=st.floats(0.01, 30.0),
+    rate=st.floats(100.0, 500.0),
+    seed=st.integers(0, 2**31),
+)
+@example(bpm=60.0, irregularity=0.0, st_offset=0.0, noise=0.05, duration=0.01, rate=100.0, seed=0)  # one sample
+def test_noisy_signal_is_its_noiseless_twin_plus_the_oracle_noise(bpm, irregularity, st_offset, noise, duration, rate, seed):
+    shape = dict(bpm=bpm, irregularity=irregularity, st_offset=st_offset, duration=duration, rate=rate, seed=seed)
+    noisy = synthesize_ecg(noise=noise, **shape).values
+    clean = synthesize_ecg(**shape).values
+    clean += oracle_noise(oracle_beat_stream(bpm, irregularity, duration, seed), len(clean), noise)
+    assert same_bits(noisy, clean)
+
+
+def test_importing_ecg_loads_no_numpy_random_of_its_own():
+    # numpy 1.x imports numpy.random itself; the replay must add no generator beyond it
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; import hybridwms.ecg; "
+        "assert ('numpy.random' in sys.modules) == before, sorted(m for m in sys.modules if m.startswith('numpy.random'))"
+    )
+    package_root = Path(importlib.resources.files("hybridwms")).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr

@@ -366,7 +366,7 @@ def test_cli_policy_comparison(tmp_path, capsys):
 def test_cli_validate_reports_every_document(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    for label in ("workflow", "sla", "pool", "repo", "run-config"):
+    for label in ("workflow", "sla", "pool", "repo", "run-config", "spec"):
         assert f"{label}: ok" in out
 
 
@@ -384,7 +384,28 @@ def test_cli_validate_flags_broken_documents(tmp_path, capsys):
     assert main(["validate", "--pool", str(bad)]) == 2
     out = capsys.readouterr().out
     assert "pool: error:" in out
-    assert out.count(": ok") == 4
+    assert out.count(": ok") == 5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(replicates="twenty"), "spec: error: experiment.replicates: expected integer"),
+        (lambda d: d.update(replicates=0), "spec: error: experiment: replicates must be >= 1"),
+        (lambda d: d.update(colour="red"), "spec: error: experiment.colour: unknown key"),
+    ],
+    ids=["replicates-type", "replicates-zero", "unknown-key"],
+)
+def test_cli_validate_reads_the_comparison_spec(tmp_path, capsys, edit, message):
+    document = load_json(data_path("comparison.json"))
+    edit(document)
+    spec_path = tmp_path / "comparison.json"
+    spec_path.write_text(json.dumps(document))
+    assert main(["validate", "--spec", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.out
+    assert captured.out.count(": ok") == 5
+    assert "Traceback" not in captured.err
 
 
 def test_cli_rejects_out_of_domain_candidate_before_running(tmp_path, capsys):
