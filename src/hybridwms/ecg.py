@@ -78,11 +78,12 @@ class EcgFeatures:
 
 
 #: The domain of each signal parameter; ``synthesize_ecg`` refuses values outside it.
-#: Upper bounds on bpm, duration (s) and rate (Hz) bound synthesis work, not physiology.
+#: Upper bounds on bpm, duration (s) and rate (Hz) bound synthesis work, and the one
+#: on noise keeps every feature finite (1e200 overflows the spectral scan); none is physiology.
 SIGNAL_DOMAINS = {
     "bpm": (lambda v: 0 < v <= 1000, "must be in (0, 1000]"),
     "irregularity": (lambda v: 0 <= v < 1, "must be in [0, 1)"),
-    "noise": (lambda v: v >= 0, "must be non-negative"),
+    "noise": (lambda v: 0 <= v <= 10, "must be in [0, 10]"),
     "duration": (lambda v: 0 < v <= 3600, "must be in (0, 3600]"),
     "rate": (lambda v: 0 < v <= 2000, "must be in (0, 2000]"),
 }

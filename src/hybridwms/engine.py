@@ -34,14 +34,7 @@ from .ecg import (
     feature_distance,
     synthesize_ecg,
 )
-from .errors import (
-    EmptyParameterGrid,
-    MissingInput,
-    NodeError,
-    RunError,
-    UnknownStrategy,
-    WmsError,
-)
+from .errors import EmptyParameterGrid, MissingInput, NodeError, RunError, WmsError
 from .gridengine import RateMemo, SubWorkflowResult, execute_plan, map_workflow
 from .policy import (
     DEFAULT_PROVENANCE,
@@ -211,12 +204,9 @@ DATA_SOURCES = {"patient.ecg": _patient_signal}
 class DispatchRecord:
     index: int
     node_id: str
-    subworkflow_id: str
-    scheduler: str
-    quorum_level: str
     start: float
     end: float
-    result: SubWorkflowResult
+    result: SubWorkflowResult  # its plan names the sub-workflow, scheduler and quorum level
 
     @property
     def makespan(self) -> float:
@@ -281,10 +271,8 @@ class _Context:
     quorum: Quorum
     config: RunConfig
     sources: dict
-    user_inputs: dict
     workspace: dict = field(default_factory=dict)
     cursor: float = 0.0
-    dispatch_index: int = 0
     dispatches: list = field(default_factory=list)
     vhs: LoopRecord | None = None
     rates: RateMemo = field(default_factory=dict)  # shared by every dispatch over pool_map
@@ -342,27 +330,43 @@ DECISION_RULES = {
     "disease-routing": (_rule_disease_routing, DISEASES),
 }
 
+#: Node payload entries that name something the engine registers, and its registry.
+_REGISTERED_NAMES = (
+    (NodeKind.LOCAL_TASK, "function", LOCAL_FUNCTIONS),
+    (NodeKind.GRID_SUB_WORKFLOW, "produces", LOCAL_FUNCTIONS),
+    (NodeKind.DECISION, "rule_table", DECISION_RULES),
+    (NodeKind.DATA_RETRIEVAL, "key", DATA_SOURCES),
+)
+
+
+def check_workflow(graph: WorkflowGraph, subworkflows: dict[str, AbstractSubWorkflow]) -> None:
+    """Check a workflow against the engine and its sub-workflows: every
+    function, rule table and data source a node names is registered, a
+    decision has a branch for each outcome of its rule, and every sub-workflow
+    a node dispatches is in ``subworkflows``. Raises ``SchemaError`` at
+    ``workflow.nodes[i].payload.<key>``."""
+    for i, node in enumerate(graph.nodes):
+        path = f"workflow.nodes[{i}].payload"
+        for kind, key, registry in _REGISTERED_NAMES:
+            if node.kind is kind and key in node.payload and node.payload[key] not in registry:
+                raise doc.SchemaError(f"{path}.{key}", f"expected one of {sorted(registry)}")
+        if node.kind is NodeKind.DECISION:
+            missing = [o for o in DECISION_RULES[node.payload["rule_table"]][1] if o not in node.payload["branches"]]
+            if missing:
+                raise doc.SchemaError(f"{path}.branches", f"no branch for outcome {missing[0]!r}")
+        if "subworkflow" in node.payload and node.payload["subworkflow"] not in subworkflows:
+            raise doc.SchemaError(f"{path}.subworkflow", f"expected one of {sorted(subworkflows)}")
+
 
 def _dispatch_grid(ctx: _Context, node_id: str, subworkflow_id: str) -> SubWorkflowResult:
-    if subworkflow_id not in ctx.subworkflows:
-        raise UnknownStrategy(f"unknown subworkflow {subworkflow_id!r}")
-    subwf = ctx.subworkflows[subworkflow_id]
+    index = len(ctx.dispatches)
     scheduler = ctx.registry.get("scheduler.kind")
-    seed = derive_seed(ctx.config.seed, ctx.registry.get("scheduler.seed"), ctx.dispatch_index, "sched")
-    plan = map_workflow(subwf, ctx.quorum, ctx.pool_map, scheduler=scheduler, seed=seed, rates=ctx.rates)
-    result = execute_plan(plan, ctx.pool_map, rates=ctx.rates)
-    record = DispatchRecord(
-        index=ctx.dispatch_index,
-        node_id=node_id,
-        subworkflow_id=subworkflow_id,
-        scheduler=scheduler,
-        quorum_level=ctx.quorum.level,
-        start=ctx.cursor,
-        end=ctx.cursor + result.makespan,
-        result=result,
+    seed = derive_seed(ctx.config.seed, ctx.registry.get("scheduler.seed"), index, "sched")
+    plan = map_workflow(
+        ctx.subworkflows[subworkflow_id], ctx.quorum, ctx.pool_map, scheduler=scheduler, seed=seed, rates=ctx.rates
     )
-    ctx.dispatches.append(record)
-    ctx.dispatch_index += 1
+    result = execute_plan(plan, ctx.pool_map, rates=ctx.rates)
+    ctx.dispatches.append(DispatchRecord(index, node_id, ctx.cursor, ctx.cursor + result.makespan, result))
     ctx.cursor += result.makespan
     return result
 
@@ -436,36 +440,25 @@ def _execute_node(ctx: _Context, node: Node):
 
     if node.kind in (NodeKind.DATA_RETRIEVAL, NodeKind.USER_INPUT):
         key = payload["key"]
-        inputs = ctx.sources if node.kind is NodeKind.DATA_RETRIEVAL else ctx.user_inputs
+        inputs = ctx.sources if node.kind is NodeKind.DATA_RETRIEVAL else ctx.config.user_inputs
         if key not in inputs:
             raise MissingInput(key)
         ctx.workspace[key] = inputs[key]
         return {"key": key}, successors
 
     if node.kind is NodeKind.LOCAL_TASK:
-        name = payload["function"]
-        if name not in LOCAL_FUNCTIONS:
-            raise UnknownStrategy(f"unknown local function {name!r}")
-        return LOCAL_FUNCTIONS[name](ctx), successors
+        return LOCAL_FUNCTIONS[payload["function"]](ctx), successors
 
     if node.kind is NodeKind.GRID_SUB_WORKFLOW:
         result = _dispatch_grid(ctx, node.id, payload["subworkflow"])
         detail = {"subworkflow": payload["subworkflow"], "makespan": result.makespan}
         if "produces" in payload:
-            name = payload["produces"]
-            if name not in LOCAL_FUNCTIONS:
-                raise UnknownStrategy(f"unknown local function {name!r}")
-            detail.update(LOCAL_FUNCTIONS[name](ctx))
+            detail.update(LOCAL_FUNCTIONS[payload["produces"]](ctx))
         return detail, successors
 
     if node.kind is NodeKind.DECISION:
-        name = payload["rule_table"]
-        if name not in DECISION_RULES:
-            raise UnknownStrategy(f"unknown rule table {name!r}")
-        outcome = DECISION_RULES[name][0](ctx)
+        outcome = DECISION_RULES[payload["rule_table"]][0](ctx)
         branches = payload["branches"]
-        if outcome not in branches:
-            raise UnknownStrategy(f"rule outcome {outcome!r} has no branch")
         branch = outcome
         if ctx.registry.get("app.workflow") == "EcgVhsAlways":
             loop_branches = [
@@ -502,19 +495,20 @@ def run_workflow(
     config: RunConfig,
     info: InformationBase | None = None,
     run_id: str | None = None,
-    user_inputs: dict | None = None,
 ) -> RunRecord:
-    """Execute one workflow run end to end and return its full record."""
+    """Execute one workflow run end to end and return its full record. The
+    workflow is checked first, so a graph built in code is refused before any node runs."""
     run_id = run_id or f"run-{config.seed}"
     try:
-        return _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id, user_inputs)
+        return _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id)
     except RunError:
         raise
     except WmsError as exc:
         raise RunError(run_id, exc) from exc
 
 
-def _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id, user_inputs) -> RunRecord:
+def _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id) -> RunRecord:
+    check_workflow(graph, subworkflows)
     expanded = expand_soft_label(sla) if sla.soft_label is not None else sla
     info = info if info is not None else InformationBase()
     policy_set = decide_policy(expanded, repo, info)
@@ -537,7 +531,6 @@ def _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id, us
         quorum=quorum,
         config=config,
         sources={key: read(config) for key, read in DATA_SOURCES.items()},
-        user_inputs={**config.user_inputs, **(user_inputs or {})},
     )
 
     service = registry.get("app.workflow")
@@ -624,9 +617,9 @@ def record_document(record: RunRecord) -> dict:
             {
                 "index": d.index,
                 "node": d.node_id,
-                "subworkflow": d.subworkflow_id,
-                "scheduler": d.scheduler,
-                "quorum_level": d.quorum_level,
+                "subworkflow": d.result.plan.subworkflow_id,
+                "scheduler": d.result.plan.scheduler,
+                "quorum_level": d.result.plan.quorum_level,
                 "start": d.start,
                 "end": d.end,
                 "makespan": d.makespan,

@@ -61,7 +61,10 @@ class TypeMismatch(WmsError):
 
 
 class UnknownStrategy(WmsError):
-    """A document names a local function, rule table, or scheduler that is not registered."""
+    """A scheduler name that the grid engine does not register.
+
+    Unregistered names in a workflow are ``SchemaError``s from ``engine.check_workflow``.
+    """
 
 
 class InfeasibleMapping(WmsError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import documents as doc
-from .engine import DATA_SOURCES, DECISION_RULES, LOCAL_FUNCTIONS, RunConfig, replace_seed, run_workflow
+from .engine import RunConfig, check_workflow, replace_seed, run_workflow
 from .errors import RunError
 from .policy import Policy, Sla, parse_repository, parse_sla
 from .resources import (
@@ -25,7 +25,7 @@ from .resources import (
     generate_arq,
     quorum_grid_mean,
 )
-from .workflow import AbstractSubWorkflow, NodeKind, WorkflowGraph, parse_subworkflow, parse_workflow
+from .workflow import AbstractSubWorkflow, WorkflowGraph, parse_subworkflow, parse_workflow
 
 
 @dataclass(frozen=True)
@@ -36,33 +36,17 @@ class WorkflowBundle:
     subworkflows: dict[str, AbstractSubWorkflow]
 
 
-#: Node payload entries that name something the engine registers, and its registry.
-_REGISTERED_NAMES = (
-    (NodeKind.LOCAL_TASK, "function", LOCAL_FUNCTIONS),
-    (NodeKind.GRID_SUB_WORKFLOW, "produces", LOCAL_FUNCTIONS),
-    (NodeKind.DECISION, "rule_table", DECISION_RULES),
-    (NodeKind.DATA_RETRIEVAL, "key", DATA_SOURCES),
-)
-
-
 def load_workflow_bundle(path) -> WorkflowBundle:
     """Load a workflow document and its sibling ``<subworkflow-id>.json`` files,
-    and check that every function or data source a node names is registered
-    with the engine, and that a decision has a branch for each rule outcome."""
+    then check the graph against the engine with ``engine.check_workflow``."""
     path = Path(path)
     graph = parse_workflow(doc.load_json(path))
     subworkflows = {}
-    for i, node in enumerate(graph.nodes):
-        for kind, key, registry in _REGISTERED_NAMES:
-            if node.kind is kind and key in node.payload and node.payload[key] not in registry:
-                raise doc.SchemaError(f"workflow.nodes[{i}].payload.{key}", f"expected one of {sorted(registry)}")
-        if node.kind is NodeKind.DECISION:
-            missing = [o for o in DECISION_RULES[node.payload["rule_table"]][1] if o not in node.payload["branches"]]
-            if missing:
-                raise doc.SchemaError(f"workflow.nodes[{i}].payload.branches", f"no branch for outcome {missing[0]!r}")
+    for node in graph.nodes:
         sub_id = node.payload.get("subworkflow")
         if sub_id and sub_id not in subworkflows:
             subworkflows[sub_id] = parse_subworkflow(doc.load_json(path.parent / f"{sub_id}.json"))
+    check_workflow(graph, subworkflows)
     return WorkflowBundle(graph, subworkflows)
 
 

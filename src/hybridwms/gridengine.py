@@ -20,7 +20,6 @@ from .resources import Quorum, ResourceDescriptor
 from .simkernel import (
     PlannedTask,
     PlannedTransfer,
-    SimResult,
     TaskRecord,
     TransferRecord,
     effective_rate,
@@ -36,39 +35,23 @@ RateMemo = dict[tuple[str, float], float]  # effective rate by (resource id, sta
 
 @dataclass(frozen=True)
 class Catalogs:
-    """Deployment catalogs derived from a sub-workflow and a quorum."""
+    """The transformation catalog of a mapping round: which member provides what."""
 
     transformations: tuple[tuple[str, str], ...]  # (transformation, resource id)
-    replicas: tuple[tuple[str, str], ...]  # (file, resource id)
-    sites: tuple[tuple[str, tuple[str, ...]], ...]  # (site, member ids)
 
     def resources_with(self, transformation: str) -> tuple[str, ...]:
         return tuple(rid for name, rid in self.transformations if name == transformation)
 
-    def replica_of(self, file: str) -> str:
-        for name, rid in self.replicas:
-            if name == file:
-                return rid
-        raise KeyError(file)
 
+def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum) -> Catalogs:
+    """Build the transformation catalog for a mapping round: every distinct
+    transformation is installed on every quorum member, in rank order.
 
-def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum, pool: dict[str, ResourceDescriptor]) -> Catalogs:
-    """Build transformation, replica and site catalogs for a mapping round.
-
-    Every distinct transformation is installed on every quorum member, and
-    every input file has exactly one replica on the first (best ranked)
-    member, which acts as the submit host.
+    Input files need no catalog: the mapper stages them from the first (best
+    ranked) member, which acts as the submit host.
     """
     names = sorted({t.transformation for t in subwf.tasks})
-    member_ids = list(quorum.members)
-    transformations = tuple((name, rid) for name in names for rid in member_ids)
-    submit_host = member_ids[0]
-    replicas = tuple((file, submit_host) for file, _, _ in subwf.inputs)
-    by_site: dict[str, list[str]] = {}
-    for rid in member_ids:
-        by_site.setdefault(pool[rid].site, []).append(rid)
-    sites = tuple((site, tuple(sorted(ids))) for site, ids in sorted(by_site.items()))
-    return Catalogs(transformations, replicas, sites)
+    return Catalogs(tuple((name, rid) for name in names for rid in quorum.members))
 
 
 @dataclass(frozen=True)
@@ -196,7 +179,7 @@ def map_workflow(
     if missing:
         raise InfeasibleMapping(f"quorum members absent from pool: {missing}")
     if catalogs is None:
-        catalogs = generate_catalogs(subwf, quorum, pool)
+        catalogs = generate_catalogs(subwf, quorum)
     replica_host = member_ids[0]
 
     order = topological_order(subwf)
@@ -253,11 +236,15 @@ def map_workflow(
 @dataclass(frozen=True)
 class SubWorkflowResult:
     plan: ConcretePlan
-    sim: SimResult
+    tasks: tuple[TaskRecord, ...]  # plan order
+    transfers: tuple[TransferRecord, ...]  # by (end, start, producer plan position, dependency order)
+    makespan: float
 
-    @property
-    def makespan(self) -> float:
-        return self.sim.makespan
+    def task(self, task_id: str) -> TaskRecord:
+        for record in self.tasks:
+            if record.task_id == task_id:
+                return record
+        raise KeyError(task_id)
 
     def as_document(self) -> dict:
         return {
@@ -270,7 +257,7 @@ class SubWorkflowResult:
                     "start": r.start,
                     "end": r.end,
                 }
-                for r in self.sim.tasks
+                for r in self.tasks
             ],
             "transfers": [
                 {
@@ -281,9 +268,9 @@ class SubWorkflowResult:
                     "start": r.start,
                     "end": r.end,
                 }
-                for r in self.sim.transfers
+                for r in self.transfers
             ],
-            "makespan": self.sim.makespan,
+            "makespan": self.makespan,
         }
 
 
@@ -340,5 +327,4 @@ def execute_plan(
     transfers.sort(key=lambda item: item[0])
 
     makespan = max((r.end for r in tasks), default=0.0)
-    sim = SimResult(tuple(tasks), tuple(record for _, record in transfers), makespan)
-    return SubWorkflowResult(plan=plan, sim=sim)
+    return SubWorkflowResult(plan, tuple(tasks), tuple(record for _, record in transfers), makespan)

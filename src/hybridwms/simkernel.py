@@ -1,11 +1,12 @@
-"""Timing primitives and the records of plan execution.
+"""Timing primitives, and the plan entries and execution records they time.
 
 ``effective_rate``, ``exec_time`` and ``transfer_time`` are the whole timing
 model; ``effective_rate`` alone turns load into speed. Plans are executed by
 the one-pass recurrence in ``gridengine``, which also produces the mapping
 estimates: resources run one task at a time in plan order, and data moves as
 non-blocking transfers that begin the moment the producer finishes (stage-ins
-at time zero).
+at time zero). ``gridengine.SubWorkflowResult`` collects one execution's
+``TaskRecord`` and ``TransferRecord`` entries.
 """
 
 from __future__ import annotations
@@ -76,15 +77,3 @@ class TransferRecord:
     start: float
     end: float
 
-
-@dataclass(frozen=True)
-class SimResult:
-    tasks: tuple[TaskRecord, ...]  # plan order
-    transfers: tuple[TransferRecord, ...]  # by (end, start, producer plan position, dependency order)
-    makespan: float
-
-    def task(self, task_id: str) -> TaskRecord:
-        for record in self.tasks:
-            if record.task_id == task_id:
-                return record
-        raise KeyError(task_id)

@@ -94,12 +94,6 @@ class AbstractSubWorkflow:
     data_deps: tuple[tuple[str, str, float], ...]  # (producer, consumer, bytes)
     inputs: tuple[tuple[str, float, str], ...]  # (file id, bytes, consumer)
 
-    def task(self, task_id: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
 
 @dataclass(frozen=True)
 class Finding:

@@ -180,18 +180,24 @@ def set_payload(index, key, value):
     return edit
 
 
-#: (packaged file, edit, the field path ``validate`` and ``run`` must name).
+#: (packaged file, edit, the field path ``validate`` and ``run`` must name[, a
+#: test id where the path alone would repeat another fault's]).
 DOCUMENT_FAULTS = [
     ("run_config.json", set_threshold("fibrillation_freq", float("nan")), "run_config.thresholds.fibrillation_freq"),
     ("run_config.json", set_threshold("arrhythmia_rr", -0.1), "run_config.thresholds.arrhythmia_rr"),
     ("run_config.json", set_threshold("ischemia_st", -1), "run_config.thresholds.ischemia_st"),
     ("run_config.json", set_threshold("fibrillation_freq", 0), "run_config.thresholds.fibrillation_freq"),
+    ("run_config.json", lambda d: d["patient"].update(noise=1e308), "run_config.patient.noise"),
     ("workflows/heart-disease.json", set_payload(0, "key", "nope"), "workflow.nodes[0].payload.key"),
     ("workflows/heart-disease.json", set_payload(1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
     ("workflows/heart-disease.json", set_payload(2, "rule_table", "nope"), "workflow.nodes[2].payload.rule_table"),
     ("workflows/heart-disease.json", set_payload(3, "function", "nope"), "workflow.nodes[3].payload.function"),
     ("workflows/heart-disease.json", set_payload(4, "tolerance", float("nan")), "workflow.nodes[4].payload.tolerance"),
     ("workflows/heart-disease.json", lambda d: d["nodes"][2]["payload"]["branches"].pop("normal"), "workflow.nodes[2].payload.branches"),
+    ("workflows/heart-disease.json", set_payload(4, "tolerance", 0), "workflow.nodes[4].payload.tolerance", "tolerance-zero"),
+    ("workflows/heart-disease.json", set_payload(3, "function", ""), "workflow.nodes[3].payload.function", "function-empty"),
+    ("workflows/heart-disease.json", lambda d: d["nodes"][2]["payload"]["branches"].update(normal=7), "workflow.nodes[2].payload.branches.normal"),
+    ("workflows/heart-disease.json", set_payload(4, "back_edge", "ecg-analysis"), "workflow(vhs-loop)"),
     ("slas/high_performance.json", lambda d: d.update(soft_label="Best Effort"), "sla.soft_label"),
     ("policies.json", lambda d: d[0]["actions"][0].update(value="L9"), "policies[0].actions[0]"),
     ("policies.json", lambda d: d[6]["actions"][1].update(value="six"), "policies[6].actions[1]"),
@@ -203,13 +209,17 @@ DOCUMENT_FAULTS = [
     ("pool.json", lambda d: d[2].update(latency=1e300), "pool[2]"),
     ("pool.json", lambda d: d[3].update(bandwidth=float("inf")), "pool[3].bandwidth"),
     ("workflows/vhs-simulation.json", lambda d: d["tasks"][1].update(work=1e20), "subworkflow.tasks[1].work"),
+    ("workflows/vhs-simulation.json", lambda d: d["tasks"][2].update(id="mesh-partition"), "subworkflow.tasks[2].id"),
+    ("workflows/vhs-simulation.json", lambda d: d["data_deps"][1].pop(), "subworkflow.data_deps[1]"),
     ("workflows/vhs-simulation.json", lambda d: d["data_deps"][0].__setitem__(0, {}), "subworkflow.data_deps[0]"),
     ("workflows/vhs-simulation.json", lambda d: d["data_deps"][1].__setitem__(2, 1e300), "subworkflow.data_deps[1][2]"),
     ("workflows/ecg-analysis.json", lambda d: d["inputs"][0].update(bytes=float("nan")), "subworkflow.inputs[0].bytes"),
+    ("workflows/ecg-analysis.json", lambda d: d["inputs"][0].update(bytes=2e15), "subworkflow.inputs[0].bytes", "input-bytes-huge"),
+    ("workflows/ecg-analysis.json", lambda d: d["inputs"][0].update(consumer="ghost"), "subworkflow.inputs[0].consumer"),
 ]
 
 
-@pytest.mark.parametrize("rel, edit, field", DOCUMENT_FAULTS, ids=[fault[2] for fault in DOCUMENT_FAULTS])
+@pytest.mark.parametrize("rel, edit, field", [fault[:3] for fault in DOCUMENT_FAULTS], ids=[fault[-1] for fault in DOCUMENT_FAULTS])
 def test_validate_and_run_reject_a_document_fault_with_its_path(tmp_path, rel, edit, field):
     flags = write_documents(tmp_path, {**PACKAGED, rel: mutated(rel, edit)})
     code, out, err = quiet_main(["validate"] + flags)

@@ -109,7 +109,7 @@ def random_pool(rng, n):
 
 def test_catalogs_install_every_transformation_on_every_member():
     pool = two_site_pool()
-    catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, "r1", "r3"), pool)
+    catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, "r1", "r3"))
     assert catalogs.transformations == (
         ("merge", "r1"),
         ("merge", "r3"),
@@ -120,20 +120,13 @@ def test_catalogs_install_every_transformation_on_every_member():
     )
 
 
-def test_catalogs_put_inputs_on_best_ranked_member():
+def test_catalogs_list_providers_in_quorum_rank_order():
     pool = two_site_pool()
-    catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, "r2", "r1"), pool)
-    assert catalogs.replicas == (("seed.dat", "r2"),)
-    assert catalogs.replica_of("seed.dat") == "r2"
-    with pytest.raises(KeyError):
-        catalogs.replica_of("nope")
-
-
-def test_catalogs_group_members_by_site():
-    pool = two_site_pool()
-    catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, "r3", "r1", "r2"), pool)
-    assert catalogs.sites == (("alpha", ("r1", "r2")), ("beta", ("r3",)))
-    assert catalogs.resources_with("solve") == ("r3", "r1", "r2")
+    for members in (("r3", "r1", "r2"), ("r2", "r1")):
+        catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, *members))
+        for transformation in ("prep", "solve", "merge"):
+            assert catalogs.resources_with(transformation) == members
+        assert catalogs.resources_with("nope") == ()
 
 
 # -- scheduling ----------------------------------------------------------------
@@ -190,7 +183,7 @@ def test_quorum_member_missing_from_pool_rejected():
 def test_missing_transformation_is_infeasible():
     pool = two_site_pool()
     quorum = quorum_of(pool, "r1", "r2")
-    catalogs = Catalogs(transformations=(("prep", "r1"),), replicas=(("seed.dat", "r1"),), sites=(("alpha", ("r1", "r2")),))
+    catalogs = Catalogs(transformations=(("prep", "r1"),))
     with pytest.raises(InfeasibleMapping):
         map_workflow(diamond_subwf(), quorum, pool, catalogs=catalogs)
 
@@ -199,7 +192,7 @@ def test_round_robin_respects_catalog_feasibility():
     pool = two_site_pool()
     quorum = quorum_of(pool, "r1", "r2")
     subwf = AbstractSubWorkflow("w", (TaskSpec("a", 10.0, "tf"), TaskSpec("b", 10.0, "tf")), (), ())
-    catalogs = Catalogs(transformations=(("tf", "r1"),), replicas=(), sites=(("alpha", ("r1", "r2")),))
+    catalogs = Catalogs(transformations=(("tf", "r1"),))
     with pytest.raises(InfeasibleMapping):
         map_workflow(subwf, quorum, pool, scheduler="RoundRobin", catalogs=catalogs)
 
@@ -208,7 +201,7 @@ def test_partial_catalog_restricts_min_eft_choice():
     pool = two_site_pool()
     quorum = quorum_of(pool, "r1", "r2")
     subwf = AbstractSubWorkflow("w", (TaskSpec("a", 100.0, "tf"),), (), ())
-    catalogs = Catalogs(transformations=(("tf", "r2"),), replicas=(), sites=(("alpha", ("r1", "r2")),))
+    catalogs = Catalogs(transformations=(("tf", "r2"),))
     plan = map_workflow(subwf, quorum, pool, catalogs=catalogs)
     assert plan.assignment_of("a") == "r2"
 
@@ -286,7 +279,7 @@ def test_estimates_match_independent_replay_and_simulation():
             assert estimate.start == start
             assert estimate.end == end
         result = execute_plan(plan, pool)
-        for estimate, simulated in zip(plan.estimates, result.sim.tasks):
+        for estimate, simulated in zip(plan.estimates, result.tasks):
             assert estimate.task_id == simulated.task_id
             assert estimate.start == simulated.start
             assert estimate.end == simulated.end
@@ -349,7 +342,7 @@ def test_transfer_records_follow_producer_ends():
         result = execute_plan(plan, pool)
         placed = {p.task_id: p.resource_id for p in plan.assignments}
         position = {p.task_id: i for i, p in enumerate(plan.assignments)}
-        end = {r.task_id: r.end for r in result.sim.tasks}
+        end = {r.task_id: r.end for r in result.tasks}
         keyed = []
         for index, (file, size, consumer) in enumerate(subwf.inputs):
             dst = placed[consumer]
@@ -364,7 +357,7 @@ def test_transfer_records_follow_producer_ends():
             finish = start + transfer_time(size, pool[src], pool[dst])
             expected.append(((finish, start) + order, (file, src, dst, size, start, finish)))
         expected.sort()
-        actual = [(r.file, r.src_resource, r.dst_resource, r.size_bytes, r.start, r.end) for r in result.sim.transfers]
+        actual = [(r.file, r.src_resource, r.dst_resource, r.size_bytes, r.start, r.end) for r in result.transfers]
         assert actual == [record for _, record in expected]
 
 

@@ -4,12 +4,14 @@ import copy
 import importlib.resources
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridwms import engine
 from hybridwms.documents import dump_json, load_json
 from hybridwms.ecg import EcgSignal, extract_features, synthesize_ecg
 from hybridwms.engine import (
@@ -124,7 +126,7 @@ SIGNAL_DOMAINS = {
     "bpm": lambda v: 0 < v <= 1000,
     "irregularity": lambda v: 0 <= v < 1,
     "st_offset": lambda v: True,
-    "noise": lambda v: v >= 0,
+    "noise": lambda v: 0 <= v <= 10,
     "duration": lambda v: 0 < v <= 3600,
     "rate": lambda v: 0 < v <= 2000,
 }
@@ -433,8 +435,8 @@ def test_sample_file_validation(tmp_path):
 # -- inline graphs ------------------------------------------------------------------
 
 
-def test_user_input_node_reads_call_inputs():
-    graph = WorkflowGraph(
+def ask_graph():
+    return WorkflowGraph(
         "w",
         (
             Node("ask", NodeKind.USER_INPUT, {"key": "operator.note"}),
@@ -443,16 +445,66 @@ def test_user_input_node_reads_call_inputs():
         (("ask", "done"),),
         "ask",
     )
+
+
+def test_user_input_node_reads_the_run_configs_user_inputs():
     pool = parse_pool(load_json(data_path("pool.json")))
-    config = RunConfig(seed=1, patient=PatientParams(bpm=70))
-    record = run_workflow(
-        graph, {}, pool, catch_all_repo(), sla_label("Balanced"), config, user_inputs={"operator.note": "ok"}
-    )
+    config = RunConfig(seed=1, patient=PatientParams(bpm=70), user_inputs={"operator.note": "ok"})
+    record = run_workflow(ask_graph(), {}, pool, catch_all_repo(), sla_label("Balanced"), config)
     assert record.nodes[0].detail == {"key": "operator.note"}
 
     with pytest.raises(RunError) as err:
-        run_workflow(graph, {}, pool, catch_all_repo(), sla_label("Balanced"), config)
+        run_workflow(ask_graph(), {}, pool, catch_all_repo(), sla_label("Balanced"), replace(config, user_inputs={}))
     assert isinstance(err.value.cause.cause, MissingInput)
+
+
+def test_run_config_thresholds_and_user_inputs_reach_the_run():
+    # The packaged patient reads as fibrillation (dominant frequency 5.5 Hz > 4.0)
+    # and its RR spread is 0.017 of the mean; these thresholds make it an arrhythmia.
+    document = {
+        **PACKAGED_RUN_CONFIG,
+        "thresholds": {"fibrillation_freq": 6.0, "arrhythmia_rr": 0.01},
+        "user_inputs": {"operator.note": "checked"},
+    }
+    config = parse_run_config(document)
+    bundle, pool, repo, _ = load_defaults()
+    record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("High Performance"), config)
+    assert record.diagnosis == "arrhythmia"
+    assert [n.node_id for n in record.nodes][-2:] == ["arrhythmia-longterm", "normal-report"]
+
+    record = run_workflow(ask_graph(), {}, pool, catch_all_repo(), sla_label("Balanced"), config)
+    assert record.nodes[0].detail == {"key": "operator.note"}
+
+
+#: ``(node index, payload key, value in code)`` naming something the engine
+#: does not register, and the path ``check_workflow`` reports it at.
+CODE_BUILT_FAULTS = [
+    ((0, "key", "lab.results"), "workflow.nodes[0].payload.key"),
+    ((1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
+    ((1, "subworkflow", "nope"), "workflow.nodes[1].payload.subworkflow"),
+    ((2, "rule_table", "nope"), "workflow.nodes[2].payload.rule_table"),
+    ((2, "branches", {"normal": "normal-report"}), "workflow.nodes[2].payload.branches"),
+    ((3, "function", "nope"), "workflow.nodes[3].payload.function"),
+    ((4, "subworkflow", "nope"), "workflow.nodes[4].payload.subworkflow"),
+]
+
+
+@pytest.mark.parametrize("edit, path", CODE_BUILT_FAULTS, ids=[fault[1] for fault in CODE_BUILT_FAULTS])
+def test_a_code_built_graph_is_checked_before_any_node_runs(monkeypatch, edit, path):
+    bundle, pool, repo, config = load_defaults()
+    index, key, value = edit
+    nodes = list(bundle.graph.nodes)
+    nodes[index] = Node(nodes[index].id, nodes[index].kind, {**nodes[index].payload, key: value})
+    graph = replace(bundle.graph, nodes=tuple(nodes))
+
+    def refuse(ctx, node):
+        raise AssertionError(f"node {node.id} ran")
+
+    monkeypatch.setattr(engine, "_execute_node", refuse)
+    with pytest.raises(RunError) as err:
+        run_workflow(graph, bundle.subworkflows, pool, repo, sla_label("High Performance"), config)
+    assert isinstance(err.value.cause, SchemaError)
+    assert err.value.cause.path == path
 
 
 def test_data_retrieval_only_knows_the_patient_source():
@@ -466,8 +518,9 @@ def test_data_retrieval_only_knows_the_patient_source():
     config = RunConfig(seed=1, patient=PatientParams(bpm=70))
     with pytest.raises(RunError) as err:
         run_workflow(graph, {}, pool, catch_all_repo(), sla_label("Balanced"), config)
-    assert isinstance(err.value.cause.cause, MissingInput)
-    assert err.value.cause.cause.key == "lab.results"
+    assert isinstance(err.value.cause, SchemaError)
+    assert err.value.cause.path == "workflow.nodes[0].payload.key"
+    assert err.value.cause.message == "expected one of ['patient.ecg']"
 
 
 # -- outputs ---------------------------------------------------------------------------

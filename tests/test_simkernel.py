@@ -66,7 +66,7 @@ def test_transfer_time_bottleneck_and_latency():
 
 def run(plan, deps=(), transfers=(), resources=()):
     concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), (), 0.0)
-    return execute_plan(concrete, {r.id: r for r in resources}).sim
+    return execute_plan(concrete, {r.id: r for r in resources})
 
 
 def test_single_task():
