@@ -89,6 +89,36 @@ SIGNAL_DOMAINS = {
 }
 
 
+#: The largest baseline shift ``detectability_problem`` allows, in beat heights.
+MAX_ST_OFFSET = 0.35
+
+
+def detectability_problem(bpm, irregularity, st_offset, duration, rate) -> tuple[str, str] | None:
+    """The parameter, and why, for which a noiseless ``synthesize_ecg`` signal
+    with these (in-domain) parameters might show ``detect_beats`` fewer than two
+    beats; ``None`` when it cannot.
+
+    At two samples per ``BEAT_SIGMA`` each beat has a sample above 0.969 of its
+    height. Beats at least ``4 * BEAT_SIGMA`` apart never rise above 0.30
+    between them, at the sample nearest the midpoint. A baseline within
+    ``MAX_ST_OFFSET`` then stays below half the peak, so does every dip, and
+    every beat rises above it. Two beats fit when the second, at most
+    ``(2 + irregularity)`` mean RR intervals in, still has its bump inside.
+    """
+    if not abs(st_offset) <= MAX_ST_OFFSET:
+        return "st_offset", f"must be in [-{MAX_ST_OFFSET}, {MAX_ST_OFFSET}]"
+    if not rate >= 2 / BEAT_SIGMA:
+        return "rate", f"must be >= {2 / BEAT_SIGMA:g}: two samples per beat width"
+    rr = 60.0 / bpm
+    if not rr * (1.0 - irregularity) >= 4 * BEAT_SIGMA:
+        limit = 60 / (4 * BEAT_SIGMA)
+        return "bpm", f"beats closer than {4 * BEAT_SIGMA:g} s merge: needs bpm * (1 - irregularity) <= {limit:g}"
+    need = rr * (2.0 + irregularity) + 4 * BEAT_SIGMA
+    if not duration >= need:
+        return "duration", f"{duration:g} s holds fewer than two beats at bpm {bpm:g}: needs at least {need:.6g} s"
+    return None
+
+
 def synthesize_ecg(
     bpm: float,
     irregularity: float = 0.0,

@@ -29,6 +29,7 @@ from .ecg import (
     EcgFeatures,
     EcgSignal,
     Thresholds,
+    detectability_problem,
     estimate_disease,
     extract_features,
     feature_distance,
@@ -54,7 +55,7 @@ from .resources import (
     generate_arq,
     random_quorum,
 )
-from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, service_rank
+from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, check_graph, service_rank
 
 
 def derive_seed(run_seed: int, scheduler_seed: int, index: int, purpose: str) -> int:
@@ -128,6 +129,8 @@ def _load_sample(file: str) -> EcgSignal:
 
 def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     """Parse a run configuration document, loading and checking a sample file.
+    A synthesized patient and every VHS candidate are held to
+    ``detectability_problem``'s bounds, so their noiseless signals show two beats.
 
     ``base_dir`` anchors relative sample-file references; it defaults to the
     working directory.
@@ -148,13 +151,32 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
             "run_config.patient",
         )
         patient = PatientParams(**_signal_record(raw_patient, "run_config.patient"))
+        problem = detectability_problem(
+            patient.bpm, patient.irregularity, patient.st_offset, patient.duration, patient.rate
+        )
+        if problem:
+            raise doc.SchemaError(f"run_config.patient.{problem[0]}", problem[1])
 
     candidates = []
     for i, raw in enumerate(doc.require_list(root.get("vhs_grid", []), "run_config.vhs_grid")):
         path = f"run_config.vhs_grid[{i}]"
         record = doc.require_mapping(raw, path)
         doc.reject_unknown(record, {"bpm", "irregularity", "st_offset", "seed"}, path)
-        candidates.append(_signal_record(record, path))
+        candidate = _signal_record(record, path)
+        # a candidate is synthesized noiselessly at the patient signal's duration and rate
+        problem = detectability_problem(
+            candidate["bpm"],
+            candidate.get("irregularity", 0.0),
+            candidate.get("st_offset", 0.0),
+            patient.duration,
+            patient.rate,
+        )
+        if problem:
+            field, message = problem
+            if field in ("duration", "rate"):
+                raise doc.SchemaError(path, f"with the patient signal's {field}: {message}")
+            raise doc.SchemaError(f"{path}.{field}", message)
+        candidates.append(candidate)
 
     user_inputs = {}
     if "user_inputs" in root:
@@ -340,11 +362,13 @@ _REGISTERED_NAMES = (
 
 
 def check_workflow(graph: WorkflowGraph, subworkflows: dict[str, AbstractSubWorkflow]) -> None:
-    """Check a workflow against the engine and its sub-workflows: every
+    """Check a workflow against the engine and its sub-workflows: the graph
+    and its payloads as ``parse_workflow`` checks them (``check_graph``), every
     function, rule table and data source a node names is registered, a
     decision has a branch for each outcome of its rule, and every sub-workflow
     a node dispatches is in ``subworkflows``. Raises ``SchemaError`` at
-    ``workflow.nodes[i].payload.<key>``."""
+    ``parse_workflow``'s paths, ``workflow.nodes[i].payload.<key>`` for names."""
+    check_graph(graph)
     for i, node in enumerate(graph.nodes):
         path = f"workflow.nodes[{i}].payload"
         for kind, key, registry in _REGISTERED_NAMES:

@@ -6,6 +6,13 @@ counter-based (hash of seed and quantized t), so evaluation order can never
 change a result. The cost study evaluates each resource's cost once per
 instant of its hour grid (``cost_grid``); the hourly table and the quorum
 means are reductions over that grid.
+``cost_grid`` evaluates each trace over all instants in one batch that is bit
+for bit ``metric_at`` at every instant: the instants' angles and packed noise
+ticks are computed once per grid, one ``blake2b`` primed with the trace's seed
+is copied per tick, ``sin``/``log``/``cos`` stay on libm through ``math``, and
+numpy does only the steps IEEE 754 rounds exactly (``+ - * /``, ``sqrt``,
+uint64 to float, and the clamp). ``metric_at`` stays the scalar definition
+that ranking and the grid engine call; numpy is imported only by the grid.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ _LEVEL_FRACTION = {"L1": 0.25, "L2": 0.5, "L3": 1.0}
 RANDOM_LEVEL = "RANDOM"
 
 _NOISE_TICKS_PER_SECOND = 1000  # noise value is constant within 1 ms
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_TWOPI = 2.0 * math.pi
 
 
 def _unit_normal(seed: int, t: float) -> float:
@@ -178,8 +187,61 @@ def cost_grid(pool, horizon: int, samples_per_hour: int, params: AllocationCostP
         raise ValueError("horizon must be >= 1 hour")
     if samples_per_hour < 1:
         raise ValueError("samples_per_hour must be >= 1")
+    import numpy as np  # here, not at module top: ranking and validate use this module without numpy
+
     instants = [t for hour in range(horizon) for t in hour_instants(hour, samples_per_hour)]
-    return {res.id: [allocation_cost(res, t, params) for t in instants] for res in pool}
+    angles = _TWOPI * np.array(instants)  # 2.0 * math.pi * t, as metric_at computes it
+    ticks = [struct.pack("<Q", round(t * _NOISE_TICKS_PER_SECOND) & _MASK64) for t in instants]
+    alpha, beta = float(params.alpha), float(params.beta)
+    return {
+        res.id: (alpha * _metric_batch(res.net_trace, angles, ticks) + beta * _metric_batch(res.sys_trace, angles, ticks)).tolist()
+        for res in pool
+    }
+
+
+def _metric_batch(trace: MetricTrace, angles, ticks: list[bytes]):
+    """``[metric_at(trace, t) for t in instants]`` bit for bit, as a float64
+    array, from the instants' angles ``2.0 * math.pi * t`` and packed noise ticks."""
+    import numpy as np
+
+    x = (angles / float(trace.period) + float(trace.phase)).tolist()
+    value = float(trace.base) + float(trace.amplitude) * np.fromiter(map(math.sin, x), float, len(x))
+    if trace.noise_sigma > 0:
+        value = value + _unit_normals(trace.seed, ticks) * float(trace.noise_sigma)
+    value = np.where(value > 0.0, value, 0.0)  # max(0.0, value): 0.0 unless value > 0.0
+    return np.where(value < 1.0, value, 1.0)  # min(1.0, value): 1.0 unless value < 1.0
+
+
+def _unit_normals(seed: int, ticks: list[bytes]):
+    """``_unit_normal(seed, t)`` at every packed tick: ``blake2b(seed || tick)``
+    is the seed-primed hash, copied and fed the tick."""
+    import numpy as np
+
+    primed = hashlib.blake2b(struct.pack("<Q", seed & _MASK64), digest_size=16)
+    digests = []
+    for tick in ticks:
+        h = primed.copy()
+        h.update(tick)
+        digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), dtype="<u8")
+    n = len(ticks)
+    log_u1 = np.fromiter(map(math.log, _u1(words[0::2]).tolist()), float, n)
+    u2 = words[1::2].astype(np.float64) / 2.0**64
+    cos_u2 = np.fromiter(map(math.cos, (_TWOPI * u2).tolist()), float, n)
+    return np.sqrt(-2.0 * log_u1) * cos_u2
+
+
+def _u1(a):
+    """``(a + 1) / 2.0**64`` for a uint64 array, as Python computes it on ints.
+
+    The ``+ 1`` is done in uint64, so each value is rounded to float once
+    (``float(a) + 1`` rounds twice above 2**53). It wraps only at
+    ``a = 2**64 - 1``, where Python's ``a + 1`` is ``2**64``.
+    """
+    import numpy as np
+
+    succ = a + np.uint64(1)
+    return np.where(succ == np.uint64(0), 2.0**64, succ.astype(np.float64)) / 2.0**64
 
 
 def average_cost_table(grid: dict[str, list[float]], resource_ids, samples_per_hour: int) -> CostTable:

@@ -79,6 +79,13 @@ class WorkflowGraph:
     def successors(self, node_id: str) -> list[str]:
         return [dst for src, dst in self.edges if src == node_id]
 
+    @cached_property
+    def _checked(self) -> bool:
+        """Set once ``check_graph`` has passed: the graph is immutable after
+        construction, so a run need not check the same graph again."""
+        _check_graph(self)
+        return True
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -251,11 +258,28 @@ def parse_workflow(document: dict) -> WorkflowGraph:
         edges.append((pair[0], pair[1]))
 
     graph = WorkflowGraph(graph_id, tuple(nodes), tuple(edges), entry)
+    check_graph(graph)
+    return graph
+
+
+def check_graph(graph: WorkflowGraph) -> None:
+    """Refuse a graph built in code as :func:`parse_workflow` would refuse its
+    document: each node's kind and payload, then :func:`validate_graph`'s
+    findings. Raises SchemaError at the path ``parse_workflow`` uses. A graph
+    that passed is not checked again."""
+    graph._checked  # runs _check_graph on first use, and raises while it fails
+
+
+def _check_graph(graph: WorkflowGraph) -> None:
+    for i, node in enumerate(graph.nodes):
+        path = f"workflow.nodes[{i}]"
+        if not isinstance(node.kind, NodeKind):
+            raise SchemaError(f"{path}.kind", f"unknown node kind {node.kind!r}")
+        _parse_payload(node.kind, doc.require_mapping(node.payload, f"{path}.payload"), f"{path}.payload")
     report = validate_graph(graph)
     if not report.ok:
         first = report.findings[0]
         raise SchemaError(f"workflow({first.subject})", "; ".join(f.message for f in report.findings))
-    return graph
 
 
 def _parse_payload(kind: NodeKind, payload: dict, path: str) -> dict:

@@ -20,7 +20,6 @@ from hybridwms.engine import parse_run_config, run_workflow
 from hybridwms.errors import (
     EmptyParameterGrid,
     MissingInput,
-    NoBeatsDetected,
     NodeError,
     NoMatchingPolicy,
     RunError,
@@ -47,11 +46,11 @@ FILES = tuple(FLAGS.values()) + ("workflows/ecg-analysis.json", "workflows/vhs-s
 PACKAGED = {rel: documents.load_json(data_path(rel)) for rel in FILES}
 
 #: Run outcomes a document set that validates may still reach. Each depends on
-#: the signal or on how documents fit together, which no single loader sees:
-#: a signal with fewer than two beats; a repository with no policy of some kind
-#: for the SLA (the decision point refuses); a loop that runs while the run
-#: config lists no candidates; a node that reads what no earlier node wrote.
-RUN_OUTCOMES = (NoBeatsDetected, NoMatchingPolicy, EmptyParameterGrid, MissingInput)
+#: how documents fit together, which no single loader sees: a repository with
+#: no policy of some kind for the SLA (the decision point refuses); a loop that
+#: runs while the run config lists no candidates; a node that reads what no
+#: earlier node wrote. A synthesized signal that validates shows two beats.
+RUN_OUTCOMES = (NoMatchingPolicy, EmptyParameterGrid, MissingInput)
 
 
 def write_documents(root: Path, docs: dict) -> list[str]:
@@ -188,6 +187,11 @@ DOCUMENT_FAULTS = [
     ("run_config.json", set_threshold("ischemia_st", -1), "run_config.thresholds.ischemia_st"),
     ("run_config.json", set_threshold("fibrillation_freq", 0), "run_config.thresholds.fibrillation_freq"),
     ("run_config.json", lambda d: d["patient"].update(noise=1e308), "run_config.patient.noise"),
+    ("run_config.json", lambda d: d["patient"].update(duration=0.001), "run_config.patient.duration"),
+    ("run_config.json", lambda d: d["patient"].update(rate=0.01), "run_config.patient.rate"),
+    ("run_config.json", lambda d: d["patient"].update(st_offset=-2), "run_config.patient.st_offset"),
+    ("run_config.json", lambda d: d["vhs_grid"][1].update(st_offset=-2), "run_config.vhs_grid[1].st_offset"),
+    ("run_config.json", lambda d: d["patient"].update(bpm=1000), "run_config.patient.bpm"),
     ("workflows/heart-disease.json", set_payload(0, "key", "nope"), "workflow.nodes[0].payload.key"),
     ("workflows/heart-disease.json", set_payload(1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
     ("workflows/heart-disease.json", set_payload(2, "rule_table", "nope"), "workflow.nodes[2].payload.rule_table"),

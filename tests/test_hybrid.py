@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from hybridwms import engine
@@ -137,6 +137,23 @@ SIGNAL_FIELDS = [(None, key) for key in PACKAGED_RUN_CONFIG["patient"] if key in
 ]
 
 
+def shows_two_beats(bpm, irregularity=0.0, st_offset=0.0, duration=30.0, rate=250.0):
+    """The run config's bound on a synthesized signal, restated: a baseline
+    within 0.35, two samples per 20 ms beat sigma, neighbouring beats at least
+    80 ms apart, and room for the second beat's full bump."""
+    rr = 60.0 / bpm
+    return abs(st_offset) <= 0.35 and rate >= 100 and rr * (1 - irregularity) >= 0.08 and duration >= rr * (2 + irregularity) + 0.08
+
+
+def signal_records(document):
+    """The patient record, then each candidate's at the patient's duration and rate."""
+    patient = document["patient"]
+    shape = {"duration": patient["duration"], "rate": patient["rate"]}
+    yield patient
+    for candidate in document["vhs_grid"]:
+        yield {**{k: v for k, v in candidate.items() if k != "seed"}, **shape}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     field=st.sampled_from(SIGNAL_FIELDS),
@@ -150,13 +167,52 @@ def test_run_config_signal_fields_parse_cleanly_or_raise_schema_error(field, val
     else:
         target, path = document["vhs_grid"][index], f"run_config.vhs_grid[{index}]"
     target[key] = value
+    records = [{k: v for k, v in record.items() if k != "noise"} for record in signal_records(document)]
     try:
         config = parse_run_config(document)
     except SchemaError as err:
-        assert err.path == f"{path}.{key}"
+        if err.path != f"{path}.{key}":
+            # a value in its own domain, refused by the bound on a record it enters
+            assert isinstance(value, (int, float)) and not isinstance(value, bool) and SIGNAL_DOMAINS[key](value)
+            assert not all(shows_two_beats(**record) for record in records)
+            assert err.path.startswith(("run_config.patient.", "run_config.vhs_grid["))
         return
     number = getattr(config.patient, key) if index is None else config.candidates[index][key]
     assert math.isfinite(number) and SIGNAL_DOMAINS[key](number)
+    assert all(shows_two_beats(**record) for record in records)
+
+
+@st.composite
+def noiseless_run_configs(draw):
+    """Noiseless run-config documents across the signal domains and up to the
+    edges of the two-beat bound: a patient and one or two VHS candidates, with
+    the patient's duration just long enough for every record plus some slack."""
+
+    def shape():
+        irregularity = draw(st.floats(0.0, 0.99))
+        bpm = draw(st.floats(1.0, 750.0 * (1.0 - irregularity)))
+        return {"bpm": bpm, "irregularity": irregularity, "st_offset": draw(st.floats(-0.35, 0.35))}
+
+    patient, candidates = shape(), [{**shape(), "seed": draw(st.integers(0, 99))} for _ in range(draw(st.integers(1, 2)))]
+    need = max(60.0 / r["bpm"] * (2.0 + r["irregularity"]) + 0.08 for r in [patient] + candidates)
+    duration = min(3600.0, need + draw(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 5.0)))
+    rate = draw(st.sampled_from([100.0, 2000.0]) | st.floats(100.0, 500.0))
+    assume(duration * rate <= 200_000)
+    patient.update(noise=0.0, duration=duration, rate=rate, seed=draw(st.integers(0, 99)))
+    return {"seed": 1, "patient": patient, "vhs_grid": candidates}
+
+
+@settings(max_examples=60, deadline=None)
+@given(document=noiseless_run_configs())
+def test_a_noiseless_signal_inside_the_domain_always_shows_two_beats(document):
+    try:
+        config = parse_run_config(document)
+    except SchemaError:
+        reject()  # float rounding at the edge of the restated bound
+    bundle, pool, _, _ = load_defaults()
+    repo = catch_all_repo(app_actions=[("app.workflow", "EcgVhsAlways")])
+    record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("Balanced"), config)
+    assert record.vhs is not None and record.vhs.iterations
 
 
 def test_replace_seed_keeps_everything_else():
@@ -476,8 +532,12 @@ def test_run_config_thresholds_and_user_inputs_reach_the_run():
     assert record.nodes[0].detail == {"key": "operator.note"}
 
 
+#: The edited value that deletes its payload key instead.
+DELETED = object()
+
 #: ``(node index, payload key, value in code)`` naming something the engine
-#: does not register, and the path ``check_workflow`` reports it at.
+#: does not register or breaking the graph's structure (``None`` edits the
+#: graph's own field), and the path ``check_workflow`` reports it at.
 CODE_BUILT_FAULTS = [
     ((0, "key", "lab.results"), "workflow.nodes[0].payload.key"),
     ((1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
@@ -486,16 +546,25 @@ CODE_BUILT_FAULTS = [
     ((2, "branches", {"normal": "normal-report"}), "workflow.nodes[2].payload.branches"),
     ((3, "function", "nope"), "workflow.nodes[3].payload.function"),
     ((4, "subworkflow", "nope"), "workflow.nodes[4].payload.subworkflow"),
+    ((2, "rule_table", DELETED), "workflow.nodes[2].payload.rule_table"),
+    ((None, "entry", "ghost"), "workflow(ghost)"),
 ]
+CODE_BUILT_IDS = [path + ("-deleted" if value is DELETED else "") for (_, _, value), path in CODE_BUILT_FAULTS]
 
 
-@pytest.mark.parametrize("edit, path", CODE_BUILT_FAULTS, ids=[fault[1] for fault in CODE_BUILT_FAULTS])
+@pytest.mark.parametrize("edit, path", CODE_BUILT_FAULTS, ids=CODE_BUILT_IDS)
 def test_a_code_built_graph_is_checked_before_any_node_runs(monkeypatch, edit, path):
     bundle, pool, repo, config = load_defaults()
     index, key, value = edit
-    nodes = list(bundle.graph.nodes)
-    nodes[index] = Node(nodes[index].id, nodes[index].kind, {**nodes[index].payload, key: value})
-    graph = replace(bundle.graph, nodes=tuple(nodes))
+    if index is None:
+        graph = replace(bundle.graph, **{key: value})
+    else:
+        nodes = list(bundle.graph.nodes)
+        payload = {k: v for k, v in nodes[index].payload.items() if k != key}
+        if value is not DELETED:
+            payload[key] = value
+        nodes[index] = Node(nodes[index].id, nodes[index].kind, payload)
+        graph = replace(bundle.graph, nodes=tuple(nodes))
 
     def refuse(ctx, node):
         raise AssertionError(f"node {node.id} ran")

@@ -2,8 +2,10 @@
 
 import math
 import random
+import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -365,19 +367,83 @@ def test_cost_study_equals_the_loop_oracles(case):
 def test_cost_study_evaluates_each_grid_cost_once(monkeypatch, n):
     pool = random_pool(random.Random(n), n, noise=0.05)
     horizon, samples = 3, 5
-    calls = Counter()
+    batches, calls = Counter(), Counter()
+    batch = resources._metric_batch
+
+    def counted_batch(trace, angles, ticks):
+        batches[id(trace)] += 1
+        assert len(angles) == len(ticks) == horizon * samples
+        return batch(trace, angles, ticks)
 
     def counted(res, t, params):
         calls[res.id, t] += 1
         return allocation_cost(res, t, params)
 
+    monkeypatch.setattr(resources, "_metric_batch", counted_batch)
     monkeypatch.setattr(resources, "allocation_cost", counted)
     experiments.run_cost_study(pool, PARAMS, horizon, samples)
-    assert sum(calls.values()) == n * horizon * samples + 3 * n
-    grid = {(res.id, t) for res in pool for hour in range(horizon) for t in hour_instants(hour, samples)}
-    assert set(calls) == grid
-    # every grid pair once; t=0 also ranks each resource once per level
-    assert all(count == (4 if t == 0.0 else 1) for (_, t), count in calls.items())
+    # one batch per trace covers every grid instant; t=0 also ranks each resource once per level
+    assert batches == Counter({id(trace): 1 for res in pool for trace in (res.net_trace, res.sys_trace)})
+    assert calls == Counter({(res.id, 0.0): 3 for res in pool})
+
+
+@st.composite
+def grid_cases(draw):
+    """Pools for the batched grid: seeds of any sign and width, zero noise and
+    zero amplitude, and hour grids whose noise ticks fall between or on .5 ties
+    (256 samples per hour put every odd tick on a tie)."""
+
+    def trace():
+        return MetricTrace(
+            base=draw(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)),
+            amplitude=draw(st.just(0.0) | st.floats(1e-3, 2.0)),
+            period=draw(st.floats(1e-3, 1e6)),
+            phase=draw(st.floats(-10.0, 10.0)),
+            noise_sigma=draw(st.just(0.0) | st.floats(1e-3, 2.0)),
+            seed=draw(st.integers(-(1 << 70), 1 << 70)),
+        )
+
+    pool = [ResourceDescriptor(f"r{i}", "s", 100.0, trace(), trace(), 1e8, 0.01) for i in range(draw(st.integers(1, 3)))]
+    alpha, beta = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    assume(alpha + beta > 0)
+    samples = draw(st.sampled_from([1, 7, 256]) | st.integers(1, 240))
+    return pool, AllocationCostParams(alpha, beta), draw(st.integers(1, 2)), samples
+
+
+def oracle_grid(pool, horizon, samples, params):
+    instants = [t for hour in range(horizon) for t in hour_instants(hour, samples)]
+    return {res.id: [allocation_cost(res, t, params) for t in instants] for res in pool}
+
+
+def hex_grid(grid):
+    return {rid: [cost.hex() for cost in costs] for rid, costs in grid.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grid_cases())
+def test_cost_grid_equals_the_scalar_oracle_bit_for_bit(case):
+    pool, params, horizon, samples = case
+    assert hex_grid(cost_grid(pool, horizon, samples, params)) == hex_grid(oracle_grid(pool, horizon, samples, params))
+
+
+@pytest.mark.parametrize("seed", [1, -5, (1 << 65) + 3])
+def test_batched_noise_equals_the_scalar_normal_bit_for_bit(seed):
+    # 6,000 ticks: numpy's SIMD log differs from libm in the last bit on about 0.35% of inputs
+    ticks = [struct.pack("<Q", k) for k in range(6000)]
+    expected = [resources._unit_normal(seed, k / 1000) for k in range(6000)]
+    assert [z.hex() for z in resources._unit_normals(seed, ticks).tolist()] == [z.hex() for z in expected]
+
+
+#: ``2**53 + 1`` tells one rounding from two (``float(a) + 1`` gives ``2**53``);
+#: ``2**64 - 1`` is the one value whose ``a + 1`` wraps in uint64.
+U1_CASES = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 63) + 1025, (1 << 64) - 2, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("a", U1_CASES)
+def test_u1_rounds_a_plus_one_once_as_python_ints_do(a):
+    u1 = resources._u1(np.array([a], dtype=np.uint64))
+    assert u1.dtype == np.float64
+    assert float(u1[0]).hex() == ((a + 1) / 2.0**64).hex()
 
 
 # -- pool documents ----------------------------------------------------------
