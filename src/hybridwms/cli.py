@@ -4,7 +4,8 @@ Subcommands: ``run`` (one workflow end to end), ``experiment cost-table``,
 ``experiment policy-comparison``, and ``validate`` (documents only). Every
 document flag defaults to the packaged example documents, so each command
 works out of the box. ``validate`` runs the same document loaders as ``run``
-and ``experiment policy-comparison``, for every document in ``DOCUMENTS``.
+and ``experiment policy-comparison``, for every document in ``DOCUMENTS``,
+then decides the policy set for ``--sla`` from ``--repo`` as ``run`` does.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import documents as doc
-from .engine import node_timings_csv, parse_run_config, record_document, run_workflow
+from .engine import decide_run_policy, node_timings_csv, parse_run_config, record_document, run_workflow
 from .errors import WmsError
 from .experiments import (
     ComparisonAborted,
@@ -93,9 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(args, texts: dict[str, str]) -> list[Path]:
     """Write each named text into ``--out-dir``; returns the paths written."""
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        doc.write_text(out / name, text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            doc.write_text(out / name, text)
+    except OSError as exc:
+        raise WmsError(f"cannot write to {exc.filename or out}: {exc.strerror or exc}") from exc
     return [out / name for name in texts]
 
 
@@ -146,15 +150,21 @@ def cmd_policy_comparison(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    failures = 0
+    loaded = {}
     for name in DOCUMENTS:
         try:
-            _load(args, name)
+            loaded[name] = _load(args, name)
         except WmsError as exc:
-            failures += 1
             print(f"{name}: error: {exc}")
         else:
             print(f"{name}: ok ({getattr(args, name.replace('-', '_'))})")
+    failures = len(DOCUMENTS) - len(loaded)
+    if "sla" in loaded and "repo" in loaded:
+        try:
+            decide_run_policy(loaded["sla"], loaded["repo"])  # not the spec's SLAs: run never reads them
+        except WmsError as exc:
+            failures += 1
+            print(f"sla + repo: error: {exc}")
     return 2 if failures else 0
 
 

@@ -20,13 +20,18 @@ from .errors import SchemaError
 
 
 def load_json(path) -> object:
+    """The JSON value in a UTF-8 file. A file that cannot be read or decoded,
+    including one nested too deeply or holding an integer longer than the
+    interpreter converts, raises SchemaError at its path."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(str(path), "file not found")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(str(path), f"cannot read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
 
 
@@ -143,6 +148,14 @@ def get_str(mapping: dict, key: str, path: str) -> str:
     value = get_required(mapping, key, path)
     if not isinstance(value, str) or not value:
         raise SchemaError(f"{path}.{key}", "expected non-empty string")
+    return value
+
+
+def get_name(mapping: dict, key: str, path: str) -> str:
+    """A non-empty string that the CSV outputs write as one unquoted field."""
+    value = get_str(mapping, key, path)
+    if any(c in value for c in ',"\r\n'):
+        raise SchemaError(f"{path}.{key}", "must not contain a comma, a double quote, CR or LF")
     return value
 
 

@@ -42,6 +42,7 @@ from .policy import (
     ConfigRegistry,
     InformationBase,
     Override,
+    PolicySet,
     Sla,
     decide_policy,
     enforce,
@@ -517,27 +518,32 @@ def run_workflow(
     repo: list,
     sla: Sla,
     config: RunConfig,
-    info: InformationBase | None = None,
     run_id: str | None = None,
 ) -> RunRecord:
     """Execute one workflow run end to end and return its full record. The
     workflow is checked first, so a graph built in code is refused before any node runs."""
     run_id = run_id or f"run-{config.seed}"
     try:
-        return _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id)
+        return _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id)
     except RunError:
         raise
     except WmsError as exc:
         raise RunError(run_id, exc) from exc
 
 
-def _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id) -> RunRecord:
-    check_workflow(graph, subworkflows)
+def decide_run_policy(sla: Sla, repo: list) -> tuple[Sla, PolicySet]:
+    """The SLA with its soft label expanded, and the policy set a run decides
+    for it with the default information base. ``validate`` decides through
+    this too, so a repository with no policy of some kind for the SLA fails there."""
     expanded = expand_soft_label(sla) if sla.soft_label is not None else sla
-    info = info if info is not None else InformationBase()
-    policy_set = decide_policy(expanded, repo, info)
+    return expanded, decide_policy(expanded, repo, InformationBase())
+
+
+def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRecord:
+    check_workflow(graph, subworkflows)
+    expanded, policy_set = decide_run_policy(sla, repo)
     registry = ConfigRegistry()
-    report = enforce(policy_set, registry)
+    overrides = enforce(policy_set, registry)
 
     params = AllocationCostParams(registry.get("resource.alpha"), registry.get("resource.beta"))
     level = registry.get("resource.level")
@@ -588,7 +594,7 @@ def _run_workflow(graph, subworkflows, pool, repo, sla, config, info, run_id) ->
         expanded_sla=expanded,
         policy_ids=policy_set.ids(),
         config=registry.as_dict(),
-        overrides=report.overrides,
+        overrides=overrides,
         quorum=quorum,
         nodes=tuple(outcomes),
         dispatches=tuple(ctx.dispatches),

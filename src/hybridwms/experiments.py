@@ -91,7 +91,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
         path = f"experiment.configs[{i}]"
         record = doc.require_mapping(raw, path)
         doc.reject_unknown(record, {"name", "sla", "extra_policies"}, path)
-        name = doc.get_str(record, "name", path)
+        name = doc.get_name(record, "name", path)
         if name in seen:
             raise doc.SchemaError(f"{path}.name", f"duplicate configuration name {name!r}")
         seen.add(name)

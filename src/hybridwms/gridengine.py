@@ -65,12 +65,6 @@ class ConcretePlan:
     estimates: tuple[TaskRecord, ...]  # same order as assignments
     makespan_estimate: float
 
-    def assignment_of(self, task_id: str) -> str:
-        for planned in self.assignments:
-            if planned.task_id == task_id:
-                return planned.resource_id
-        raise KeyError(task_id)
-
     def as_document(self) -> dict:
         return {
             "subworkflow": self.subworkflow_id,
@@ -239,12 +233,6 @@ class SubWorkflowResult:
     tasks: tuple[TaskRecord, ...]  # plan order
     transfers: tuple[TransferRecord, ...]  # by (end, start, producer plan position, dependency order)
     makespan: float
-
-    def task(self, task_id: str) -> TaskRecord:
-        for record in self.tasks:
-            if record.task_id == task_id:
-                return record
-        raise KeyError(task_id)
 
     def as_document(self) -> dict:
         return {

@@ -11,7 +11,7 @@ into a closed-schema configuration registry with full provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import documents as doc
@@ -157,14 +157,6 @@ class InformationBase:
         return previous
 
 
-def property_get(info: InformationBase, key: str):
-    return info.get(key)
-
-
-def property_set(info: InformationBase, key: str, value):
-    return info.set(key, value)
-
-
 def _type_ok(value, expected: type) -> bool:
     if expected is bool:
         return isinstance(value, bool)
@@ -290,10 +282,6 @@ class ConfigRegistry:
             raise InvalidConfigValue(f"config key {key!r} must be >= {spec.minimum}, got {value!r}")
         self._entries[key] = ConfigEntry(value, provenance)
 
-    def snapshot(self) -> tuple:
-        """Canonical, hashable view used to compare registry states."""
-        return tuple((key, self._entries[key].value, self._entries[key].provenance) for key in sorted(self._entries))
-
     def as_dict(self) -> dict:
         return {key: {"value": entry.value, "provenance": entry.provenance} for key, entry in sorted(self._entries.items())}
 
@@ -307,20 +295,13 @@ class Override:
     new_value: object
 
 
-@dataclass(frozen=True)
-class EnforcementReport:
-    applied: tuple[tuple[str, object, str], ...]  # (key, value, policy id)
-    overrides: tuple[Override, ...] = field(default=())
-
-
-def enforce(policy_set: PolicySet, registry: ConfigRegistry) -> EnforcementReport:
+def enforce(policy_set: PolicySet, registry: ConfigRegistry) -> tuple[Override, ...]:
     """Apply the decided actions to the registry.
 
     Actions apply in order app, resource, workflow; a later write to the same
-    key wins and is reported as an override. Enforcing the same set twice
+    key wins and is returned as an override. Enforcing the same set twice
     leaves the registry unchanged.
     """
-    applied = []
     overrides = []
     written_by: dict[str, tuple[str, object]] = {}
     for policy in (policy_set.app, policy_set.resource, policy_set.workflow):
@@ -329,9 +310,8 @@ def enforce(policy_set: PolicySet, registry: ConfigRegistry) -> EnforcementRepor
                 loser, old_value = written_by[key]
                 overrides.append(Override(key, loser, policy.id, old_value, value))
             registry.set(key, value, policy.id)
-            applied.append((key, value, policy.id))
             written_by[key] = (policy.id, value)
-    return EnforcementReport(tuple(applied), tuple(overrides))
+    return tuple(overrides)
 
 
 # --------------------------------------------------------------------------

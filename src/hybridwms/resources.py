@@ -173,7 +173,6 @@ def random_quorum(pool, t: float, params: AllocationCostParams, seed: int) -> Qu
 class CostTable:
     resource_ids: tuple[str, ...]  # rank order at t=0
     rows: tuple[tuple[float, ...], ...]  # one row per hour
-    samples_per_hour: int
 
 
 def hour_instants(hour: int, samples_per_hour: int) -> list[float]:
@@ -249,7 +248,7 @@ def average_cost_table(grid: dict[str, list[float]], resource_ids, samples_per_h
     s = samples_per_hour
     horizon = len(grid[resource_ids[0]]) // s
     rows = tuple(tuple(sum(grid[rid][h * s : (h + 1) * s]) / s for rid in resource_ids) for h in range(horizon))
-    return CostTable(tuple(resource_ids), rows, s)
+    return CostTable(tuple(resource_ids), rows)
 
 
 def cost_table_csv(table: CostTable) -> str:
@@ -297,7 +296,7 @@ def parse_pool(document) -> list[ResourceDescriptor]:
         path = f"pool[{i}]"
         record = doc.require_mapping(raw, path)
         doc.reject_unknown(record, {"id", "site", "cpu_rate", "bandwidth", "latency", "net_trace", "sys_trace"}, path)
-        rid = doc.get_str(record, "id", path)
+        rid = doc.get_name(record, "id", path)
         if rid in seen:
             raise doc.SchemaError(f"{path}.id", f"duplicate resource id {rid!r}")
         seen.add(rid)

@@ -111,15 +111,6 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
 def _back_edges(graph: WorkflowGraph) -> set[tuple[str, str]]:
     edges = set()
     for node in graph.nodes:
@@ -128,7 +119,7 @@ def _back_edges(graph: WorkflowGraph) -> set[tuple[str, str]]:
     return edges
 
 
-def validate_graph(graph: WorkflowGraph) -> ValidationReport:
+def validate_graph(graph: WorkflowGraph) -> tuple[Finding, ...]:
     """Check every graph invariant and report findings with node/edge ids.
 
     Cycles are tolerated only through edges leaving a Decision node or through
@@ -192,7 +183,7 @@ def validate_graph(graph: WorkflowGraph) -> ValidationReport:
             if node_id not in seen:
                 findings.append(Finding("unreachable", node_id, f"node {node_id!r} is not reachable from entry"))
 
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
@@ -240,7 +231,7 @@ def parse_workflow(document: dict) -> WorkflowGraph:
         path = f"workflow.nodes[{i}]"
         node = doc.require_mapping(raw, path)
         doc.reject_unknown(node, {"id", "kind", "payload"}, path)
-        node_id = doc.get_str(node, "id", path)
+        node_id = doc.get_name(node, "id", path)
         kind_name = doc.get_str(node, "kind", path)
         try:
             kind = NodeKind(kind_name)
@@ -276,10 +267,10 @@ def _check_graph(graph: WorkflowGraph) -> None:
         if not isinstance(node.kind, NodeKind):
             raise SchemaError(f"{path}.kind", f"unknown node kind {node.kind!r}")
         _parse_payload(node.kind, doc.require_mapping(node.payload, f"{path}.payload"), f"{path}.payload")
-    report = validate_graph(graph)
-    if not report.ok:
-        first = report.findings[0]
-        raise SchemaError(f"workflow({first.subject})", "; ".join(f.message for f in report.findings))
+    findings = validate_graph(graph)
+    if findings:
+        first = findings[0]
+        raise SchemaError(f"workflow({first.subject})", "; ".join(f.message for f in findings))
 
 
 def _parse_payload(kind: NodeKind, payload: dict, path: str) -> dict:
@@ -308,15 +299,6 @@ def _parse_payload(kind: NodeKind, payload: dict, path: str) -> dict:
             if not isinstance(target, str) or not target:
                 raise SchemaError(f"{path}.branches.{label}", "expected node id string")
     return out
-
-
-def serialize_workflow(graph: WorkflowGraph) -> dict:
-    return {
-        "id": graph.id,
-        "entry": graph.entry,
-        "nodes": [{"id": n.id, "kind": n.kind.value, "payload": dict(n.payload)} for n in graph.nodes],
-        "edges": [[src, dst] for src, dst in graph.edges],
-    }
 
 
 def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
@@ -370,15 +352,6 @@ def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
     subwf = AbstractSubWorkflow(sub_id, tuple(tasks), tuple(deps), tuple(inputs))
     topological_order(subwf)  # raises CycleError on a cyclic task DAG
     return subwf
-
-
-def serialize_subworkflow(subwf: AbstractSubWorkflow) -> dict:
-    return {
-        "id": subwf.id,
-        "tasks": [{"id": t.id, "work": t.work, "transformation": t.transformation} for t in subwf.tasks],
-        "data_deps": [[p, c, size] for p, c, size in subwf.data_deps],
-        "inputs": [{"file": f, "bytes": size, "consumer": c} for f, size, c in subwf.inputs],
-    }
 
 
 def topological_order(subwf: AbstractSubWorkflow) -> list[str]:

@@ -44,7 +44,6 @@ from hybridwms.policy import (
     parse_repository,
     parse_sla,
     policy_matches,
-    property_set,
 )
 from hybridwms.resources import (
     AllocationCostParams,
@@ -356,8 +355,8 @@ def test_criterion_6_decision_matches_brute_force_and_enforcement_idempotent(cap
                 service_level=rng.choice(["EcgOnly", "EcgDetect", "EcgVhs"]),
             )
             info_base = InformationBase()
-            property_set(info_base, "grid.load", round(rng.uniform(0, 1), 3))
-            property_set(info_base, "grid.alert", rng.random() < 0.5)
+            info_base.set("grid.load", round(rng.uniform(0, 1), 3))
+            info_base.set("grid.alert", rng.random() < 0.5)
 
             expected = {}
             for kind in PolicyKind:
@@ -377,9 +376,9 @@ def test_criterion_6_decision_matches_brute_force_and_enforcement_idempotent(cap
 
             registry = ConfigRegistry()
             enforce(chosen, registry)
-            once = registry.snapshot()
+            once = registry.as_dict()
             enforce(chosen, registry)
-            assert registry.snapshot() == once
+            assert registry.as_dict() == once
             decided += 1
         assert decided >= 50
         info["detail"] = f"{decided} decided + {refused} correctly refused of 200 triples"

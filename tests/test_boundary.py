@@ -21,7 +21,6 @@ from hybridwms.errors import (
     EmptyParameterGrid,
     MissingInput,
     NodeError,
-    NoMatchingPolicy,
     RunError,
     WmsError,
 )
@@ -46,11 +45,11 @@ FILES = tuple(FLAGS.values()) + ("workflows/ecg-analysis.json", "workflows/vhs-s
 PACKAGED = {rel: documents.load_json(data_path(rel)) for rel in FILES}
 
 #: Run outcomes a document set that validates may still reach. Each depends on
-#: how documents fit together, which no single loader sees: a repository with
-#: no policy of some kind for the SLA (the decision point refuses); a loop that
-#: runs while the run config lists no candidates; a node that reads what no
-#: earlier node wrote. A synthesized signal that validates shows two beats.
-RUN_OUTCOMES = (NoMatchingPolicy, EmptyParameterGrid, MissingInput)
+#: how documents fit together, which no single loader sees: a loop that runs
+#: while the run config lists no candidates; a node that reads what no earlier
+#: node wrote. ``validate`` decides the policy set for the SLA as ``run`` does,
+#: and a synthesized signal that validates shows two beats.
+RUN_OUTCOMES = (EmptyParameterGrid, MissingInput)
 
 
 def write_documents(root: Path, docs: dict) -> list[str]:
@@ -202,6 +201,7 @@ DOCUMENT_FAULTS = [
     ("workflows/heart-disease.json", set_payload(3, "function", ""), "workflow.nodes[3].payload.function", "function-empty"),
     ("workflows/heart-disease.json", lambda d: d["nodes"][2]["payload"]["branches"].update(normal=7), "workflow.nodes[2].payload.branches.normal"),
     ("workflows/heart-disease.json", set_payload(4, "back_edge", "ecg-analysis"), "workflow(vhs-loop)"),
+    ("workflows/heart-disease.json", lambda d: d["nodes"][0].update(id='ecg "raw"'), "workflow.nodes[0].id"),
     ("slas/high_performance.json", lambda d: d.update(soft_label="Best Effort"), "sla.soft_label"),
     ("policies.json", lambda d: d[0]["actions"][0].update(value="L9"), "policies[0].actions[0]"),
     ("policies.json", lambda d: d[6]["actions"][1].update(value="six"), "policies[6].actions[1]"),
@@ -212,6 +212,7 @@ DOCUMENT_FAULTS = [
     ("pool.json", lambda d: d[1].update(cpu_rate=1e-300), "pool[1]"),
     ("pool.json", lambda d: d[2].update(latency=1e300), "pool[2]"),
     ("pool.json", lambda d: d[3].update(bandwidth=float("inf")), "pool[3].bandwidth"),
+    ("pool.json", lambda d: d[0].update(id="r,1\nx"), "pool[0].id"),
     ("workflows/vhs-simulation.json", lambda d: d["tasks"][1].update(work=1e20), "subworkflow.tasks[1].work"),
     ("workflows/vhs-simulation.json", lambda d: d["tasks"][2].update(id="mesh-partition"), "subworkflow.tasks[2].id"),
     ("workflows/vhs-simulation.json", lambda d: d["data_deps"][1].pop(), "subworkflow.data_deps[1]"),
@@ -233,6 +234,20 @@ def test_validate_and_run_reject_a_document_fault_with_its_path(tmp_path, rel, e
     assert code == 2
     assert f"error: {field}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_decides_the_policy_set_as_run_does(tmp_path):
+    # the SLA asks for L1, and no Resource policy matches L1 any more
+    repo = mutated("policies.json", lambda d: d[0]["condition"][0].update(value="L2"))
+    flags = write_documents(tmp_path, {**PACKAGED, "policies.json": repo})
+    code, out, _ = quiet_main(["validate"] + flags)
+    assert code == 2
+    assert out.count(": ok") == 6
+    assert "sla + repo: error: no matching policy of kind Resource" in out
+    code, _, err = quiet_main(["run"] + flags + ["--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "no matching policy of kind Resource" in err
     assert not (tmp_path / "out").exists()
 
 

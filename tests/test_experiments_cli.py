@@ -393,8 +393,9 @@ def test_cli_validate_flags_broken_documents(tmp_path, capsys):
         (lambda d: d.update(replicates="twenty"), "spec: error: experiment.replicates: expected integer"),
         (lambda d: d.update(replicates=0), "spec: error: experiment: replicates must be >= 1"),
         (lambda d: d.update(colour="red"), "spec: error: experiment.colour: unknown key"),
+        (lambda d: d["configs"][0].update(name="a,b"), "spec: error: experiment.configs[0].name: must not contain"),
     ],
-    ids=["replicates-type", "replicates-zero", "unknown-key"],
+    ids=["replicates-type", "replicates-zero", "unknown-key", "name-with-comma"],
 )
 def test_cli_validate_reads_the_comparison_spec(tmp_path, capsys, edit, message):
     document = load_json(data_path("comparison.json"))
@@ -449,6 +450,36 @@ def test_cli_missing_document_is_a_clean_error(tmp_path, capsys):
     assert code == 2
     assert "error:" in captured.err
     assert "nope.json" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["validate", "--pool"], None),
+        (["validate", "--pool"], b"\xff\xfe{"),
+        (["validate", "--pool"], b"[" * 100_000),
+        (["validate", "--pool"], b"1" * 5_000),
+        (["run", "--out-dir"], b""),
+        (["validate", "--run-config"], None),
+    ],
+    ids=["directory", "not-utf8", "nested-too-deep", "integer-too-long", "out-dir-is-a-file", "sample-is-a-directory"],
+)
+def test_cli_unreadable_input_is_a_clean_error(tmp_path, capsys, command, content):
+    """``target`` is a directory where content is None, else a file holding it;
+    the last case names it as the run config's ``patient.file``."""
+    target = tmp_path / "target"
+    if content is None:
+        target.mkdir()
+    else:
+        target.write_bytes(content)
+    argument = target
+    if command[-1] == "--run-config":
+        argument = tmp_path / "run_config.json"
+        argument.write_text(json.dumps({"seed": 1, "patient": {"file": "target"}}))
+    assert main(command + [str(argument)]) == 2
+    captured = capsys.readouterr()
+    assert f"{target}: " in captured.out + captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_comparison_abort_exit_code(tmp_path, capsys):

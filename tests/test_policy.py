@@ -31,8 +31,6 @@ from hybridwms.policy import (
     parse_repository,
     parse_sla,
     policy_matches,
-    property_get,
-    property_set,
 )
 
 
@@ -120,13 +118,13 @@ def test_condition_reads_information_base():
         policy("R9", PolicyKind.RESOURCE, 99, [Predicate("grid.alert", "==", True)]),
     ]
     assert decide_policy(expanded(), repo, info).resource.id == "R1"
-    property_set(info, "grid.alert", True)
+    info.set("grid.alert", True)
     assert decide_policy(expanded(), repo, info).resource.id == "R9"
 
 
 def test_numeric_predicates_and_operators():
     info = InformationBase()
-    property_set(info, "grid.load", 0.7)
+    info.set("grid.load", 0.7)
     sla = expanded()
     assert policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", ">=", 0.5)]), sla, info)
     assert policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", "<=", 0.7)]), sla, info)
@@ -171,29 +169,29 @@ def test_policy_set_checks_kinds():
 
 def test_information_base_defaults_and_updates():
     info = InformationBase()
-    assert property_get(info, "grid.alert") is False
-    assert property_get(info, "grid.load") == 0.0
-    property_set(info, "grid.load", 0.4)
-    assert property_get(info, "grid.load") == 0.4
+    assert info.get("grid.alert") is False
+    assert info.get("grid.load") == 0.0
+    info.set("grid.load", 0.4)
+    assert info.get("grid.load") == 0.4
 
 
 def test_information_base_rejects_unknown_key():
     info = InformationBase()
     with pytest.raises(UnknownKey):
-        property_get(info, "grid.unknown")
+        info.get("grid.unknown")
     with pytest.raises(UnknownKey):
-        property_set(info, "grid.unknown", 1)
+        info.set("grid.unknown", 1)
 
 
 def test_information_base_type_checks():
     info = InformationBase()
     with pytest.raises(TypeMismatch):
-        property_set(info, "grid.alert", 1)
+        info.set("grid.alert", 1)
     with pytest.raises(TypeMismatch):
-        property_set(info, "grid.load", True)
-    property_set(info, "grid.load", 1)  # int is fine where float is declared
-    assert property_get(info, "grid.load") == 1.0
-    assert isinstance(property_get(info, "grid.load"), float)
+        info.set("grid.load", True)
+    info.set("grid.load", 1)  # int is fine where float is declared
+    assert info.get("grid.load") == 1.0
+    assert isinstance(info.get("grid.load"), float)
 
 
 # -- registry and enforcement ----------------------------------------------------
@@ -233,11 +231,12 @@ def test_enforce_applies_in_kind_order_and_reports_overrides():
         resource=policy("R", PolicyKind.RESOURCE, actions=[("resource.level", "L1"), ("vhs.max_iter", 9)]),
         workflow=policy("W", PolicyKind.WORKFLOW, actions=[("scheduler.kind", "Random")]),
     )
-    report = enforce(policy_set, registry)
-    assert [entry[2] for entry in report.applied] == ["A", "A", "R", "R", "W"]
+    overrides = enforce(policy_set, registry)
+    written = ("app.workflow", "resource.level", "scheduler.kind", "vhs.max_iter")
+    assert [registry.entry(key).provenance for key in written] == ["A", "R", "W", "R"]
     assert registry.get("vhs.max_iter") == 9
     assert registry.entry("vhs.max_iter").provenance == "R"
-    assert report.overrides == (Override("vhs.max_iter", "A", "R", 2, 9),)
+    assert overrides == (Override("vhs.max_iter", "A", "R", 2, 9),)
 
 
 def test_enforce_is_idempotent():
@@ -248,9 +247,9 @@ def test_enforce_is_idempotent():
         workflow=policy("W", PolicyKind.WORKFLOW, actions=[("scheduler.kind", "RoundRobin")]),
     )
     enforce(policy_set, registry)
-    first = registry.snapshot()
+    first = registry.as_dict()
     enforce(policy_set, registry)
-    assert registry.snapshot() == first
+    assert registry.as_dict() == first
 
 
 def test_enforce_rejects_unknown_action_key():
@@ -273,8 +272,8 @@ def test_decide_enforce_reproducible_over_shuffled_repos():
         registry = ConfigRegistry()
         enforce(decide_policy(expanded(), repo, InformationBase()), registry)
         if baseline is None:
-            baseline = registry.snapshot()
-        assert registry.snapshot() == baseline
+            baseline = registry.as_dict()
+        assert registry.as_dict() == baseline
 
 
 # -- documents -------------------------------------------------------------------

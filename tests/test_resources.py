@@ -229,7 +229,7 @@ def oracle_cost_table(pool, horizon, samples_per_hour, params):
             res = by_id[rid]
             row.append(sum(allocation_cost(res, t, params) for t in instants) / len(instants))
         rows.append(tuple(row))
-    return CostTable(tuple(ids), tuple(rows), samples_per_hour)
+    return CostTable(tuple(ids), tuple(rows))
 
 
 def oracle_quorum_mean(pool, quorum, horizon, samples_per_hour, params):

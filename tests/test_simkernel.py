@@ -64,6 +64,10 @@ def test_transfer_time_bottleneck_and_latency():
 # -- plan execution --------------------------------------------------------------
 
 
+def task(result, task_id):
+    return next(r for r in result.tasks if r.task_id == task_id)
+
+
 def run(plan, deps=(), transfers=(), resources=()):
     concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), (), 0.0)
     return execute_plan(concrete, {r.id: r for r in resources})
@@ -72,7 +76,7 @@ def run(plan, deps=(), transfers=(), resources=()):
 def test_single_task():
     r1 = make_resource("r1", cpu_rate=100.0)
     result = run([PlannedTask("t", 250.0, "r1")], resources=[r1])
-    record = result.task("t")
+    record = task(result, "t")
     assert (record.ready, record.start) == (0.0, 0.0)
     assert record.end == pytest.approx(2.5)
     assert result.makespan == pytest.approx(2.5)
@@ -83,7 +87,7 @@ def test_chain_on_one_resource_runs_back_to_back():
     plan = [PlannedTask("a", 100.0, "r1"), PlannedTask("b", 200.0, "r1"), PlannedTask("c", 300.0, "r1")]
     deps = [("a", "b", 10.0), ("b", "c", 10.0)]
     result = run(plan, deps, resources=[r1])
-    a, b, c = result.task("a"), result.task("b"), result.task("c")
+    a, b, c = task(result, "a"), task(result, "b"), task(result, "c")
     assert a.start == 0.0 and a.end == pytest.approx(1.0)
     # same-resource handoff is instant
     assert b.ready == pytest.approx(1.0) and b.start == pytest.approx(1.0) and b.end == pytest.approx(3.0)
@@ -98,10 +102,10 @@ def test_fork_join_with_cross_site_transfer():
     plan = [PlannedTask("a", 110.0, "r1"), PlannedTask("b", 400.0, "r2"), PlannedTask("c", 55.0, "r1")]
     deps = [("a", "c", 0.0), ("b", "c", 1e6)]
     result = run(plan, deps, resources=[r1, r2])
-    assert result.task("a").end == pytest.approx(2.0)
-    assert result.task("b").end == pytest.approx(2.0)
+    assert task(result, "a").end == pytest.approx(2.0)
+    assert task(result, "b").end == pytest.approx(2.0)
     # b's output crosses sites: 1e6 / min(1e6, 2e6) + max(0.1, 0.05) = 1.1
-    c = result.task("c")
+    c = task(result, "c")
     assert c.ready == pytest.approx(3.1)
     assert c.start == pytest.approx(3.1)
     assert c.end == pytest.approx(4.1)
@@ -124,9 +128,9 @@ def test_queue_serves_in_plan_order_even_if_later_task_is_ready():
     ]
     deps = [("slow", "blocked", 1.0)]
     result = run(plan, deps, resources=[r1, r2])
-    assert result.task("blocked").start == pytest.approx(5.0)
-    assert result.task("quick").start == pytest.approx(6.0)
-    assert result.task("quick").ready == 0.0
+    assert task(result, "blocked").start == pytest.approx(5.0)
+    assert task(result, "quick").start == pytest.approx(6.0)
+    assert task(result, "quick").ready == 0.0
 
 
 def test_stage_in_transfers_start_at_time_zero():
@@ -138,7 +142,7 @@ def test_stage_in_transfers_start_at_time_zero():
         PlannedTransfer("in-b", "r2", "r1", 3e6, "t"),
     ]
     result = run(plan, transfers=transfers, resources=[r1, r2])
-    record = result.task("t")
+    record = task(result, "t")
     # both inputs must land; the larger one takes 3.1 s
     assert record.ready == pytest.approx(3.1)
     assert record.start == pytest.approx(3.1)
@@ -163,8 +167,8 @@ def test_load_dependent_duration_uses_start_time():
     r1 = ResourceDescriptor("r1", "s", 100.0, MetricTrace(base=0.1), trace, 1e6, 0.0)
     plan = [PlannedTask("a", 100.0, "r1"), PlannedTask("b", 100.0, "r1")]
     result = run(plan, [("a", "b", 0.0)], resources=[r1])
-    b = result.task("b")
-    assert b.start == pytest.approx(result.task("a").end)
+    b = task(result, "b")
+    assert b.start == pytest.approx(task(result, "a").end)
     assert b.end - b.start == pytest.approx(exec_time(100.0, r1, b.start), rel=1e-12)
 
 

@@ -13,8 +13,6 @@ from hybridwms.workflow import (
     WorkflowGraph,
     parse_subworkflow,
     parse_workflow,
-    serialize_subworkflow,
-    serialize_workflow,
     topological_order,
     validate_graph,
 )
@@ -33,11 +31,14 @@ def minimal_workflow_doc():
 
 
 def test_parse_workflow_round_trip():
+    document = minimal_workflow_doc()
     graph = parse_workflow(minimal_workflow_doc())
-    assert graph.entry == "a"
-    assert [n.id for n in graph.nodes] == ["a", "b"]
-    again = parse_workflow(serialize_workflow(graph))
-    assert again == graph
+    assert graph.id == document["id"]
+    assert graph.entry == document["entry"]
+    assert [(n.id, n.kind.value, n.payload) for n in graph.nodes] == [
+        (n["id"], n["kind"], n["payload"]) for n in document["nodes"]
+    ]
+    assert [list(edge) for edge in graph.edges] == document["edges"]
 
 
 def test_parse_workflow_rejects_unknown_root_key():
@@ -89,14 +90,14 @@ def test_validate_reports_duplicate_node():
         (),
         "a",
     )
-    report = validate_graph(graph)
-    assert not report.ok
-    assert any(f.code == "duplicate-node" for f in report.findings)
+    findings = validate_graph(graph)
+    assert findings
+    assert any(f.code == "duplicate-node" for f in findings)
 
 
 def test_validate_reports_dangling_edge_and_missing_entry():
     graph = WorkflowGraph("wf", (Node("a", NodeKind.TERMINAL),), (("a", "ghost"),), "nope")
-    codes = {f.code for f in validate_graph(graph).findings}
+    codes = {f.code for f in validate_graph(graph)}
     assert "dangling-edge" in codes
     assert "entry" in codes
 
@@ -111,8 +112,7 @@ def test_validate_reports_cycle_outside_allowed_edges():
         (("a", "b"), ("b", "a")),
         "a",
     )
-    report = validate_graph(graph)
-    assert any(f.code == "cycle" for f in report.findings)
+    assert any(f.code == "cycle" for f in validate_graph(graph))
 
 
 def test_validate_allows_loop_back_edge():
@@ -125,7 +125,7 @@ def test_validate_allows_loop_back_edge():
         (("a", "loop"), ("loop", "a")),
         "a",
     )
-    assert validate_graph(graph).ok
+    assert validate_graph(graph) == ()
 
 
 def test_validate_reports_unreachable_node():
@@ -135,7 +135,7 @@ def test_validate_reports_unreachable_node():
         (),
         "a",
     )
-    assert any(f.code == "unreachable" for f in validate_graph(graph).findings)
+    assert any(f.code == "unreachable" for f in validate_graph(graph))
 
 
 def test_validate_reports_branch_without_edge():
@@ -148,7 +148,7 @@ def test_validate_reports_branch_without_edge():
         (("d", "t"),),
         "d",
     )
-    assert validate_graph(graph).ok
+    assert validate_graph(graph) == ()
     graph2 = WorkflowGraph(
         "wf",
         (
@@ -158,7 +158,7 @@ def test_validate_reports_branch_without_edge():
         (),
         "d",
     )
-    assert any(f.code == "branch-target" for f in validate_graph(graph2).findings)
+    assert any(f.code == "branch-target" for f in validate_graph(graph2))
 
 
 # -- sub-workflows ----------------------------------------------------------
@@ -177,9 +177,17 @@ def minimal_subworkflow_doc():
 
 
 def test_parse_subworkflow_round_trip():
+    document = minimal_subworkflow_doc()
     subwf = parse_subworkflow(minimal_subworkflow_doc())
+    assert subwf.id == document["id"]
+    assert [(t.id, t.work, t.transformation) for t in subwf.tasks] == [
+        (t["id"], t["work"], t["transformation"]) for t in document["tasks"]
+    ]
     assert subwf.data_deps == (("t1", "t2", 100.0),)
-    assert parse_subworkflow(serialize_subworkflow(subwf)) == subwf
+    assert [list(dep) for dep in subwf.data_deps] == document["data_deps"]
+    assert [(f, size, c) for f, size, c in subwf.inputs] == [
+        (i["file"], i["bytes"], i["consumer"]) for i in document["inputs"]
+    ]
 
 
 def test_parse_subworkflow_rejects_nonpositive_work():
