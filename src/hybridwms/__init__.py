@@ -13,7 +13,7 @@ from .experiments import load_workflow_bundle, run_cost_study, run_policy_compar
 from .gridengine import execute_plan, generate_catalogs, map_workflow
 from .policy import ConfigRegistry, InformationBase, Sla, decide_policy, enforce, expand_soft_label
 from .resources import AllocationCostParams, allocation_cost, generate_arq, rank_resources
-from .workflow import parse_subworkflow, parse_workflow, topological_order, validate_graph
+from .workflow import parse_subworkflow, parse_workflow, topological_order
 
 __version__ = "0.1.0"
 
@@ -49,5 +49,4 @@ __all__ = [
     "run_workflow",
     "synthesize_ecg",
     "topological_order",
-    "validate_graph",
 ]

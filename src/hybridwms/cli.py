@@ -5,18 +5,21 @@ Subcommands: ``run`` (one workflow end to end), ``experiment cost-table``,
 document flag defaults to the packaged example documents, so each command
 works out of the box. ``validate`` runs the same document loaders as ``run``
 and ``experiment policy-comparison``, for every document in ``DOCUMENTS``,
-then decides the policy set for ``--sla`` from ``--repo`` as ``run`` does.
+then decides and enforces the policy set for ``--sla`` from ``--repo`` as
+``run`` does. The commands that write files check ``--out-dir`` before any
+document is loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from . import documents as doc
-from .engine import decide_run_policy, node_timings_csv, parse_run_config, record_document, run_workflow
+from .engine import enforce_run_policy, node_timings_csv, parse_run_config, record_document, run_workflow
 from .errors import WmsError
 from .experiments import (
     ComparisonAborted,
@@ -91,9 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, texts: dict[str, str]) -> list[Path]:
-    """Write each named text into ``--out-dir``; returns the paths written."""
+def _out_dir(args) -> Path:
+    """``--out-dir``, refused before any work unless the nearest part of it
+    that exists is a directory this process may write into. Creates nothing."""
     out = Path(args.out_dir)
+    nearest = next(p for p in (out.absolute(), *out.absolute().parents) if p.exists())  # "/" always exists
+    if not nearest.is_dir():
+        raise WmsError(f"cannot write to {out}: {nearest} is not a directory")
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise WmsError(f"cannot write to {out}: {nearest} is not writable")
+    return out
+
+
+def _write(out: Path, texts: dict[str, str]) -> list[Path]:
+    """Write each named text into ``out``; returns the paths written."""
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
@@ -104,11 +118,12 @@ def _write(args, texts: dict[str, str]) -> list[Path]:
 
 
 def cmd_run(args) -> int:
+    out = _out_dir(args)
     bundle, sla, pool, repo = (_load(args, name) for name in ("workflow", "sla", "pool", "repo"))
     config = _load(args, "run-config", seed=args.seed)
 
     record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
-    paths = _write(args, {"run_record.json": doc.dump_json(record_document(record)), "node_timings.csv": node_timings_csv(record)})
+    paths = _write(out, {"run_record.json": doc.dump_json(record_document(record)), "node_timings.csv": node_timings_csv(record)})
     print(
         f"run {record.run_id}: diagnosis={record.diagnosis or 'none'} "
         f"completion={record.completion_time:.6f}s nodes={len(record.nodes)} "
@@ -120,8 +135,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_cost_table(args) -> int:
+    out = _out_dir(args)
     study = run_cost_study(_load(args, "pool"))
-    paths = _write(args, {"cost_table.csv": study.table_csv, "quorum_means.csv": study.quorum_csv})
+    paths = _write(out, {"cost_table.csv": study.table_csv, "quorum_means.csv": study.quorum_csv})
     for level, mean in study.level_means:
         print(f"{level} quorum mean allocation cost: {mean:.6f}")
     print(f"lowest-mean level: {study.best_level}")
@@ -131,17 +147,18 @@ def cmd_cost_table(args) -> int:
 
 
 def cmd_policy_comparison(args) -> int:
+    out = _out_dir(args)
     bundle, pool, repo, run_config = (_load(args, name) for name in ("workflow", "pool", "repo", "run-config"))
     spec = _load(args, "spec", base_seed=args.seed, replicates=args.replicates)
     try:
         result = run_policy_comparison(spec, bundle, pool, repo, run_config)
     except ComparisonAborted as exc:
-        paths = _write(args, {"comparison.csv": comparison_csv(exc.partial), "comparison_summary.csv": summary_csv(exc.partial)})
+        paths = _write(out, {"comparison.csv": comparison_csv(exc.partial), "comparison_summary.csv": summary_csv(exc.partial)})
         print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial {paths[0]}", file=sys.stderr)
         return 3
 
-    paths = _write(args, {"comparison.csv": comparison_csv(result), "comparison_summary.csv": summary_csv(result)})
+    paths = _write(out, {"comparison.csv": comparison_csv(result), "comparison_summary.csv": summary_csv(result)})
     for s in result.summaries:
         print(f"{s.config}: mean={s.mean:.6f} stddev={s.stddev:.6f} min={s.min:.6f} max={s.max:.6f}")
     for path in paths:
@@ -161,7 +178,7 @@ def cmd_validate(args) -> int:
     failures = len(DOCUMENTS) - len(loaded)
     if "sla" in loaded and "repo" in loaded:
         try:
-            decide_run_policy(loaded["sla"], loaded["repo"])  # not the spec's SLAs: run never reads them
+            enforce_run_policy(loaded["sla"], loaded["repo"])  # not the spec's SLAs: run never reads them
         except WmsError as exc:
             failures += 1
             print(f"sla + repo: error: {exc}")

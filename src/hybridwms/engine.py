@@ -35,7 +35,7 @@ from .ecg import (
     feature_distance,
     synthesize_ecg,
 )
-from .errors import EmptyParameterGrid, MissingInput, NodeError, RunError, WmsError
+from .errors import EmptyParameterGrid, InvalidConfigValue, MissingInput, NodeError, RunError, WmsError
 from .gridengine import RateMemo, SubWorkflowResult, execute_plan, map_workflow
 from .policy import (
     DEFAULT_PROVENANCE,
@@ -363,8 +363,8 @@ _REGISTERED_NAMES = (
 
 
 def check_workflow(graph: WorkflowGraph, subworkflows: dict[str, AbstractSubWorkflow]) -> None:
-    """Check a workflow against the engine and its sub-workflows: the graph
-    and its payloads as ``parse_workflow`` checks them (``check_graph``), every
+    """Check a workflow against the engine and its sub-workflows: the graph,
+    parsed or built in code, by ``check_graph``; then every
     function, rule table and data source a node names is registered, a
     decision has a branch for each outcome of its rule, and every sub-workflow
     a node dispatches is in ``subworkflows``. Raises ``SchemaError`` at
@@ -531,21 +531,28 @@ def run_workflow(
         raise RunError(run_id, exc) from exc
 
 
-def decide_run_policy(sla: Sla, repo: list) -> tuple[Sla, PolicySet]:
-    """The SLA with its soft label expanded, and the policy set a run decides
-    for it with the default information base. ``validate`` decides through
-    this too, so a repository with no policy of some kind for the SLA fails there."""
+def enforce_run_policy(
+    sla: Sla, repo: list
+) -> tuple[Sla, PolicySet, ConfigRegistry, tuple[Override, ...], AllocationCostParams]:
+    """What a run takes from its SLA and repository: the SLA with its soft
+    label expanded, the policy set decided for it with the default information
+    base, a fresh registry that set was enforced into, the overrides, and the
+    registry's allocation-cost weights. ``validate`` calls this too, so a
+    repository that no run could use for the SLA fails there."""
     expanded = expand_soft_label(sla) if sla.soft_label is not None else sla
-    return expanded, decide_policy(expanded, repo, InformationBase())
+    policy_set = decide_policy(expanded, repo, InformationBase())
+    registry = ConfigRegistry()
+    overrides = enforce(policy_set, registry)
+    try:
+        params = AllocationCostParams(registry.get("resource.alpha"), registry.get("resource.beta"))
+    except ValueError as exc:
+        raise InvalidConfigValue(f"config keys 'resource.alpha' and 'resource.beta': {exc}") from None
+    return expanded, policy_set, registry, overrides, params
 
 
 def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRecord:
     check_workflow(graph, subworkflows)
-    expanded, policy_set = decide_run_policy(sla, repo)
-    registry = ConfigRegistry()
-    overrides = enforce(policy_set, registry)
-
-    params = AllocationCostParams(registry.get("resource.alpha"), registry.get("resource.beta"))
+    expanded, policy_set, registry, overrides, params = enforce_run_policy(sla, repo)
     level = registry.get("resource.level")
     scheduler_seed = registry.get("scheduler.seed")
     if level == RANDOM_LEVEL:

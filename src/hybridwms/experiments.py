@@ -76,14 +76,14 @@ class ExperimentSpec:
 
 def parse_experiment_spec(document) -> ExperimentSpec:
     """Parse a policy-comparison spec, the only kind of experiment document;
-    the cost study reads nothing but the pool."""
+    the cost study reads nothing but the pool. ``ExperimentSpec`` holds the
+    value of each field left out."""
     root = doc.require_mapping(document, "experiment")
     kind = doc.get_str(root, "kind", "experiment")
     if kind != "policy_comparison":
         raise doc.SchemaError("experiment.kind", f"expected 'policy_comparison', got {kind!r}")
     doc.reject_unknown(root, {"kind", "replicates", "base_seed", "configs"}, "experiment")
-    replicates = doc.get_int(root, "replicates", "experiment") if "replicates" in root else 1
-    base_seed = doc.get_int(root, "base_seed", "experiment") if "base_seed" in root else 0
+    fields = {key: doc.get_int(root, key, "experiment") for key in ("replicates", "base_seed") if key in root}
 
     configs = []
     seen = set()
@@ -100,7 +100,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
         configs.append(PolicySetConfig(name=name, sla=sla, extra_policies=extra))
 
     try:
-        return ExperimentSpec(replicates=replicates, base_seed=base_seed, configs=tuple(configs))
+        return ExperimentSpec(configs=tuple(configs), **fields)
     except ValueError as exc:
         raise doc.SchemaError("experiment", str(exc)) from exc
 

@@ -11,6 +11,7 @@ into a closed-schema configuration registry with full provenance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,10 +80,14 @@ class PolicyKind(str, Enum):
     APP = "AppService"
 
 
+#: The condition operators a repository may use, and what each computes.
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class Predicate:
     key: str
-    op: str  # one of ==, !=, <=, >=
+    op: str  # a key of _OPERATORS
     value: object
 
 
@@ -171,27 +176,12 @@ def _type_ok(value, expected: type) -> bool:
 # Policy decision point
 
 
-def _lookup(predicate: Predicate, sla: Sla, info: InformationBase):
-    if predicate.key in SLA_FIELDS:
-        return getattr(sla, predicate.key)
-    return info.get(predicate.key)
-
-
 def _predicate_holds(predicate: Predicate, sla: Sla, info: InformationBase) -> bool:
-    actual = _lookup(predicate, sla, info)
-    expected = predicate.value
-    if predicate.op == "==":
-        return actual == expected
-    if predicate.op == "!=":
-        return actual != expected
+    actual = getattr(sla, predicate.key) if predicate.key in SLA_FIELDS else info.get(predicate.key)
     try:
-        if predicate.op == "<=":
-            return actual <= expected
-        if predicate.op == ">=":
-            return actual >= expected
+        return _OPERATORS[predicate.op](actual, predicate.value)
     except TypeError as exc:
-        raise TypeMismatch(f"cannot compare {predicate.key}={actual!r} with {expected!r}") from exc
-    raise ValueError(f"unknown operator {predicate.op!r}")
+        raise TypeMismatch(f"cannot compare {predicate.key}={actual!r} with {predicate.value!r}") from exc
 
 
 def policy_matches(policy: Policy, sla: Sla, info: InformationBase) -> bool:
@@ -267,8 +257,7 @@ class ConfigRegistry:
         return self._entries[key]
 
     def set(self, key: str, value, provenance: str) -> None:
-        if key not in CONFIG_SCHEMA:
-            raise UnknownConfigKey(f"config key {key!r} is not registered")
+        self.entry(key)  # refuses a key that is not registered
         spec = CONFIG_SCHEMA[key]
         if not _type_ok(value, spec.type):
             raise TypeMismatch(f"config key {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
@@ -367,7 +356,7 @@ def parse_repository(document) -> list[Policy]:
             if key not in SLA_FIELDS and key not in PROPERTY_SCHEMA:
                 raise doc.SchemaError(f"{pred_path}.key", f"{key!r} is neither an SLA field nor a declared property")
             op = doc.get_str(pred, "op", pred_path)
-            if op not in ("==", "!=", "<=", ">="):
+            if op not in _OPERATORS:
                 raise doc.SchemaError(f"{pred_path}.op", f"unknown operator {op!r}")
             value = doc.get_required(pred, "value", pred_path)
             expected = str if key in SLA_FIELDS else PROPERTY_SCHEMA[key].type

@@ -128,8 +128,7 @@ def rank_resources(pool, t: float, params: AllocationCostParams) -> list[tuple[s
 @dataclass(frozen=True)
 class Quorum:
     level: str
-    members: tuple[str, ...]  # ascending allocation cost at decided_at
-    decided_at: float
+    members: tuple[str, ...]  # ascending allocation cost at the instant it was formed
 
 
 def quorum_size(n: int, fraction: float) -> int:
@@ -151,7 +150,7 @@ def generate_arq(pool, level: str, t: float, params: AllocationCostParams) -> Qu
         raise ValueError(f"unknown resource level {level!r}")
     ranking = rank_resources(pool, t, params)
     size = quorum_size(len(ranking), _LEVEL_FRACTION[level])
-    return Quorum(level, tuple(rid for rid, _ in ranking[:size]), t)
+    return Quorum(level, tuple(rid for rid, _ in ranking[:size]))
 
 
 def random_quorum(pool, t: float, params: AllocationCostParams, seed: int) -> Quorum:
@@ -166,7 +165,7 @@ def random_quorum(pool, t: float, params: AllocationCostParams, seed: int) -> Qu
     rng = random.Random(seed)
     chosen = set(rng.sample([res.id for res in pool], size))
     ranked = [rid for rid, _ in rank_resources(pool, t, params) if rid in chosen]
-    return Quorum(RANDOM_LEVEL, tuple(ranked), t)
+    return Quorum(RANDOM_LEVEL, tuple(ranked))
 
 
 @dataclass(frozen=True)
@@ -269,18 +268,14 @@ def quorum_grid_mean(grid: dict[str, list[float]], quorum: Quorum) -> float:
 
 
 def parse_trace(raw: dict, path: str) -> MetricTrace:
+    """A load trace: ``base`` is required, ``seed`` an integer, the rest numbers;
+    ``MetricTrace`` holds the value of each key left out."""
     doc.reject_unknown(raw, {"base", "amplitude", "period", "phase", "noise_sigma", "seed"}, path)
-    base = doc.get_number(raw, "base", path)
-    trace = dict(
-        base=base,
-        amplitude=doc.get_number(raw, "amplitude", path) if "amplitude" in raw else 0.0,
-        period=doc.get_number(raw, "period", path) if "period" in raw else 3600.0,
-        phase=doc.get_number(raw, "phase", path) if "phase" in raw else 0.0,
-        noise_sigma=doc.get_number(raw, "noise_sigma", path) if "noise_sigma" in raw else 0.0,
-        seed=doc.get_int(raw, "seed", path) if "seed" in raw else 0,
-    )
+    fields = {"base": doc.get_number(raw, "base", path)}
+    for key in raw:
+        fields[key] = doc.get_int(raw, key, path) if key == "seed" else doc.get_number(raw, key, path)
     try:
-        return MetricTrace(**trace)
+        return MetricTrace(**fields)
     except ValueError as exc:
         raise doc.SchemaError(path, str(exc)) from exc
 

@@ -36,7 +36,7 @@ def service_rank(level: str) -> int:
     return SERVICE_LEVELS.index(level)
 
 
-# Required / optional payload keys per node kind, validated at parse time.
+# Required / optional payload keys per node kind, checked by check_graph.
 _PAYLOAD_SCHEMA = {
     NodeKind.LOCAL_TASK: ({"function"}, set()),
     NodeKind.GRID_SUB_WORKFLOW: ({"subworkflow"}, {"produces"}),
@@ -102,90 +102,6 @@ class AbstractSubWorkflow:
     inputs: tuple[tuple[str, float, str], ...]  # (file id, bytes, consumer)
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One validation finding; findings are data, not failures."""
-
-    code: str
-    subject: str
-    message: str
-
-
-def _back_edges(graph: WorkflowGraph) -> set[tuple[str, str]]:
-    edges = set()
-    for node in graph.nodes:
-        if node.kind is NodeKind.LOOP and "back_edge" in node.payload:
-            edges.add((node.id, node.payload["back_edge"]))
-    return edges
-
-
-def validate_graph(graph: WorkflowGraph) -> tuple[Finding, ...]:
-    """Check every graph invariant and report findings with node/edge ids.
-
-    Cycles are tolerated only through edges leaving a Decision node or through
-    a Loop node's declared back-edge; the rest of the graph must be acyclic.
-    """
-    findings: list[Finding] = []
-    ids = [n.id for n in graph.nodes]
-    by_id = {}
-    for node in graph.nodes:
-        if node.id in by_id:
-            findings.append(Finding("duplicate-node", node.id, f"duplicate node id {node.id!r}"))
-        by_id[node.id] = node
-
-    for src, dst in graph.edges:
-        for end in (src, dst):
-            if end not in by_id:
-                findings.append(Finding("dangling-edge", end, f"edge ({src!r}, {dst!r}) references unknown node {end!r}"))
-
-    if graph.entry not in by_id:
-        findings.append(Finding("entry", graph.entry, f"entry node {graph.entry!r} does not exist"))
-
-    # Loop back-edges must be materialized in the edge list.
-    back = _back_edges(graph)
-    for src, dst in sorted(back):
-        if (src, dst) not in graph.edges:
-            findings.append(Finding("back-edge", src, f"loop {src!r} declares back-edge to {dst!r} but no such edge exists"))
-
-    # Decision branch targets must be edge targets of the decision node.
-    edge_set = set(graph.edges)
-    for node in graph.nodes:
-        if node.kind is NodeKind.DECISION:
-            for label, target in sorted(node.payload.get("branches", {}).items()):
-                if (node.id, target) not in edge_set:
-                    findings.append(Finding("branch-target", node.id, f"branch {label!r} of {node.id!r} targets {target!r} without an edge"))
-
-    # Acyclicity of the restricted graph (no decision edges, no back-edges).
-    restricted: dict[str, list[str]] = {i: [] for i in ids}
-    for src, dst in graph.edges:
-        if src not in by_id or dst not in by_id:
-            continue
-        if by_id[src].kind is NodeKind.DECISION:
-            continue
-        if (src, dst) in back:
-            continue
-        restricted[src].append(dst)
-    cycle = _find_cycle(restricted)
-    if cycle:
-        findings.append(Finding("cycle", cycle[0], "cycle through nodes: " + " -> ".join(cycle)))
-
-    # Reachability from entry over all edges.
-    if graph.entry in by_id:
-        seen = {graph.entry}
-        frontier = [graph.entry]
-        while frontier:
-            current = frontier.pop()
-            for nxt in graph.successors(current):
-                if nxt in by_id and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        for node_id in ids:
-            if node_id not in seen:
-                findings.append(Finding("unreachable", node_id, f"node {node_id!r} is not reachable from entry"))
-
-    return tuple(findings)
-
-
 def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
     """Return the node ids of one cycle in insertion-deterministic order."""
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -215,90 +131,141 @@ def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
 
 
 def parse_workflow(document: dict) -> WorkflowGraph:
-    """Parse and validate a workflow document.
+    """Decode a workflow document into a graph that ``check_graph`` has passed.
 
-    Raises SchemaError naming the offending field for structural problems and
-    for any graph invariant violation; the returned graph always passes
-    :func:`validate_graph`.
+    Raises SchemaError naming the offending field.
     """
     root = doc.require_mapping(document, "workflow")
     doc.reject_unknown(root, {"id", "entry", "nodes", "edges"}, "workflow")
-    graph_id = doc.get_str(root, "id", "workflow")
-    entry = doc.get_str(root, "entry", "workflow")
+    graph_id, entry = doc.get_required(root, "id", "workflow"), doc.get_required(root, "entry", "workflow")
 
     nodes = []
     for i, raw in enumerate(doc.require_list(doc.get_required(root, "nodes", "workflow"), "workflow.nodes")):
         path = f"workflow.nodes[{i}]"
         node = doc.require_mapping(raw, path)
         doc.reject_unknown(node, {"id", "kind", "payload"}, path)
-        node_id = doc.get_name(node, "id", path)
-        kind_name = doc.get_str(node, "kind", path)
-        try:
-            kind = NodeKind(kind_name)
-        except ValueError:
-            raise SchemaError(f"{path}.kind", f"unknown node kind {kind_name!r}") from None
-        payload = doc.require_mapping(node.get("payload", {}), f"{path}.payload")
-        nodes.append(Node(node_id, kind, _parse_payload(kind, payload, f"{path}.payload")))
+        node_id, kind = doc.get_required(node, "id", path), doc.get_required(node, "kind", path)
+        kind = next((k for k in NodeKind if k.value == kind), kind)  # check_graph refuses any other value
+        nodes.append(Node(node_id, kind, node.get("payload", {})))
 
-    edges = []
-    for i, raw in enumerate(doc.require_list(doc.get_required(root, "edges", "workflow"), "workflow.edges")):
-        path = f"workflow.edges[{i}]"
-        pair = doc.require_list(raw, path)
-        if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
-            raise SchemaError(path, "expected [from-node-id, to-node-id]")
-        edges.append((pair[0], pair[1]))
-
-    graph = WorkflowGraph(graph_id, tuple(nodes), tuple(edges), entry)
+    raw_edges = doc.require_list(doc.get_required(root, "edges", "workflow"), "workflow.edges")
+    edges = tuple(tuple(doc.require_list(raw, f"workflow.edges[{i}]")) for i, raw in enumerate(raw_edges))
+    graph = WorkflowGraph(graph_id, tuple(nodes), edges, entry)
     check_graph(graph)
     return graph
 
 
 def check_graph(graph: WorkflowGraph) -> None:
-    """Refuse a graph built in code as :func:`parse_workflow` would refuse its
-    document: each node's kind and payload, then :func:`validate_graph`'s
-    findings. Raises SchemaError at the path ``parse_workflow`` uses. A graph
-    that passed is not checked again."""
+    """Refuse a graph, parsed or built in code, that breaks a workflow rule:
+    its id and entry, each node's id, kind and payload, each edge's shape,
+    then the graph's structure. Raises SchemaError at the field's path, or at
+    ``workflow(<subject>)`` listing every structural problem. A graph that
+    passed is not checked again."""
     graph._checked  # runs _check_graph on first use, and raises while it fails
 
 
 def _check_graph(graph: WorkflowGraph) -> None:
+    """The one check behind ``check_graph``. Cycles are tolerated only through
+    edges leaving a Decision node or through a Loop node's declared back-edge;
+    the rest of the graph must be acyclic."""
+    for key in ("id", "entry"):
+        doc.get_str({key: getattr(graph, key)}, key, "workflow")
     for i, node in enumerate(graph.nodes):
         path = f"workflow.nodes[{i}]"
+        fields = {"id": node.id, "kind": node.kind}
+        doc.get_name(fields, "id", path)
         if not isinstance(node.kind, NodeKind):
-            raise SchemaError(f"{path}.kind", f"unknown node kind {node.kind!r}")
+            raise SchemaError(f"{path}.kind", f"unknown node kind {doc.get_str(fields, 'kind', path)!r}")
         _parse_payload(node.kind, doc.require_mapping(node.payload, f"{path}.payload"), f"{path}.payload")
-    findings = validate_graph(graph)
-    if findings:
-        first = findings[0]
-        raise SchemaError(f"workflow({first.subject})", "; ".join(f.message for f in findings))
+    for i, edge in enumerate(graph.edges):
+        if not isinstance(edge, tuple) or len(edge) != 2 or not all(isinstance(end, str) for end in edge):
+            raise SchemaError(f"workflow.edges[{i}]", "expected [from-node-id, to-node-id]")
+
+    problems: list[tuple[str, str]] = []  # (subject, message)
+    ids = [n.id for n in graph.nodes]
+    by_id = {}
+    for node in graph.nodes:
+        if node.id in by_id:
+            problems.append((node.id, f"duplicate node id {node.id!r}"))
+        by_id[node.id] = node
+
+    for src, dst in graph.edges:
+        for end in (src, dst):
+            if end not in by_id:
+                problems.append((end, f"edge ({src!r}, {dst!r}) references unknown node {end!r}"))
+
+    if graph.entry not in by_id:
+        problems.append((graph.entry, f"entry node {graph.entry!r} does not exist"))
+
+    # Loop back-edges must be materialized in the edge list.
+    back = {(n.id, n.payload["back_edge"]) for n in graph.nodes if n.kind is NodeKind.LOOP and "back_edge" in n.payload}
+    for src, dst in sorted(back):
+        if (src, dst) not in graph.edges:
+            problems.append((src, f"loop {src!r} declares back-edge to {dst!r} but no such edge exists"))
+
+    # Decision branch targets must be edge targets of the decision node.
+    edge_set = set(graph.edges)
+    for node in graph.nodes:
+        if node.kind is NodeKind.DECISION:
+            for label, target in sorted(node.payload["branches"].items()):
+                if (node.id, target) not in edge_set:
+                    problems.append((node.id, f"branch {label!r} of {node.id!r} targets {target!r} without an edge"))
+
+    # Acyclicity of the restricted graph (no decision edges, no back-edges).
+    restricted: dict[str, list[str]] = {i: [] for i in ids}
+    for src, dst in graph.edges:
+        if src not in by_id or dst not in by_id:
+            continue
+        if by_id[src].kind is NodeKind.DECISION:
+            continue
+        if (src, dst) in back:
+            continue
+        restricted[src].append(dst)
+    cycle = _find_cycle(restricted)
+    if cycle:
+        problems.append((cycle[0], "cycle through nodes: " + " -> ".join(cycle)))
+
+    # Reachability from entry over all edges.
+    if graph.entry in by_id:
+        seen = {graph.entry}
+        frontier = [graph.entry]
+        while frontier:
+            current = frontier.pop()
+            for nxt in graph.successors(current):
+                if nxt in by_id and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        for node_id in ids:
+            if node_id not in seen:
+                problems.append((node_id, f"node {node_id!r} is not reachable from entry"))
+
+    if problems:
+        raise SchemaError(f"workflow({problems[0][0]})", "; ".join(message for _, message in problems))
 
 
-def _parse_payload(kind: NodeKind, payload: dict, path: str) -> dict:
+def _parse_payload(kind: NodeKind, payload: dict, path: str) -> None:
+    """Refuse a payload that breaks its node kind's schema."""
     required, optional = _PAYLOAD_SCHEMA[kind]
     doc.reject_unknown(payload, required | optional | {"min_service"}, path)
     for key in sorted(required):
         if key not in payload:
             raise SchemaError(f"{path}.{key}", f"required for kind {kind.value}")
-    out = {}
-    for key in sorted(payload):
-        out[key] = payload[key]
-    if "min_service" in out and out["min_service"] not in SERVICE_LEVELS:
+    if "min_service" in payload and payload["min_service"] not in SERVICE_LEVELS:
         raise SchemaError(f"{path}.min_service", f"expected one of {list(SERVICE_LEVELS)}")
     if kind is NodeKind.LOOP:
-        max_iter = out["max_iterations"]
+        max_iter = payload["max_iterations"]
         if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
             raise SchemaError(f"{path}.max_iterations", "expected integer >= 1")
-        if doc.get_number(out, "tolerance", path) <= 0:
+        if doc.get_number(payload, "tolerance", path) <= 0:
             raise SchemaError(f"{path}.tolerance", "expected number > 0")
     for key in ("function", "subworkflow", "rule_table", "key", "produces", "back_edge"):
-        if key in out and (not isinstance(out[key], str) or not out[key]):
-            raise SchemaError(f"{path}.{key}", "expected non-empty string")
+        if key in payload:
+            doc.get_str(payload, key, path)
     if kind is NodeKind.DECISION:
-        branches = doc.require_mapping(out["branches"], f"{path}.branches")
+        branches = doc.require_mapping(payload["branches"], f"{path}.branches")
         for label, target in branches.items():
             if not isinstance(target, str) or not target:
                 raise SchemaError(f"{path}.branches.{label}", "expected node id string")
-    return out
 
 
 def parse_subworkflow(document: dict) -> AbstractSubWorkflow:

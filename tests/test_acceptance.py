@@ -5,8 +5,6 @@ enforces the property plus its runtime budget.
 """
 
 import itertools
-import json
-import math
 import random
 import statistics
 import time
@@ -32,7 +30,6 @@ from hybridwms.experiments import (
 )
 from hybridwms.gridengine import execute_plan, map_workflow
 from hybridwms.policy import (
-    CONFIG_SCHEMA,
     ConfigRegistry,
     InformationBase,
     Policy,
@@ -48,7 +45,6 @@ from hybridwms.policy import (
 from hybridwms.resources import (
     AllocationCostParams,
     MetricTrace,
-    Quorum,
     ResourceDescriptor,
     allocation_cost,
     cost_grid,

@@ -19,7 +19,9 @@ from hybridwms.ecg import synthesize_ecg
 from hybridwms.engine import parse_run_config, run_workflow
 from hybridwms.errors import (
     EmptyParameterGrid,
+    InvalidConfigValue,
     MissingInput,
+    NoMatchingPolicy,
     NodeError,
     RunError,
     WmsError,
@@ -237,18 +239,42 @@ def test_validate_and_run_reject_a_document_fault_with_its_path(tmp_path, rel, e
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_decides_the_policy_set_as_run_does(tmp_path):
-    # the SLA asks for L1, and no Resource policy matches L1 any more
-    repo = mutated("policies.json", lambda d: d[0]["condition"][0].update(value="L2"))
-    flags = write_documents(tmp_path, {**PACKAGED, "policies.json": repo})
+def zero_cost_weights(document):
+    for action in document[0]["actions"][1:]:  # RP-A's resource.alpha and resource.beta
+        action.update(value=0)
+
+
+@pytest.mark.parametrize(
+    "edit, message, error",
+    [
+        # the SLA asks for L1, and no Resource policy matches L1 any more
+        (
+            lambda d: d[0]["condition"][0].update(value="L2"),
+            "no matching policy of kind Resource",
+            NoMatchingPolicy,
+        ),
+        # each weight alone is in its domain; together they weigh nothing
+        (
+            zero_cost_weights,
+            "config keys 'resource.alpha' and 'resource.beta': alpha + beta must be > 0",
+            InvalidConfigValue,
+        ),
+    ],
+    ids=["no-resource-policy", "zero-cost-weights"],
+)
+def test_validate_decides_the_policy_set_as_run_does(tmp_path, edit, message, error):
+    flags = write_documents(tmp_path, {**PACKAGED, "policies.json": mutated("policies.json", edit)})
     code, out, _ = quiet_main(["validate"] + flags)
     assert code == 2
     assert out.count(": ok") == 6
-    assert "sla + repo: error: no matching policy of kind Resource" in out
-    code, _, err = quiet_main(["run"] + flags + ["--out-dir", str(tmp_path / "out")])
+    assert [line for line in out.splitlines() if "error:" in line] == [f"sla + repo: error: {message}"]
+    run_argv = ["run"] + flags + ["--out-dir", str(tmp_path / "out")]
+    code, _, err = quiet_main(run_argv)
     assert code == 2
-    assert "no matching policy of kind Resource" in err
+    assert message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert isinstance(run_failure(run_argv), error)
 
 
 def test_validate_opens_the_sample_file(tmp_path):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from hybridwms import cli
 from hybridwms.cli import main
 from hybridwms.documents import load_json
 from hybridwms.engine import parse_run_config
@@ -480,6 +481,30 @@ def test_cli_unreadable_input_is_a_clean_error(tmp_path, capsys, command, conten
     captured = capsys.readouterr()
     assert f"{target}: " in captured.out + captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["experiment", "cost-table"], ["experiment", "policy-comparison", "--replicates", "20"]],
+    ids=["run", "cost-table", "policy-comparison"],
+)
+def test_out_dir_is_checked_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out-dir was checked")
+
+    for name in ("run_workflow", "run_cost_study", "run_policy_comparison"):
+        monkeypatch.setattr(cli, name, refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    for out_dir in (blocker, blocker / "sub"):
+        assert main(command + ["--out-dir", str(out_dir)]) == 2
+        assert f"error: cannot write to {out_dir}: {blocker} is not a directory" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(command + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: cannot write to {tmp_path / 'out'}: {tmp_path} is not writable" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "kept"
 
 
 def test_cli_comparison_abort_exit_code(tmp_path, capsys):

@@ -58,7 +58,7 @@ def two_site_pool():
 
 
 def quorum_of(pool, *ids):
-    return Quorum("L2", tuple(ids), 0.0)
+    return Quorum("L2", tuple(ids))
 
 
 def assignment_of(plan, task_id):

@@ -6,7 +6,6 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
@@ -34,7 +33,7 @@ from hybridwms.errors import (
     SchemaError,
 )
 from hybridwms.experiments import load_workflow_bundle
-from hybridwms.policy import Policy, PolicyKind, Predicate, Sla, parse_repository, parse_sla
+from hybridwms.policy import Policy, PolicyKind, Predicate, parse_repository, parse_sla
 from hybridwms.resources import parse_pool, quorum_size
 from hybridwms.workflow import Node, NodeKind, WorkflowGraph
 
@@ -537,7 +536,8 @@ DELETED = object()
 
 #: ``(node index, payload key, value in code)`` naming something the engine
 #: does not register or breaking the graph's structure (``None`` edits the
-#: graph's own field), and the path ``check_workflow`` reports it at.
+#: graph's own field, ``"id"`` the node's id), and the path ``check_workflow``
+#: reports it at.
 CODE_BUILT_FAULTS = [
     ((0, "key", "lab.results"), "workflow.nodes[0].payload.key"),
     ((1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
@@ -548,6 +548,8 @@ CODE_BUILT_FAULTS = [
     ((4, "subworkflow", "nope"), "workflow.nodes[4].payload.subworkflow"),
     ((2, "rule_table", DELETED), "workflow.nodes[2].payload.rule_table"),
     ((None, "entry", "ghost"), "workflow(ghost)"),
+    ((0, "id", "a,b\nc"), "workflow.nodes[0].id"),
+    ((None, "edges", (("get-patient-data",),)), "workflow.edges[0]"),
 ]
 CODE_BUILT_IDS = [path + ("-deleted" if value is DELETED else "") for (_, _, value), path in CODE_BUILT_FAULTS]
 
@@ -560,10 +562,13 @@ def test_a_code_built_graph_is_checked_before_any_node_runs(monkeypatch, edit, p
         graph = replace(bundle.graph, **{key: value})
     else:
         nodes = list(bundle.graph.nodes)
-        payload = {k: v for k, v in nodes[index].payload.items() if k != key}
-        if value is not DELETED:
-            payload[key] = value
-        nodes[index] = Node(nodes[index].id, nodes[index].kind, payload)
+        if key == "id":
+            nodes[index] = replace(nodes[index], id=value)
+        else:
+            payload = {k: v for k, v in nodes[index].payload.items() if k != key}
+            if value is not DELETED:
+                payload[key] = value
+            nodes[index] = Node(nodes[index].id, nodes[index].kind, payload)
         graph = replace(bundle.graph, nodes=tuple(nodes))
 
     def refuse(ctx, node):

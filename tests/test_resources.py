@@ -164,7 +164,6 @@ def test_quorums_nest_and_match_rank_prefixes():
         quorums = {level: generate_arq(pool, level, t, PARAMS) for level in LEVELS}
         for level, quorum in quorums.items():
             assert list(quorum.members) == ranking[: len(quorum.members)]
-            assert quorum.decided_at == t
         l1, l2, l3 = (set(quorums[lv].members) for lv in LEVELS)
         assert l1 <= l2 <= l3
         assert l3 == set(ranking)

@@ -6,7 +6,7 @@ import pytest
 
 from hybridwms.errors import StuckSimulation
 from hybridwms.gridengine import ConcretePlan, execute_plan
-from hybridwms.resources import AllocationCostParams, MetricTrace, ResourceDescriptor, metric_at
+from hybridwms.resources import MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
     PlannedTask,
     PlannedTransfer,

@@ -1,6 +1,7 @@
 """Workflow graph and sub-workflow model tests."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,10 +12,10 @@ from hybridwms.workflow import (
     NodeKind,
     TaskSpec,
     WorkflowGraph,
+    check_graph,
     parse_subworkflow,
     parse_workflow,
     topological_order,
-    validate_graph,
 )
 
 
@@ -83,6 +84,12 @@ def test_loop_payload_validation():
     assert "max_iterations" in str(err.value)
 
 
+def graph_failure(graph) -> SchemaError:
+    with pytest.raises(SchemaError) as err:
+        check_graph(graph)
+    return err.value
+
+
 def test_validate_reports_duplicate_node():
     graph = WorkflowGraph(
         "wf",
@@ -90,16 +97,15 @@ def test_validate_reports_duplicate_node():
         (),
         "a",
     )
-    findings = validate_graph(graph)
-    assert findings
-    assert any(f.code == "duplicate-node" for f in findings)
+    err = graph_failure(graph)
+    assert (err.path, err.message) == ("workflow(a)", "duplicate node id 'a'")
 
 
 def test_validate_reports_dangling_edge_and_missing_entry():
     graph = WorkflowGraph("wf", (Node("a", NodeKind.TERMINAL),), (("a", "ghost"),), "nope")
-    codes = {f.code for f in validate_graph(graph)}
-    assert "dangling-edge" in codes
-    assert "entry" in codes
+    err = graph_failure(graph)
+    assert err.path == "workflow(ghost)"
+    assert err.message == "edge ('a', 'ghost') references unknown node 'ghost'; entry node 'nope' does not exist"
 
 
 def test_validate_reports_cycle_outside_allowed_edges():
@@ -112,7 +118,8 @@ def test_validate_reports_cycle_outside_allowed_edges():
         (("a", "b"), ("b", "a")),
         "a",
     )
-    assert any(f.code == "cycle" for f in validate_graph(graph))
+    err = graph_failure(graph)
+    assert (err.path, err.message) == ("workflow(a)", "cycle through nodes: a -> b")
 
 
 def test_validate_allows_loop_back_edge():
@@ -125,7 +132,10 @@ def test_validate_allows_loop_back_edge():
         (("a", "loop"), ("loop", "a")),
         "a",
     )
-    assert validate_graph(graph) == ()
+    check_graph(graph)
+    err = graph_failure(replace(graph, edges=(("a", "loop"),)))
+    assert err.path == "workflow(loop)"
+    assert err.message == "loop 'loop' declares back-edge to 'a' but no such edge exists"
 
 
 def test_validate_reports_unreachable_node():
@@ -135,7 +145,8 @@ def test_validate_reports_unreachable_node():
         (),
         "a",
     )
-    assert any(f.code == "unreachable" for f in validate_graph(graph))
+    err = graph_failure(graph)
+    assert (err.path, err.message) == ("workflow(island)", "node 'island' is not reachable from entry")
 
 
 def test_validate_reports_branch_without_edge():
@@ -148,7 +159,7 @@ def test_validate_reports_branch_without_edge():
         (("d", "t"),),
         "d",
     )
-    assert validate_graph(graph) == ()
+    check_graph(graph)
     graph2 = WorkflowGraph(
         "wf",
         (
@@ -158,7 +169,9 @@ def test_validate_reports_branch_without_edge():
         (),
         "d",
     )
-    assert any(f.code == "branch-target" for f in validate_graph(graph2))
+    err = graph_failure(graph2)
+    assert err.path == "workflow(d)"
+    assert err.message == "branch 'x' of 'd' targets 't' without an edge; node 't' is not reachable from entry"
 
 
 # -- sub-workflows ----------------------------------------------------------
