@@ -56,7 +56,7 @@ from .resources import (
     generate_arq,
     random_quorum,
 )
-from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, check_graph, service_rank
+from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, service_rank
 
 
 def derive_seed(run_seed: int, scheduler_seed: int, index: int, purpose: str) -> int:
@@ -363,13 +363,11 @@ _REGISTERED_NAMES = (
 
 
 def check_workflow(graph: WorkflowGraph, subworkflows: dict[str, AbstractSubWorkflow]) -> None:
-    """Check a workflow against the engine and its sub-workflows: the graph,
-    parsed or built in code, by ``check_graph``; then every
-    function, rule table and data source a node names is registered, a
-    decision has a branch for each outcome of its rule, and every sub-workflow
-    a node dispatches is in ``subworkflows``. Raises ``SchemaError`` at
-    ``parse_workflow``'s paths, ``workflow.nodes[i].payload.<key>`` for names."""
-    check_graph(graph)
+    """Check what a graph, which checked itself when it was built, cannot know
+    about itself: every function, rule table and data source a node names is
+    registered, a decision has a branch for each outcome of its rule, and every
+    sub-workflow a node dispatches is in ``subworkflows``. Raises
+    ``SchemaError`` at ``workflow.nodes[i].payload.<key>``."""
     for i, node in enumerate(graph.nodes):
         path = f"workflow.nodes[{i}].payload"
         for kind, key, registry in _REGISTERED_NAMES:
@@ -501,10 +499,7 @@ def _execute_node(ctx: _Context, node: Node):
         back = payload.get("back_edge")
         return detail, [s for s in successors if s != back]
 
-    if node.kind is NodeKind.TERMINAL:
-        return {}, None
-
-    raise AssertionError(f"unhandled node kind {node.kind}")
+    return {}, None  # a Terminal, the one kind left
 
 
 # --------------------------------------------------------------------------
@@ -521,7 +516,7 @@ def run_workflow(
     run_id: str | None = None,
 ) -> RunRecord:
     """Execute one workflow run end to end and return its full record. The
-    workflow is checked first, so a graph built in code is refused before any node runs."""
+    names the graph uses are checked against the engine before any node runs."""
     run_id = run_id or f"run-{config.seed}"
     try:
         return _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id)

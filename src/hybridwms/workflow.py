@@ -3,7 +3,8 @@
 The high level is a node graph interpreted locally (user interaction, data
 retrieval, decisions, loops); compute-heavy steps are abstract sub-workflow
 DAGs that get mapped onto grid resources by the low-level engine. Both levels
-are parsed from strict JSON documents and are immutable after construction.
+are parsed from strict JSON documents and are immutable after construction; a
+workflow graph that breaks a workflow rule cannot be constructed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def service_rank(level: str) -> int:
     return SERVICE_LEVELS.index(level)
 
 
-# Required / optional payload keys per node kind, checked by check_graph.
+# Required / optional payload keys per node kind, checked when a graph is built.
 _PAYLOAD_SCHEMA = {
     NodeKind.LOCAL_TASK: ({"function"}, set()),
     NodeKind.GRID_SUB_WORKFLOW: ({"subworkflow"}, {"produces"}),
@@ -79,12 +80,8 @@ class WorkflowGraph:
     def successors(self, node_id: str) -> list[str]:
         return [dst for src, dst in self.edges if src == node_id]
 
-    @cached_property
-    def _checked(self) -> bool:
-        """Set once ``check_graph`` has passed: the graph is immutable after
-        construction, so a run need not check the same graph again."""
+    def __post_init__(self):
         _check_graph(self)
-        return True
 
 
 @dataclass(frozen=True)
@@ -103,35 +100,33 @@ class AbstractSubWorkflow:
 
 
 def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
-    """Return the node ids of one cycle in insertion-deterministic order."""
+    """Return the node ids of one cycle: a depth-first search from each root
+    in sorted order, over successors in sorted order, stops at the first vertex
+    already on its path and returns the path from that vertex on. The search
+    keeps its path on a list, so a long path cannot exhaust Python's stack."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in adjacency}
-    stack: list[str] = []
-
-    def visit(vertex: str) -> list[str] | None:
-        color[vertex] = GRAY
-        stack.append(vertex)
-        for nxt in sorted(adjacency[vertex]):
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt):]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[vertex] = BLACK
-        return None
-
-    for vertex in sorted(adjacency):
-        if color[vertex] == WHITE:
-            found = visit(vertex)
-            if found:
-                return found
+    for root in sorted(adjacency):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path, pending = [root], [iter(sorted(adjacency[root]))]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                color[path.pop()] = BLACK
+                pending.pop()
+            elif color[nxt] == GRAY:
+                return path[path.index(nxt):]
+            elif color[nxt] == WHITE:
+                color[nxt] = GRAY
+                path.append(nxt)
+                pending.append(iter(sorted(adjacency[nxt])))
     return None
 
 
 def parse_workflow(document: dict) -> WorkflowGraph:
-    """Decode a workflow document into a graph that ``check_graph`` has passed.
+    """Decode a workflow document into a graph, which checks itself.
 
     Raises SchemaError naming the offending field.
     """
@@ -145,29 +140,21 @@ def parse_workflow(document: dict) -> WorkflowGraph:
         node = doc.require_mapping(raw, path)
         doc.reject_unknown(node, {"id", "kind", "payload"}, path)
         node_id, kind = doc.get_required(node, "id", path), doc.get_required(node, "kind", path)
-        kind = next((k for k in NodeKind if k.value == kind), kind)  # check_graph refuses any other value
+        kind = next((k for k in NodeKind if k.value == kind), kind)  # the graph refuses any other value
         nodes.append(Node(node_id, kind, node.get("payload", {})))
 
     raw_edges = doc.require_list(doc.get_required(root, "edges", "workflow"), "workflow.edges")
     edges = tuple(tuple(doc.require_list(raw, f"workflow.edges[{i}]")) for i, raw in enumerate(raw_edges))
-    graph = WorkflowGraph(graph_id, tuple(nodes), edges, entry)
-    check_graph(graph)
-    return graph
-
-
-def check_graph(graph: WorkflowGraph) -> None:
-    """Refuse a graph, parsed or built in code, that breaks a workflow rule:
-    its id and entry, each node's id, kind and payload, each edge's shape,
-    then the graph's structure. Raises SchemaError at the field's path, or at
-    ``workflow(<subject>)`` listing every structural problem. A graph that
-    passed is not checked again."""
-    graph._checked  # runs _check_graph on first use, and raises while it fails
+    return WorkflowGraph(graph_id, tuple(nodes), edges, entry)
 
 
 def _check_graph(graph: WorkflowGraph) -> None:
-    """The one check behind ``check_graph``. Cycles are tolerated only through
-    edges leaving a Decision node or through a Loop node's declared back-edge;
-    the rest of the graph must be acyclic."""
+    """Refuse a graph, parsed or built in code, that breaks a workflow rule:
+    its id and entry, each node's id, kind and payload, each edge's shape,
+    then the graph's structure. Raises SchemaError at the field's path, or at
+    ``workflow(<subject>)`` listing every structural problem. Cycles are
+    tolerated only through edges leaving a Decision node or through a Loop
+    node's declared back-edge; the rest of the graph must be acyclic."""
     for key in ("id", "entry"):
         doc.get_str({key: getattr(graph, key)}, key, "workflow")
     for i, node in enumerate(graph.nodes):
@@ -264,6 +251,8 @@ def _parse_payload(kind: NodeKind, payload: dict, path: str) -> None:
     if kind is NodeKind.DECISION:
         branches = doc.require_mapping(payload["branches"], f"{path}.branches")
         for label, target in branches.items():
+            if not isinstance(label, str) or not label:
+                raise SchemaError(f"{path}.branches", f"expected non-empty string labels, got {label!r}")
             if not isinstance(target, str) or not target:
                 raise SchemaError(f"{path}.branches.{label}", "expected node id string")
 

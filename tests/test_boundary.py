@@ -239,6 +239,42 @@ def test_validate_and_run_reject_a_document_fault_with_its_path(tmp_path, rel, e
     assert not (tmp_path / "out").exists()
 
 
+#: More ids than Python's default recursion limit of 1,000 frames.
+LONG_IDS = [f"n{i:04d}" for i in range(1500)]
+
+
+def test_validate_accepts_a_workflow_chain_longer_than_the_recursion_limit(tmp_path):
+    chain = {
+        "id": "chain",
+        "entry": LONG_IDS[0],
+        "nodes": [{"id": i, "kind": "LocalTask", "payload": {"function": "extract-ecg-features"}} for i in LONG_IDS],
+        "edges": [[a, b] for a, b in zip(LONG_IDS, LONG_IDS[1:])],
+    }
+    (tmp_path / "chain.json").write_text(json.dumps(chain))
+    code, out, _ = quiet_main(["validate", "--workflow", str(tmp_path / "chain.json")])
+    assert code == 0, out
+
+
+def test_validate_refuses_a_subworkflow_cycle_longer_than_the_recursion_limit(tmp_path):
+    ring = {
+        "id": "ring",
+        "tasks": [{"id": i, "work": 1, "transformation": "tf"} for i in LONG_IDS],
+        "data_deps": [[a, b, 1] for a, b in zip(LONG_IDS, LONG_IDS[1:] + LONG_IDS[:1])],
+    }
+    workflow = {
+        "id": "cycle",
+        "entry": "grid",
+        "nodes": [{"id": "grid", "kind": "GridSubWorkflow", "payload": {"subworkflow": "ring"}}, {"id": "end", "kind": "Terminal"}],
+        "edges": [["grid", "end"]],
+    }
+    (tmp_path / "ring.json").write_text(json.dumps(ring))
+    (tmp_path / "cycle.json").write_text(json.dumps(workflow))
+    code, out, err = quiet_main(["validate", "--workflow", str(tmp_path / "cycle.json")])
+    assert code == 2
+    assert "workflow: error: cycle through tasks: " + ", ".join(LONG_IDS) + "\n" in out
+    assert "Traceback" not in out + err
+
+
 def zero_cost_weights(document):
     for action in document[0]["actions"][1:]:  # RP-A's resource.alpha and resource.beta
         action.update(value=0)

@@ -534,10 +534,45 @@ def test_run_config_thresholds_and_user_inputs_reach_the_run():
 #: The edited value that deletes its payload key instead.
 DELETED = object()
 
-#: ``(node index, payload key, value in code)`` naming something the engine
-#: does not register or breaking the graph's structure (``None`` edits the
-#: graph's own field, ``"id"`` the node's id), and the path ``check_workflow``
-#: reports it at.
+
+def edited_graph(graph, index, key, value):
+    """``graph`` rebuilt with one field set in code: ``index`` None sets the
+    graph's own field, key ``"id"`` the node's id, any other key the node's
+    payload entry, which ``DELETED`` deletes."""
+    if index is None:
+        return replace(graph, **{key: value})
+    nodes = list(graph.nodes)
+    if key == "id":
+        nodes[index] = replace(nodes[index], id=value)
+    else:
+        payload = {k: v for k, v in nodes[index].payload.items() if k != key}
+        if value is not DELETED:
+            payload[key] = value
+        nodes[index] = Node(nodes[index].id, nodes[index].kind, payload)
+    return replace(graph, nodes=tuple(nodes))
+
+
+#: ``edited_graph`` edits that break a workflow rule, and the path and message
+#: the graph reports when it is built.
+CODE_BUILT_GRAPH_FAULTS = [
+    ((2, "rule_table", DELETED), "workflow.nodes[2].payload.rule_table", "required for kind Decision"),
+    ((None, "entry", "ghost"), "workflow(ghost)", "entry node 'ghost' does not exist"),
+    ((0, "id", "a,b\nc"), "workflow.nodes[0].id", "must not contain a comma, a double quote, CR or LF"),
+    ((None, "edges", (("get-patient-data",),)), "workflow.edges[0]", "expected [from-node-id, to-node-id]"),
+    ((2, "branches", {1: "t", "x": "t"}), "workflow.nodes[2].payload.branches", "expected non-empty string labels, got 1"),
+]
+
+
+@pytest.mark.parametrize("edit, path, message", CODE_BUILT_GRAPH_FAULTS, ids=[fault[1] for fault in CODE_BUILT_GRAPH_FAULTS])
+def test_a_code_built_graph_that_breaks_a_rule_cannot_be_built(edit, path, message):
+    bundle = load_defaults()[0]
+    with pytest.raises(SchemaError) as err:
+        edited_graph(bundle.graph, *edit)
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+#: ``edited_graph`` edits naming something the engine does not register, and
+#: the path ``check_workflow`` reports each at.
 CODE_BUILT_FAULTS = [
     ((0, "key", "lab.results"), "workflow.nodes[0].payload.key"),
     ((1, "produces", "nope"), "workflow.nodes[1].payload.produces"),
@@ -546,30 +581,13 @@ CODE_BUILT_FAULTS = [
     ((2, "branches", {"normal": "normal-report"}), "workflow.nodes[2].payload.branches"),
     ((3, "function", "nope"), "workflow.nodes[3].payload.function"),
     ((4, "subworkflow", "nope"), "workflow.nodes[4].payload.subworkflow"),
-    ((2, "rule_table", DELETED), "workflow.nodes[2].payload.rule_table"),
-    ((None, "entry", "ghost"), "workflow(ghost)"),
-    ((0, "id", "a,b\nc"), "workflow.nodes[0].id"),
-    ((None, "edges", (("get-patient-data",),)), "workflow.edges[0]"),
 ]
-CODE_BUILT_IDS = [path + ("-deleted" if value is DELETED else "") for (_, _, value), path in CODE_BUILT_FAULTS]
 
 
-@pytest.mark.parametrize("edit, path", CODE_BUILT_FAULTS, ids=CODE_BUILT_IDS)
+@pytest.mark.parametrize("edit, path", CODE_BUILT_FAULTS, ids=[path for _, path in CODE_BUILT_FAULTS])
 def test_a_code_built_graph_is_checked_before_any_node_runs(monkeypatch, edit, path):
     bundle, pool, repo, config = load_defaults()
-    index, key, value = edit
-    if index is None:
-        graph = replace(bundle.graph, **{key: value})
-    else:
-        nodes = list(bundle.graph.nodes)
-        if key == "id":
-            nodes[index] = replace(nodes[index], id=value)
-        else:
-            payload = {k: v for k, v in nodes[index].payload.items() if k != key}
-            if value is not DELETED:
-                payload[key] = value
-            nodes[index] = Node(nodes[index].id, nodes[index].kind, payload)
-        graph = replace(bundle.graph, nodes=tuple(nodes))
+    graph = edited_graph(bundle.graph, *edit)
 
     def refuse(ctx, node):
         raise AssertionError(f"node {node.id} ran")

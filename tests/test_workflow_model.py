@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridwms.errors import CycleError, SchemaError
 from hybridwms.workflow import (
@@ -12,7 +14,7 @@ from hybridwms.workflow import (
     NodeKind,
     TaskSpec,
     WorkflowGraph,
-    check_graph,
+    _find_cycle,
     parse_subworkflow,
     parse_workflow,
     topological_order,
@@ -84,32 +86,33 @@ def test_loop_payload_validation():
     assert "max_iterations" in str(err.value)
 
 
-def graph_failure(graph) -> SchemaError:
+def graph_failure(build, *args, **fields) -> SchemaError:
+    """The error that building a graph with ``build`` (``WorkflowGraph`` or ``replace``) raises."""
     with pytest.raises(SchemaError) as err:
-        check_graph(graph)
+        build(*args, **fields)
     return err.value
 
 
 def test_validate_reports_duplicate_node():
-    graph = WorkflowGraph(
+    err = graph_failure(
+        WorkflowGraph,
         "wf",
         (Node("a", NodeKind.TERMINAL), Node("a", NodeKind.TERMINAL)),
         (),
         "a",
     )
-    err = graph_failure(graph)
     assert (err.path, err.message) == ("workflow(a)", "duplicate node id 'a'")
 
 
 def test_validate_reports_dangling_edge_and_missing_entry():
-    graph = WorkflowGraph("wf", (Node("a", NodeKind.TERMINAL),), (("a", "ghost"),), "nope")
-    err = graph_failure(graph)
+    err = graph_failure(WorkflowGraph, "wf", (Node("a", NodeKind.TERMINAL),), (("a", "ghost"),), "nope")
     assert err.path == "workflow(ghost)"
     assert err.message == "edge ('a', 'ghost') references unknown node 'ghost'; entry node 'nope' does not exist"
 
 
 def test_validate_reports_cycle_outside_allowed_edges():
-    graph = WorkflowGraph(
+    err = graph_failure(
+        WorkflowGraph,
         "wf",
         (
             Node("a", NodeKind.LOCAL_TASK, {"function": "f"}),
@@ -118,7 +121,6 @@ def test_validate_reports_cycle_outside_allowed_edges():
         (("a", "b"), ("b", "a")),
         "a",
     )
-    err = graph_failure(graph)
     assert (err.path, err.message) == ("workflow(a)", "cycle through nodes: a -> b")
 
 
@@ -132,20 +134,19 @@ def test_validate_allows_loop_back_edge():
         (("a", "loop"), ("loop", "a")),
         "a",
     )
-    check_graph(graph)
-    err = graph_failure(replace(graph, edges=(("a", "loop"),)))
+    err = graph_failure(replace, graph, edges=(("a", "loop"),))
     assert err.path == "workflow(loop)"
     assert err.message == "loop 'loop' declares back-edge to 'a' but no such edge exists"
 
 
 def test_validate_reports_unreachable_node():
-    graph = WorkflowGraph(
+    err = graph_failure(
+        WorkflowGraph,
         "wf",
         (Node("a", NodeKind.TERMINAL), Node("island", NodeKind.TERMINAL)),
         (),
         "a",
     )
-    err = graph_failure(graph)
     assert (err.path, err.message) == ("workflow(island)", "node 'island' is not reachable from entry")
 
 
@@ -159,19 +160,56 @@ def test_validate_reports_branch_without_edge():
         (("d", "t"),),
         "d",
     )
-    check_graph(graph)
-    graph2 = WorkflowGraph(
-        "wf",
-        (
-            Node("d", NodeKind.DECISION, {"rule_table": "r", "branches": {"x": "t"}}),
-            Node("t", NodeKind.TERMINAL),
-        ),
-        (),
-        "d",
-    )
-    err = graph_failure(graph2)
+    err = graph_failure(replace, graph, edges=())
     assert err.path == "workflow(d)"
     assert err.message == "branch 'x' of 'd' targets 't' without an edge; node 't' is not reachable from entry"
+
+
+def recursive_find_cycle(adjacency):
+    """The recursive depth-first cycle search that ``_find_cycle`` replaced, kept as its oracle."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in adjacency}
+    stack = []
+
+    def visit(vertex):
+        color[vertex] = GRAY
+        stack.append(vertex)
+        for nxt in sorted(adjacency[vertex]):
+            if color[nxt] == GRAY:
+                return stack[stack.index(nxt):]
+            if color[nxt] == WHITE:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack.pop()
+        color[vertex] = BLACK
+        return None
+
+    for vertex in sorted(adjacency):
+        if color[vertex] == WHITE:
+            found = visit(vertex)
+            if found:
+                return found
+    return None
+
+
+@st.composite
+def digraphs(draw):
+    """Adjacency lists over up to 40 vertices, self-loops and repeated edges included."""
+    n = draw(st.integers(0, 40))
+    vertices = [f"v{k}" for k in range(n)]  # "v10" sorts before "v2"
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end), max_size=2 * n)) if n else []
+    adjacency = {v: [] for v in vertices}
+    for src, dst in edges:
+        adjacency[vertices[src]].append(vertices[dst])
+    return adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_find_cycle_reports_what_the_recursive_search_reported(adjacency):
+    assert _find_cycle(adjacency) == recursive_find_cycle(adjacency)
 
 
 # -- sub-workflows ----------------------------------------------------------
