@@ -6,8 +6,10 @@ document flag defaults to the packaged example documents, so each command
 works out of the box. ``validate`` runs the same document loaders as ``run``
 and ``experiment policy-comparison``, for every document in ``DOCUMENTS``,
 then decides and enforces the policy set for ``--sla`` from ``--repo`` as
-``run`` does. The commands that write files check ``--out-dir`` before any
-document is loaded.
+``run`` does, and the one for each ``--spec`` configuration from ``--repo``
+plus its extra policies as ``experiment policy-comparison`` does. A command
+that fails exits 2 and writes nothing. The commands that write files check
+``--out-dir`` before any document is loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from . import documents as doc
 from .engine import enforce_run_policy, node_timings_csv, parse_run_config, record_document, run_workflow
 from .errors import WmsError
 from .experiments import (
-    ComparisonAborted,
     comparison_csv,
     load_workflow_bundle,
     parse_experiment_spec,
@@ -150,14 +151,7 @@ def cmd_policy_comparison(args) -> int:
     out = _out_dir(args)
     bundle, pool, repo, run_config = (_load(args, name) for name in ("workflow", "pool", "repo", "run-config"))
     spec = _load(args, "spec", base_seed=args.seed, replicates=args.replicates)
-    try:
-        result = run_policy_comparison(spec, bundle, pool, repo, run_config)
-    except ComparisonAborted as exc:
-        paths = _write(out, {"comparison.csv": comparison_csv(exc.partial), "comparison_summary.csv": summary_csv(exc.partial)})
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"wrote partial {paths[0]}", file=sys.stderr)
-        return 3
-
+    result = run_policy_comparison(spec, bundle, pool, repo, run_config)
     paths = _write(out, {"comparison.csv": comparison_csv(result), "comparison_summary.csv": summary_csv(result)})
     for s in result.summaries:
         print(f"{s.config}: mean={s.mean:.6f} stddev={s.stddev:.6f} min={s.min:.6f} max={s.max:.6f}")
@@ -176,12 +170,19 @@ def cmd_validate(args) -> int:
         else:
             print(f"{name}: ok ({getattr(args, name.replace('-', '_'))})")
     failures = len(DOCUMENTS) - len(loaded)
-    if "sla" in loaded and "repo" in loaded:
+    policy_sets = []  # (label, SLA, repository) of every policy set a command decides
+    if "repo" in loaded:
+        repo = loaded["repo"]
+        if "sla" in loaded:
+            policy_sets.append(("sla", loaded["sla"], repo))
+        if "spec" in loaded:
+            policy_sets += [(f"spec {c.name}", c.sla, repo + list(c.extra_policies)) for c in loaded["spec"].configs]
+    for label, sla, repository in policy_sets:
         try:
-            enforce_run_policy(loaded["sla"], loaded["repo"])  # not the spec's SLAs: run never reads them
+            enforce_run_policy(sla, repository)
         except WmsError as exc:
             failures += 1
-            print(f"sla + repo: error: {exc}")
+            print(f"{label} + repo: error: {exc}")
     return 2 if failures else 0
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import documents as doc
 from .engine import RunConfig, check_workflow, replace_seed, run_workflow
-from .errors import RunError
 from .policy import Policy, Sla, parse_repository, parse_sla
 from .resources import (
     LEVELS,
@@ -164,7 +163,6 @@ class ComparisonSummary:
 class ComparisonResult:
     rows: tuple[ComparisonRow, ...]
     summaries: tuple[ComparisonSummary, ...]
-    error: str | None = None  # extra CSV row describing the aborting run
 
 
 def _summarize(rows: list[ComparisonRow]) -> tuple[ComparisonSummary, ...]:
@@ -193,48 +191,32 @@ def run_policy_comparison(
     """Run every configuration x replicate and collect completion times.
 
     Replicate r of every configuration uses seed base_seed + r, so paired
-    replicates see the same patient. A failing run stops the study; rows
-    completed so far are kept and the failure becomes an error row.
+    replicates see the same patient. A failing run raises its ``RunError``
+    and the study returns nothing; ``validate`` decides every configuration's
+    policy set beforehand, as this study builds it.
     """
     rows: list[ComparisonRow] = []
     for config in spec.configs:
         for replicate in range(1, spec.replicates + 1):
             seed = spec.base_seed + replicate
-            run_id = f"{config.name}-r{replicate}"
-            try:
-                record = run_workflow(
-                    bundle.graph,
-                    bundle.subworkflows,
-                    pool,
-                    list(repo) + list(config.extra_policies),
-                    config.sla,
-                    replace_seed(run_config, seed),
-                    run_id=run_id,
-                )
-            except RunError as exc:
-                rows.sort(key=lambda row: (row.config, row.replicate))
-                error = f"{config.name},{replicate},{seed},ERROR"
-                summaries = _summarize(rows) if rows else ()
-                raise ComparisonAborted(ComparisonResult(tuple(rows), summaries, error), exc) from exc
+            record = run_workflow(
+                bundle.graph,
+                bundle.subworkflows,
+                pool,
+                list(repo) + list(config.extra_policies),
+                config.sla,
+                replace_seed(run_config, seed),
+                run_id=f"{config.name}-r{replicate}",
+            )
             rows.append(ComparisonRow(config.name, replicate, seed, round(record.completion_time, 6)))
     rows.sort(key=lambda row: (row.config, row.replicate))
-    return ComparisonResult(tuple(rows), _summarize(rows), None)
-
-
-class ComparisonAborted(RunError):
-    """A comparison run failed; carries the partial result for flushing."""
-
-    def __init__(self, partial: ComparisonResult, cause: RunError):
-        self.partial = partial
-        super().__init__(cause.run_id, cause.cause)
+    return ComparisonResult(tuple(rows), _summarize(rows))
 
 
 def comparison_csv(result: ComparisonResult) -> str:
     lines = ["config,replicate,seed,completion_s"]
     for row in result.rows:
         lines.append(f"{row.config},{row.replicate},{row.seed},{row.completion:.6f}")
-    if result.error is not None:
-        lines.append(result.error)
     return "\n".join(lines) + "\n"
 
 

@@ -77,8 +77,16 @@ class WorkflowGraph:
     def _by_id(self) -> dict[str, Node]:
         return {n.id: n for n in self.nodes}
 
+    @cached_property
+    def _successors(self) -> dict[str, list[str]]:
+        successors: dict[str, list[str]] = {}
+        for src, dst in self.edges:
+            successors.setdefault(src, []).append(dst)
+        return successors
+
     def successors(self, node_id: str) -> list[str]:
-        return [dst for src, dst in self.edges if src == node_id]
+        """The targets of ``node_id``'s edges, in edge order."""
+        return list(self._successors.get(node_id, ()))
 
     def __post_init__(self):
         _check_graph(self)

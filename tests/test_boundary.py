@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybridwms import documents
-from hybridwms.cli import build_parser, cmd_run, main
+from hybridwms.cli import build_parser, cmd_policy_comparison, cmd_run, main
 from hybridwms.ecg import synthesize_ecg
 from hybridwms.engine import parse_run_config, run_workflow
 from hybridwms.errors import (
@@ -49,8 +49,9 @@ PACKAGED = {rel: documents.load_json(data_path(rel)) for rel in FILES}
 #: Run outcomes a document set that validates may still reach. Each depends on
 #: how documents fit together, which no single loader sees: a loop that runs
 #: while the run config lists no candidates; a node that reads what no earlier
-#: node wrote. ``validate`` decides the policy set for the SLA as ``run`` does,
-#: and a synthesized signal that validates shows two beats.
+#: node wrote. ``validate`` decides the policy set for the SLA as ``run`` does
+#: and for each spec configuration as the policy study does, and a synthesized
+#: signal that validates shows two beats.
 RUN_OUTCOMES = (EmptyParameterGrid, MissingInput)
 
 
@@ -68,10 +69,11 @@ def quiet_main(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_failure(argv) -> Exception:
-    """The innermost cause of a failing ``run``."""
+def run_failure(argv, command=cmd_run) -> Exception:
+    """The innermost cause of a failing ``run``, or of the failing run of
+    another ``command``."""
     with pytest.raises(WmsError) as err:
-        cmd_run(build_parser().parse_args(argv))
+        command(build_parser().parse_args(argv))
     cause = err.value
     while isinstance(cause, (RunError, NodeError)):
         cause = cause.cause
@@ -141,18 +143,39 @@ def test_validate_ok_means_run_does_not_fail_on_a_document(docs):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         flags = write_documents(root, docs)
-        validated, _, _ = quiet_main(["validate"] + flags)
+        validated, checked, _ = quiet_main(["validate"] + flags)
         run_argv = ["run"] + flags + ["--out-dir", str(root / "out")]
         ran, _, err = quiet_main(run_argv)
         assert "Traceback" not in err
         assert validated in (0, 2)
         assert ran in (0, 2)
         if validated == 2:
-            # run loads the same documents with the same loaders, and stops before any output
-            assert ran == 2
-            assert not (root / "out").exists()
+            # run loads the same documents with the same loaders, and stops before any
+            # output; validate also decides each spec configuration's policy set, which
+            # run does not read
+            errors = [line for line in checked.splitlines() if "error:" in line]
+            assert ran == 2 or all(line.startswith("spec ") for line in errors)
+            assert ran == 0 or not (root / "out").exists()
         elif ran == 2:
             assert isinstance(run_failure(run_argv), RUN_OUTCOMES)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=mutated_documents())
+def test_validate_ok_means_the_policy_study_does_not_fail_on_a_document(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        flags = write_documents(root, docs)
+        flags = flags[: flags.index("--sla")] + flags[flags.index("--sla") + 2 :]  # the study reads only its spec's SLAs
+        validated, _, _ = quiet_main(["validate"] + flags)
+        study_argv = ["experiment", "policy-comparison", "--replicates", "1"] + flags + ["--out-dir", str(root / "out")]
+        studied, _, err = quiet_main(study_argv)
+        assert "Traceback" not in err
+        assert studied in (0, 2)
+        if studied == 2:
+            assert not (root / "out").exists()
+            if validated == 0:
+                assert isinstance(run_failure(study_argv, cmd_policy_comparison), RUN_OUTCOMES)
 
 
 def write_json(path: Path, document) -> str:
@@ -303,7 +326,11 @@ def test_validate_decides_the_policy_set_as_run_does(tmp_path, edit, message, er
     code, out, _ = quiet_main(["validate"] + flags)
     assert code == 2
     assert out.count(": ok") == 6
-    assert [line for line in out.splitlines() if "error:" in line] == [f"sla + repo: error: {message}"]
+    # the packaged spec's SET-A asks for L1 too, so its policy set fails the same way
+    assert [line for line in out.splitlines() if "error:" in line] == [
+        f"sla + repo: error: {message}",
+        f"spec SET-A + repo: error: {message}",
+    ]
     run_argv = ["run"] + flags + ["--out-dir", str(tmp_path / "out")]
     code, _, err = quiet_main(run_argv)
     assert code == 2
@@ -311,6 +338,45 @@ def test_validate_decides_the_policy_set_as_run_does(tmp_path, edit, message, er
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert isinstance(run_failure(run_argv), error)
+
+
+@pytest.mark.parametrize(
+    "level, extra, repo, message",
+    [
+        # Z asks for L2, and the repository lost RP-B, its only Resource policy
+        ("L2", [], [p for p in PACKAGED["policies.json"] if p["id"] != "RP-B"], "no matching policy of kind Resource"),
+        # Z's extra policy outranks RP-A and sets both cost weights to 0
+        (
+            "L1",
+            [
+                {
+                    "id": "RP-ZERO",
+                    "kind": "Resource",
+                    "priority": 100,
+                    "condition": [{"key": "resource_level", "op": "==", "value": "L1"}],
+                    "actions": [{"key": "resource.alpha", "value": 0}, {"key": "resource.beta", "value": 0}],
+                }
+            ],
+            PACKAGED["policies.json"],
+            "config keys 'resource.alpha' and 'resource.beta': alpha + beta must be > 0",
+        ),
+    ],
+    ids=["no-resource-policy", "zero-cost-weights"],
+)
+def test_validate_decides_each_spec_configuration_as_the_study_does(tmp_path, level, extra, repo, message):
+    sla = {"user_id": "u", "resource_level": level, "performance": "Fast", "service_level": "EcgOnly"}
+    spec = json.loads(data_path("comparison.json").read_text())
+    spec.update(replicates=1, configs=[spec["configs"][0], {"name": "Z", "sla": sla, "extra_policies": extra}])
+    flags = ["--spec", write_json(tmp_path / "spec.json", spec), "--repo", write_json(tmp_path / "repo.json", repo)]
+    code, out, _ = quiet_main(["validate"] + flags)
+    assert code == 2
+    assert out.count(": ok") == 6
+    assert [line for line in out.splitlines() if "error:" in line] == [f"spec Z + repo: error: {message}"]
+    code, _, err = quiet_main(["experiment", "policy-comparison"] + flags + ["--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: run Z-r1: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_opens_the_sample_file(tmp_path):

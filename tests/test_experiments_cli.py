@@ -17,9 +17,8 @@ from hybridwms import cli
 from hybridwms.cli import main
 from hybridwms.documents import load_json
 from hybridwms.engine import parse_run_config
-from hybridwms.errors import SchemaError
+from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError
 from hybridwms.experiments import (
-    ComparisonAborted,
     comparison_csv,
     load_workflow_bundle,
     parse_experiment_spec,
@@ -267,7 +266,7 @@ def test_summary_reconstructs_from_rows():
         assert summary.max == max(values)
 
 
-def test_comparison_abort_keeps_partial_rows():
+def test_a_failing_comparison_run_raises_its_run_error():
     bundle, pool, repo, config = load_defaults()
     document = load_json(data_path("comparison.json"))
     document["replicates"] = 1
@@ -281,14 +280,10 @@ def test_comparison_abort_keeps_partial_rows():
     ]
     spec = parse_experiment_spec(document)
     repo = [p for p in repo if p.id != "RP-B"]
-    with pytest.raises(ComparisonAborted) as err:
+    with pytest.raises(RunError) as err:
         run_policy_comparison(spec, bundle, pool, repo, config)
-    partial = err.value.partial
-    assert [r.config for r in partial.rows] == ["SET-A"]
-    assert partial.error == "Z-BROKEN,1,1001,ERROR"
-    text = comparison_csv(partial)
-    assert text.splitlines()[-1] == "Z-BROKEN,1,1001,ERROR"
-    assert summary_csv(partial).splitlines()[1].startswith("SET-A,")
+    assert err.value.run_id == "Z-BROKEN-r1"
+    assert isinstance(err.value.cause, NoMatchingPolicy)
 
 
 def test_csv_layouts():
@@ -507,7 +502,7 @@ def test_out_dir_is_checked_before_any_work(tmp_path, capsys, monkeypatch, comma
     assert blocker.read_text() == "kept"
 
 
-def test_cli_comparison_abort_exit_code(tmp_path, capsys):
+def test_cli_comparison_failure_exits_2_and_writes_nothing(tmp_path, capsys):
     spec_doc = load_json(data_path("comparison.json"))
     spec_doc["replicates"] = 1
     spec_doc["configs"] = [
@@ -532,12 +527,11 @@ def test_cli_comparison_abort_exit_code(tmp_path, capsys):
             "--repo",
             str(repo_path),
             "--out-dir",
-            str(tmp_path),
+            str(tmp_path / "out"),
         ]
     )
     captured = capsys.readouterr()
-    assert code == 3
-    assert "error:" in captured.err
-    rows = (tmp_path / "comparison.csv").read_text().splitlines()
-    assert rows[-1].endswith(",ERROR")
-    assert rows[1].startswith("SET-A,1,")
+    assert code == 2
+    assert "error: run Z-BROKEN-r1: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
