@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import SchemaError
 
@@ -121,7 +122,8 @@ def write_text(path, text: str) -> None:
 
 
 def require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
+    """A JSON object: a dict, or the read-only view of one that a checked workflow graph holds."""
+    if not isinstance(value, (dict, MappingProxyType)):
         raise SchemaError(path, f"expected object, got {type(value).__name__}")
     return value
 

@@ -6,7 +6,11 @@ nodes execute in-process and take no simulated time; grid nodes are mapped
 and executed by the grid engine's one-pass timing recurrence, advancing the
 run's simulated clock by their makespan. Nodes whose minimum service level
 exceeds the enforced ``app.workflow`` are pruned from the walk; the SLA reaches
-the engine only through policy. Every run is a pure function of its documents and seed.
+the engine only through policy. A run's workspace holds only what its own nodes
+computed: a data-retrieval node reads its registered source when it runs, and a
+user-input node requires its key in the run configuration and records it, but
+no engine function reads the value. Every run is a pure function of its
+documents and seed.
 """
 
 from __future__ import annotations
@@ -223,6 +227,11 @@ DATA_SOURCES = {"patient.ecg": _patient_signal}
 # Run records
 
 
+def _fields(record) -> dict:
+    """A dataclass's fields by name, the values shared (``dataclasses.asdict`` deep-copies)."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 @dataclass(frozen=True)
 class DispatchRecord:
     index: int
@@ -293,43 +302,35 @@ class _Context:
     registry: ConfigRegistry
     quorum: Quorum
     config: RunConfig
-    sources: dict
-    workspace: dict = field(default_factory=dict)
+    workspace: dict = field(default_factory=dict)  # what this run's nodes computed, by key
     cursor: float = 0.0
     dispatches: list = field(default_factory=list)
     vhs: LoopRecord | None = None
     rates: RateMemo = field(default_factory=dict)  # shared by every dispatch over pool_map
 
 
-def _features_detail(features: EcgFeatures) -> dict:
-    return {
-        "rr_mean": features.rr_mean,
-        "rr_std": features.rr_std,
-        "dominant_freq": features.dominant_freq,
-        "st_deviation": features.st_deviation,
-    }
+def _input(ctx: _Context, key: str):
+    """The value an earlier node of this run computed under ``key``."""
+    try:
+        return ctx.workspace[key]
+    except KeyError:
+        raise MissingInput(key) from None
 
 
 def _fn_extract_features(ctx: _Context) -> dict:
-    signal = ctx.workspace.get("patient.ecg")
-    if not isinstance(signal, EcgSignal):
-        raise MissingInput("patient.ecg")
-    features = extract_features(signal)
+    features = extract_features(_input(ctx, "patient.ecg"))
     ctx.workspace["features"] = features
-    return {"features": _features_detail(features)}
+    return {"features": _fields(features)}
 
 
 def _fn_longterm_analysis(ctx: _Context) -> dict:
-    features = ctx.workspace.get("features")
-    if features is None:
-        raise MissingInput("features")
+    features = _input(ctx, "features")
     report = {
         "window_hours": 24,
         "rr_mean": features.rr_mean,
         "rr_std": features.rr_std,
         "flag": ctx.workspace.get("diagnosis", "unknown"),
     }
-    ctx.workspace["longterm_report"] = report
     return {"report": report}
 
 
@@ -340,10 +341,7 @@ LOCAL_FUNCTIONS = {
 
 
 def _rule_disease_routing(ctx: _Context) -> str:
-    features = ctx.workspace.get("features")
-    if features is None:
-        raise MissingInput("features")
-    diagnosis = estimate_disease(features, ctx.config.thresholds)
+    diagnosis = estimate_disease(_input(ctx, "features"), ctx.config.thresholds)
     ctx.workspace["diagnosis"] = diagnosis
     return diagnosis
 
@@ -412,12 +410,10 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     payload = node.payload
     max_iter = _loop_setting(ctx, "vhs.max_iter", payload["max_iterations"])
     tolerance = _loop_setting(ctx, "vhs.tolerance", payload["tolerance"])
-    candidates, signal = ctx.config.candidates, ctx.sources["patient.ecg"]
+    candidates = ctx.config.candidates
     if not candidates:
         raise EmptyParameterGrid("no candidate parameter sets configured")
-    patient_features = ctx.workspace.get("features")
-    if patient_features is None:
-        raise MissingInput("features")
+    patient_features, signal = _input(ctx, "features"), _input(ctx, "patient.ecg")
 
     iterations = []
     matched = False
@@ -446,7 +442,6 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
         best_index=best.index,
         stop_reason="matched" if matched else "exhausted",
     )
-    ctx.workspace["vhs_match"] = best.candidate if matched else None
     return {
         "iterations": len(iterations),
         "matched": matched,
@@ -463,10 +458,10 @@ def _execute_node(ctx: _Context, node: Node):
 
     if node.kind in (NodeKind.DATA_RETRIEVAL, NodeKind.USER_INPUT):
         key = payload["key"]
-        inputs = ctx.sources if node.kind is NodeKind.DATA_RETRIEVAL else ctx.config.user_inputs
-        if key not in inputs:
+        if node.kind is NodeKind.DATA_RETRIEVAL:
+            ctx.workspace[key] = DATA_SOURCES[key](ctx.config)
+        elif key not in ctx.config.user_inputs:  # a user input is required and recorded, never read
             raise MissingInput(key)
-        ctx.workspace[key] = inputs[key]
         return {"key": key}, successors
 
     if node.kind is NodeKind.LOCAL_TASK:
@@ -562,7 +557,6 @@ def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRe
         registry=registry,
         quorum=quorum,
         config=config,
-        sources={key: read(config) for key, read in DATA_SOURCES.items()},
     )
 
     service = registry.get("app.workflow")
@@ -611,35 +605,16 @@ def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRe
 # Record serialization
 
 
-def _sla_document(sla: Sla) -> dict:
-    return {
-        "user_id": sla.user_id,
-        "soft_label": sla.soft_label,
-        "resource_level": sla.resource_level,
-        "performance": sla.performance,
-        "service_level": sla.service_level,
-    }
-
-
 def record_document(record: RunRecord) -> dict:
     """Plain-data view of a run record, suitable for JSON output."""
     return {
         "run_id": record.run_id,
         "seed": record.seed,
-        "sla": _sla_document(record.sla),
-        "expanded_sla": _sla_document(record.expanded_sla),
+        "sla": _fields(record.sla),
+        "expanded_sla": _fields(record.expanded_sla),
         "policies": dict(record.policy_ids),
         "config": record.config,
-        "overrides": [
-            {
-                "key": o.key,
-                "overridden": o.overridden,
-                "overriding": o.overriding,
-                "old_value": o.old_value,
-                "new_value": o.new_value,
-            }
-            for o in record.overrides
-        ],
+        "overrides": [_fields(o) for o in record.overrides],
         "quorum": {"level": record.quorum.level, "members": list(record.quorum.members)},
         "nodes": [
             {"id": n.node_id, "kind": n.kind, "start": n.start, "end": n.end, "detail": n.detail}
@@ -666,18 +641,9 @@ def record_document(record: RunRecord) -> dict:
             "matched": record.vhs.matched,
             "best_index": record.vhs.best_index,
             "stop_reason": record.vhs.stop_reason,
-            "iterations": [
-                {
-                    "index": it.index,
-                    "candidate": it.candidate,
-                    "distance": it.distance,
-                    "matched": it.matched,
-                    "makespan": it.makespan,
-                }
-                for it in record.vhs.iterations
-            ],
+            "iterations": [_fields(it) for it in record.vhs.iterations],
         },
-        "features": None if record.features is None else _features_detail(record.features),
+        "features": None if record.features is None else _fields(record.features),
         "diagnosis": record.diagnosis,
         "completion_time": record.completion_time,
     }

@@ -4,7 +4,8 @@ The high level is a node graph interpreted locally (user interaction, data
 retrieval, decisions, loops); compute-heavy steps are abstract sub-workflow
 DAGs that get mapped onto grid resources by the low-level engine. Both levels
 are parsed from strict JSON documents and are immutable after construction; a
-workflow graph that breaks a workflow rule cannot be constructed.
+workflow graph or sub-workflow that breaks a rule cannot be constructed, and a
+graph's nodes hold read-only copies of their checked payloads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 
 from . import documents as doc
 from .errors import CycleError, SchemaError
@@ -90,6 +92,13 @@ class WorkflowGraph:
 
     def __post_init__(self):
         _check_graph(self)
+        object.__setattr__(self, "nodes", tuple(Node(n.id, n.kind, _read_only(n.payload)) for n in self.nodes))
+
+
+def _read_only(payload) -> MappingProxyType:
+    """A read-only copy of a checked payload, and of a Decision's ``branches``,
+    so an edit after the check raises TypeError where it is made."""
+    return MappingProxyType({k: MappingProxyType(dict(v)) if k == "branches" else v for k, v in payload.items()})
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,9 @@ class AbstractSubWorkflow:
     tasks: tuple[TaskSpec, ...]
     data_deps: tuple[tuple[str, str, float], ...]  # (producer, consumer, bytes)
     inputs: tuple[tuple[str, float, str], ...]  # (file id, bytes, consumer)
+
+    def __post_init__(self):
+        _check_subworkflow(self)
 
 
 def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
@@ -266,23 +278,18 @@ def _parse_payload(kind: NodeKind, payload: dict, path: str) -> None:
 
 
 def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
+    """Decode a sub-workflow document, ``work`` and bytes as floats, into a
+    sub-workflow, which checks itself. Raises SchemaError or CycleError."""
     root = doc.require_mapping(document, "subworkflow")
     doc.reject_unknown(root, {"id", "tasks", "data_deps", "inputs"}, "subworkflow")
     sub_id = doc.get_str(root, "id", "subworkflow")
 
     tasks = []
-    seen = set()
     for i, raw in enumerate(doc.require_list(doc.get_required(root, "tasks", "subworkflow"), "subworkflow.tasks")):
         path = f"subworkflow.tasks[{i}]"
         task = doc.require_mapping(raw, path)
         doc.reject_unknown(task, {"id", "work", "transformation"}, path)
-        task_id = doc.get_str(task, "id", path)
-        if task_id in seen:
-            raise SchemaError(f"{path}.id", f"duplicate task id {task_id!r}")
-        seen.add(task_id)
-        work = doc.get_number(task, "work", path)
-        if not 0 < work <= 1e12:  # with the bounds on resources, keeps simulated time finite
-            raise SchemaError(f"{path}.work", "work must be in (0, 1e12]")
+        task_id, work = doc.get_str(task, "id", path), doc.get_number(task, "work", path)
         tasks.append(TaskSpec(task_id, work, doc.get_str(task, "transformation", path)))
 
     deps = []
@@ -292,30 +299,51 @@ def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
         if len(triple) != 3:
             raise SchemaError(path, "expected [producer, consumer, bytes]")
         producer, consumer, size = triple
-        for end in (producer, consumer):
-            if not isinstance(end, str) or end not in seen:
-                raise SchemaError(path, f"unknown task {end!r}")
-        if isinstance(size, bool) or not isinstance(size, (int, float)) or not 0 <= size <= 1e15:
-            raise SchemaError(f"{path}[2]", "bytes must be a number in [0, 1e15]")
-        deps.append((producer, consumer, float(size)))
+        deps.append((producer, consumer, float(size) if _is_bytes(size) else size))  # the check refuses the rest
 
     inputs = []
     for i, raw in enumerate(doc.require_list(root.get("inputs", []), "subworkflow.inputs")):
         path = f"subworkflow.inputs[{i}]"
         entry = doc.require_mapping(raw, path)
         doc.reject_unknown(entry, {"file", "bytes", "consumer"}, path)
-        file_id = doc.get_str(entry, "file", path)
-        size = doc.get_number(entry, "bytes", path)
-        if not 0 <= size <= 1e15:
-            raise SchemaError(f"{path}.bytes", "bytes must be in [0, 1e15]")
-        consumer = doc.get_str(entry, "consumer", path)
-        if consumer not in seen:
-            raise SchemaError(f"{path}.consumer", f"unknown task {consumer!r}")
-        inputs.append((file_id, size, consumer))
+        file_id, size = doc.get_str(entry, "file", path), doc.get_number(entry, "bytes", path)
+        inputs.append((file_id, size, doc.get_str(entry, "consumer", path)))
 
-    subwf = AbstractSubWorkflow(sub_id, tuple(tasks), tuple(deps), tuple(inputs))
+    return AbstractSubWorkflow(sub_id, tuple(tasks), tuple(deps), tuple(inputs))
+
+
+def _is_bytes(size) -> bool:
+    return not isinstance(size, bool) and isinstance(size, (int, float)) and 0 <= size <= 1e15
+
+
+def _check_subworkflow(subwf: AbstractSubWorkflow) -> None:
+    """Refuse a sub-workflow, parsed or built in code, that breaks a
+    sub-workflow rule: unique task ids, ``work`` in (0, 1e12] (with the bounds
+    on resources, this keeps simulated time finite), dependencies and inputs
+    between known tasks, bytes in [0, 1e15], and an acyclic task DAG. Raises
+    SchemaError at the field's path, or CycleError."""
+    seen = set()
+    for i, task in enumerate(subwf.tasks):
+        path = f"subworkflow.tasks[{i}]"
+        if task.id in seen:
+            raise SchemaError(f"{path}.id", f"duplicate task id {task.id!r}")
+        seen.add(task.id)
+        if isinstance(task.work, bool) or not isinstance(task.work, (int, float)) or not 0 < task.work <= 1e12:
+            raise SchemaError(f"{path}.work", "work must be in (0, 1e12]")
+    for i, (producer, consumer, size) in enumerate(subwf.data_deps):
+        path = f"subworkflow.data_deps[{i}]"
+        for end in (producer, consumer):
+            if not isinstance(end, str) or end not in seen:
+                raise SchemaError(path, f"unknown task {end!r}")
+        if not _is_bytes(size):
+            raise SchemaError(f"{path}[2]", "bytes must be a number in [0, 1e15]")
+    for i, (_, size, consumer) in enumerate(subwf.inputs):
+        path = f"subworkflow.inputs[{i}]"
+        if not _is_bytes(size):
+            raise SchemaError(f"{path}.bytes", "bytes must be in [0, 1e15]")
+        if not isinstance(consumer, str) or consumer not in seen:
+            raise SchemaError(f"{path}.consumer", f"unknown task {consumer!r}")
     topological_order(subwf)  # raises CycleError on a cyclic task DAG
-    return subwf
 
 
 def topological_order(subwf: AbstractSubWorkflow) -> list[str]:

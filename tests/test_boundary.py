@@ -431,6 +431,60 @@ def test_a_run_reads_no_document(tmp_path, monkeypatch):
     assert record.diagnosis == "fibrillation"
 
 
+WORKFLOW, RUN_CONFIG = "workflows/heart-disease.json", "run_config.json"
+
+
+def with_user_inputs(user_inputs: dict) -> dict:
+    return {**PACKAGED[RUN_CONFIG], "user_inputs": user_inputs}
+
+
+def features_from_the_user() -> dict:
+    """The packaged workflow with a ``UserInput`` node of key ``features`` in
+    place of the nodes that retrieve the signal and compute its features."""
+    workflow = copy.deepcopy(PACKAGED[WORKFLOW])
+    workflow["nodes"][:2] = [{"id": "ask", "kind": "UserInput", "payload": {"key": "features"}}]
+    workflow["edges"][:2] = [["ask", "disease-estimation"]]
+    workflow["entry"] = "ask"
+    return workflow
+
+
+def test_a_user_input_cannot_stand_in_for_computed_features(tmp_path):
+    flags = write_documents(tmp_path, {**PACKAGED, WORKFLOW: features_from_the_user(), RUN_CONFIG: with_user_inputs({"features": 1})})
+    code, out, _ = quiet_main(["validate"] + flags)
+    assert code == 0, out
+    code, _, err = quiet_main(["run"] + flags + ["--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert err == "error: run run-42: node disease-estimation: missing input: features\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_user_input_named_features_is_recorded_but_not_read(tmp_path):
+    # Low Cost enforces EcgOnly, which prunes the decision: only the user input runs.
+    flags = write_documents(
+        tmp_path, {**PACKAGED, WORKFLOW: features_from_the_user(), RUN_CONFIG: with_user_inputs({"features": {"rr_mean": 1}})}
+    )
+    flags[flags.index("--sla") + 1] = str(data_path("slas/low_cost.json"))
+    code, _, err = quiet_main(["run"] + flags + ["--out-dir", str(tmp_path / "out")])
+    assert code == 0, err
+    record = json.loads((tmp_path / "out" / "run_record.json").read_text())
+    assert [(n["id"], n["detail"]) for n in record["nodes"]] == [("ask", {"key": "features"})]
+    assert record["features"] is None
+
+
+def test_a_user_input_cannot_replace_the_retrieved_signal(tmp_path):
+    workflow = copy.deepcopy(PACKAGED[WORKFLOW])
+    workflow["nodes"].insert(1, {"id": "ask", "kind": "UserInput", "payload": {"key": "patient.ecg"}})
+    workflow["edges"][:1] = [["get-patient-data", "ask"], ["ask", "ecg-analysis"]]
+    flags = write_documents(tmp_path, {**PACKAGED, WORKFLOW: workflow, RUN_CONFIG: with_user_inputs({"patient.ecg": [1, 2, 3]})})
+    code, _, err = quiet_main(["run"] + flags + ["--out-dir", str(tmp_path / "asked")])
+    assert code == 0, err
+    code, _, _ = quiet_main(["run", "--out-dir", str(tmp_path / "packaged")])
+    assert code == 0
+    asked, packaged = (json.loads((tmp_path / name / "run_record.json").read_text()) for name in ("asked", "packaged"))
+    assert (asked["diagnosis"], asked["completion_time"]) == (packaged["diagnosis"], packaged["completion_time"])
+    assert asked["features"] == packaged["features"]
+
+
 def test_replicates_flag_is_checked_by_the_spec_parser(tmp_path):
     code, _, err = quiet_main(["experiment", "policy-comparison", "--replicates", "0", "--out-dir", str(tmp_path / "out")])
     assert code == 2

@@ -513,6 +513,18 @@ def test_user_input_node_reads_the_run_configs_user_inputs():
     assert isinstance(err.value.cause.cause, MissingInput)
 
 
+def test_a_run_synthesizes_the_patient_signal_only_when_a_node_retrieves_it(monkeypatch):
+    pool = parse_pool(load_json(data_path("pool.json")))
+    config = RunConfig(seed=1, patient=PatientParams(bpm=70), user_inputs={"operator.note": "ok"})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run synthesized a signal")
+
+    monkeypatch.setattr(engine, "synthesize_ecg", refuse)
+    record = run_workflow(ask_graph(), {}, pool, catch_all_repo(), sla_label("Balanced"), config)
+    assert [n.node_id for n in record.nodes] == ["ask", "done"]
+
+
 def test_run_config_thresholds_and_user_inputs_reach_the_run():
     # The packaged patient reads as fibrillation (dominant frequency 5.5 Hz > 4.0)
     # and its RR spread is 0.017 of the mean; these thresholds make it an arrhythmia.
@@ -568,6 +580,50 @@ def test_a_code_built_graph_that_breaks_a_rule_cannot_be_built(edit, path, messa
     bundle = load_defaults()[0]
     with pytest.raises(SchemaError) as err:
         edited_graph(bundle.graph, *edit)
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_a_checked_graph_cannot_be_edited_past_its_check():
+    bundle, pool, repo, config = load_defaults()
+    loop, decision = bundle.graph.node("vhs-loop"), bundle.graph.node("disease-estimation")
+    with pytest.raises(TypeError):
+        del loop.payload["tolerance"]
+    with pytest.raises(TypeError):
+        decision.payload["branches"]["fibrillation"] = "normal-report"
+    assert loop.payload["tolerance"] == 0.1
+    assert decision.payload["branches"]["fibrillation"] == "vhs-loop"
+
+    def record(bundle):
+        run = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("High Performance"), config)
+        return dump_json(record_document(run))
+
+    assert record(bundle) == record(load_defaults()[0])
+
+
+#: Edits of the packaged ``ecg-analysis`` sub-workflow, built in code, that
+#: break a sub-workflow rule, and the path and message it reports when built.
+CODE_BUILT_SUBWORKFLOW_FAULTS = [
+    (
+        lambda s: replace(s, data_deps=s.data_deps + (("ghost", "classify", 1.0),)),
+        "subworkflow.data_deps[2]",
+        "unknown task 'ghost'",
+    ),
+    (
+        lambda s: replace(s, tasks=tuple(replace(t, work=-t.work) for t in s.tasks)),
+        "subworkflow.tasks[0].work",
+        "work must be in (0, 1e12]",
+    ),
+    (lambda s: replace(s, tasks=s.tasks + s.tasks[:1]), "subworkflow.tasks[3].id", "duplicate task id 'preprocess'"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, path, message", CODE_BUILT_SUBWORKFLOW_FAULTS, ids=[fault[1] for fault in CODE_BUILT_SUBWORKFLOW_FAULTS]
+)
+def test_a_code_built_subworkflow_that_breaks_a_rule_cannot_be_built(edit, path, message):
+    subworkflow = load_defaults()[0].subworkflows["ecg-analysis"]
+    with pytest.raises(SchemaError) as err:
+        edit(subworkflow)
     assert (err.value.path, err.value.message) == (path, message)
 
 
