@@ -161,10 +161,21 @@ def get_name(mapping: dict, key: str, path: str) -> str:
     return value
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a number that converts to a finite float: a bool is
+    not a number, and an int past float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int that rounds past the largest float
+        return False
+
+
 def get_number(mapping: dict, key: str, path: str) -> float:
-    """A finite number; ``json`` reads ``NaN`` and ``Infinity``, no document may hold them."""
+    """A finite number; ``json`` reads ``NaN``, ``Infinity`` and integers past float range, no document may hold them."""
     value = get_required(mapping, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not is_finite_number(value):
         raise SchemaError(f"{path}.{key}", "expected finite number")
     return float(value)
 

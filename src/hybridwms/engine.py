@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,7 +126,7 @@ def _load_sample(file: str) -> EcgSignal:
     if not values:
         raise doc.SchemaError("patient_sample.values", "must not be empty")
     for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not doc.is_finite_number(value):
             raise doc.SchemaError(f"patient_sample.values[{i}]", "expected a finite number")
     return EcgSignal(values=np.asarray(values, dtype=float), rate=rate)
 

@@ -45,15 +45,11 @@ class NoMatchingPolicy(WmsError):
 
 
 class UnknownConfigKey(WmsError):
-    """A policy action writes a key outside the registered config schema."""
+    """A key outside the schema of the configuration registry or of the information base."""
 
 
 class InvalidConfigValue(WmsError):
     """A config value is outside the key's declared value domain."""
-
-
-class UnknownKey(WmsError):
-    """Property key is not declared in the information base schema."""
 
 
 class TypeMismatch(WmsError):

@@ -1,16 +1,19 @@
-"""SLA model, policy repository, decision point, enforcement, and the typed
-property information base backing policy conditions.
+"""SLA model, policy repository, decision point, enforcement, and the one
+typed key store behind both ends of a decision.
 
 A user's requirement is the triple (resource level, workflow performance,
 application service level), optionally given as a natural-language soft label
 that expands through a fixed table. The decision point picks one policy per
-kind by condition match and priority; enforcement writes the winning actions
-into a closed-schema configuration registry with full provenance.
+kind by condition match and priority; the grid properties its conditions read
+come from the information base. Enforcement writes the winning actions into a
+configuration registry with full provenance. Both stores are a
+``ConfigRegistry``, each over its own closed schema of ``ConfigKeySpec``s, so
+one type check and one finiteness check (``documents.is_finite_number``)
+guard every value either holds.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +24,6 @@ from .errors import (
     NoMatchingPolicy,
     TypeMismatch,
     UnknownConfigKey,
-    UnknownKey,
     UnknownLabel,
     WmsError,
 )
@@ -121,45 +123,42 @@ class PolicySet:
 
 
 # --------------------------------------------------------------------------
-# Property information base
+# Typed key stores: the configuration registry and the information base
 
 
 @dataclass(frozen=True)
-class PropertySpec:
+class ConfigKeySpec:
     type: type
     default: object
+    domain: tuple | None = None  # closed value set, when applicable
+    minimum: float | None = None
 
 
-PROPERTY_SCHEMA = {
-    "grid.alert": PropertySpec(bool, False),
-    "grid.load": PropertySpec(float, 0.0),
-    "site.maintenance": PropertySpec(bool, False),
+CONFIG_SCHEMA = {
+    "resource.level": ConfigKeySpec(str, "L3", domain=LEVELS + (RANDOM_LEVEL,)),
+    "resource.alpha": ConfigKeySpec(float, 0.5, minimum=0.0),
+    "resource.beta": ConfigKeySpec(float, 0.5, minimum=0.0),
+    "scheduler.kind": ConfigKeySpec(str, "MinEFT", domain=SCHEDULER_KINDS),
+    "scheduler.seed": ConfigKeySpec(int, 0),
+    "app.workflow": ConfigKeySpec(str, "EcgVhs", domain=APP_WORKFLOWS),
+    "vhs.max_iter": ConfigKeySpec(int, 4, minimum=1),
+    "vhs.tolerance": ConfigKeySpec(float, 0.1, minimum=1e-12),
 }
 
+#: The grid properties a policy condition may read.
+PROPERTY_SCHEMA = {
+    "grid.alert": ConfigKeySpec(bool, False),
+    "grid.load": ConfigKeySpec(float, 0.0),
+    "site.maintenance": ConfigKeySpec(bool, False),
+}
 
-class InformationBase:
-    """Typed key-value store supplying auxiliary condition inputs."""
+DEFAULT_PROVENANCE = "default"
 
-    def __init__(self):
-        self._values: dict[str, object] = {}
 
-    def _spec(self, key: str) -> PropertySpec:
-        if key not in PROPERTY_SCHEMA:
-            raise UnknownKey(f"property {key!r} is not declared")
-        return PROPERTY_SCHEMA[key]
-
-    def get(self, key: str):
-        spec = self._spec(key)
-        return self._values.get(key, spec.default)
-
-    def set(self, key: str, value):
-        """Replace a property value and return the previous one."""
-        spec = self._spec(key)
-        if not _type_ok(value, spec.type):
-            raise TypeMismatch(f"property {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
-        previous = self.get(key)
-        self._values[key] = spec.type(value) if spec.type is float else value
-        return previous
+@dataclass(frozen=True)
+class ConfigEntry:
+    value: object
+    provenance: str
 
 
 def _type_ok(value, expected: type) -> bool:
@@ -170,6 +169,56 @@ def _type_ok(value, expected: type) -> bool:
     if expected is float:
         return isinstance(value, (int, float))
     return isinstance(value, expected)
+
+
+class ConfigRegistry:
+    """Runtime configuration written by policy enforcement.
+
+    Every entry is traceable to the policy that wrote it or to the documented
+    default it was initialized with. ``schema`` is the closed key set and
+    ``noun`` what an error message calls a key; ``InformationBase`` sets both.
+    """
+
+    schema, noun = CONFIG_SCHEMA, "config key"
+
+    def __init__(self):
+        self._entries = {key: ConfigEntry(spec.default, DEFAULT_PROVENANCE) for key, spec in self.schema.items()}
+
+    def get(self, key: str):
+        return self.entry(key).value
+
+    def entry(self, key: str) -> ConfigEntry:
+        if key not in self._entries:
+            raise UnknownConfigKey(f"{self.noun} {key!r} is not registered")
+        return self._entries[key]
+
+    def set(self, key: str, value, provenance: str) -> None:
+        self.entry(key)  # refuses a key that is not registered
+        spec = self.schema[key]
+        if not _type_ok(value, spec.type):
+            raise TypeMismatch(f"{self.noun} {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
+        if spec.type is float:
+            if not doc.is_finite_number(value):
+                raise InvalidConfigValue(f"{self.noun} {key!r} must be finite, got {value!r}")
+            value = float(value)
+        if spec.domain is not None and value not in spec.domain:
+            raise InvalidConfigValue(f"{self.noun} {key!r} must be one of {list(spec.domain)}, got {value!r}")
+        if spec.minimum is not None and value < spec.minimum:
+            raise InvalidConfigValue(f"{self.noun} {key!r} must be >= {spec.minimum}, got {value!r}")
+        self._entries[key] = ConfigEntry(value, provenance)
+
+    def as_dict(self) -> dict:
+        return {key: {"value": entry.value, "provenance": entry.provenance} for key, entry in sorted(self._entries.items())}
+
+
+class InformationBase(ConfigRegistry):
+    """The grid properties that policy conditions read, each at its default
+    until the caller that observes the grid sets it."""
+
+    schema, noun = PROPERTY_SCHEMA, "property"
+
+    def set(self, key: str, value) -> None:
+        super().set(key, value, "observed")
 
 
 # --------------------------------------------------------------------------
@@ -207,72 +256,7 @@ def decide_policy(sla: Sla, repo: list[Policy], info: InformationBase) -> Policy
 
 
 # --------------------------------------------------------------------------
-# Configuration registry and enforcement
-
-
-@dataclass(frozen=True)
-class ConfigKeySpec:
-    type: type
-    default: object
-    domain: tuple | None = None  # closed value set, when applicable
-    minimum: float | None = None
-
-
-CONFIG_SCHEMA = {
-    "resource.level": ConfigKeySpec(str, "L3", domain=LEVELS + (RANDOM_LEVEL,)),
-    "resource.alpha": ConfigKeySpec(float, 0.5, minimum=0.0),
-    "resource.beta": ConfigKeySpec(float, 0.5, minimum=0.0),
-    "scheduler.kind": ConfigKeySpec(str, "MinEFT", domain=SCHEDULER_KINDS),
-    "scheduler.seed": ConfigKeySpec(int, 0),
-    "app.workflow": ConfigKeySpec(str, "EcgVhs", domain=APP_WORKFLOWS),
-    "vhs.max_iter": ConfigKeySpec(int, 4, minimum=1),
-    "vhs.tolerance": ConfigKeySpec(float, 0.1, minimum=1e-12),
-}
-
-DEFAULT_PROVENANCE = "default"
-
-
-@dataclass(frozen=True)
-class ConfigEntry:
-    value: object
-    provenance: str
-
-
-class ConfigRegistry:
-    """Runtime configuration written by policy enforcement.
-
-    Every entry is traceable to the policy that wrote it or to the documented
-    default it was initialized with.
-    """
-
-    def __init__(self):
-        self._entries = {key: ConfigEntry(spec.default, DEFAULT_PROVENANCE) for key, spec in CONFIG_SCHEMA.items()}
-
-    def get(self, key: str):
-        return self.entry(key).value
-
-    def entry(self, key: str) -> ConfigEntry:
-        if key not in CONFIG_SCHEMA:
-            raise UnknownConfigKey(f"config key {key!r} is not registered")
-        return self._entries[key]
-
-    def set(self, key: str, value, provenance: str) -> None:
-        self.entry(key)  # refuses a key that is not registered
-        spec = CONFIG_SCHEMA[key]
-        if not _type_ok(value, spec.type):
-            raise TypeMismatch(f"config key {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
-        if spec.type is float:
-            value = float(value)
-            if not math.isfinite(value):
-                raise InvalidConfigValue(f"config key {key!r} must be finite, got {value!r}")
-        if spec.domain is not None and value not in spec.domain:
-            raise InvalidConfigValue(f"config key {key!r} must be one of {list(spec.domain)}, got {value!r}")
-        if spec.minimum is not None and value < spec.minimum:
-            raise InvalidConfigValue(f"config key {key!r} must be >= {spec.minimum}, got {value!r}")
-        self._entries[key] = ConfigEntry(value, provenance)
-
-    def as_dict(self) -> dict:
-        return {key: {"value": entry.value, "provenance": entry.provenance} for key, entry in sorted(self._entries.items())}
+# Enforcement
 
 
 @dataclass(frozen=True)

@@ -144,8 +144,6 @@ def generate_arq(pool, level: str, t: float, params: AllocationCostParams) -> Qu
     whole pool; L1 and L2 never shrink below two members when the pool has at
     least two. Higher levels therefore contain every lower level.
     """
-    if not pool:
-        raise EmptyPool("cannot form a quorum from an empty pool")
     if level not in LEVELS:
         raise ValueError(f"unknown resource level {level!r}")
     ranking = rank_resources(pool, t, params)
@@ -159,8 +157,6 @@ def random_quorum(pool, t: float, params: AllocationCostParams, seed: int) -> Qu
     Models resource selection without a resource policy. Members are still
     listed ascending by cost so downstream consumers see the usual ordering.
     """
-    if not pool:
-        raise EmptyPool("cannot form a quorum from an empty pool")
     size = quorum_size(len(pool), _LEVEL_FRACTION["L1"])
     rng = random.Random(seed)
     chosen = set(rng.sample([res.id for res in pool], size))

@@ -102,8 +102,9 @@ def strings(value):
 
 
 NAMES = st.sampled_from(sorted({s for document in PACKAGED.values() for s in strings(document)}))
-NUMBERS = st.one_of(st.floats(), st.integers())
-#: Any JSON scalar (NaN, infinities, huge and tiny numbers included), empty
+NUMBERS = st.one_of(st.floats(), st.integers(), st.sampled_from([10**400, -(10**400)]))
+#: Any JSON scalar (NaN, infinities, huge and tiny numbers and integers past
+#: float range included), empty
 #: containers, and every name the packaged documents use, so a name can land
 #: in a field where it is not valid.
 VALUES = st.one_of(NUMBERS, st.booleans(), st.none(), st.text(max_size=4), NAMES, st.sampled_from([[], {}]))
@@ -260,6 +261,31 @@ def test_validate_and_run_reject_a_document_fault_with_its_path(tmp_path, rel, e
     assert f"error: {field}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+#: An integer of 401 digits: ``json`` reads it as an int past float range.
+HUGE = 10**400
+
+#: (packaged file, edit, the field path ``validate`` must name) for an integer
+#: past float range in each kind of number field a document holds.
+HUGE_NUMBER_FAULTS = [
+    ("pool.json", lambda d: d[0].update(cpu_rate=HUGE), "pool[0].cpu_rate"),
+    ("run_config.json", lambda d: d["patient"].update(bpm=HUGE), "run_config.patient.bpm"),
+    ("run_config.json", lambda d: d.update(patient={"file": "sample.json"}), "patient_sample.values[1]"),
+    ("policies.json", lambda d: d[6]["actions"][2].update(value=HUGE), "policies[6].actions[2]"),
+    ("workflows/vhs-simulation.json", lambda d: d["tasks"][1].update(work=HUGE), "subworkflow.tasks[1].work"),
+    ("workflows/heart-disease.json", set_payload(4, "tolerance", HUGE), "workflow.nodes[4].payload.tolerance"),
+]
+
+
+@pytest.mark.parametrize("rel, edit, field", HUGE_NUMBER_FAULTS, ids=[fault[2] for fault in HUGE_NUMBER_FAULTS])
+def test_validate_refuses_an_integer_past_float_range_with_its_path(tmp_path, rel, edit, field):
+    write_json(tmp_path / "sample.json", {"rate": 250, "values": [0.0, HUGE]})
+    flags = write_documents(tmp_path, {**PACKAGED, rel: mutated(rel, edit)})
+    code, out, err = quiet_main(["validate"] + flags)
+    assert code == 2
+    assert [line.split("error: ")[1].split(":")[0] for line in out.splitlines() if "error:" in line] == [field]
+    assert "Traceback" not in err
 
 
 #: More ids than Python's default recursion limit of 1,000 frames.

@@ -1,4 +1,5 @@
-"""Canonical JSON writer tests: ``dump_json`` against the stdlib encoder."""
+"""Document helper tests: ``dump_json`` against the stdlib encoder, and the
+finite-number test against ``float()``."""
 
 import enum
 import importlib.resources
@@ -67,6 +68,36 @@ def trees(depth: int):
 @example(-0.0)
 def test_writer_equals_the_stdlib_encoder(tree):
     assert dump_json(tree) == stdlib_text(tree)
+
+
+def finite_by_float(value) -> bool:
+    """The finite-number rule as ``float()`` tells it: an int or a float that
+    converts without overflow to a value ``v`` with ``v - v == 0``."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        converted = float(value)
+    except OverflowError:
+        return False
+    return converted - converted == 0
+
+
+#: 2**1024 - 2**970 is the first int that ``float()`` rounds past the largest float.
+FLOAT_EDGE = 2**1024 - 2**970
+HUGE_INTS = st.integers(FLOAT_EDGE - 2**971, FLOAT_EDGE + 2**971) | st.integers(min_value=2**1030)
+
+
+@given(st.integers() | HUGE_INTS | HUGE_INTS.map(lambda n: -n) | st.floats() | st.booleans() | st.text())
+@example(FLOAT_EDGE)
+@example(FLOAT_EDGE - 1)
+@example(-FLOAT_EDGE)
+@example(10**400)
+@example(float("nan"))
+@example(float("-inf"))
+@example(True)
+@example("1.0")
+def test_is_finite_number_agrees_with_float(value):
+    assert documents.is_finite_number(value) is finite_by_float(value)
 
 
 class Level(enum.IntEnum):

@@ -10,7 +10,6 @@ from hybridwms.errors import (
     SchemaError,
     TypeMismatch,
     UnknownConfigKey,
-    UnknownKey,
     UnknownLabel,
 )
 from hybridwms.policy import (
@@ -177,9 +176,9 @@ def test_information_base_defaults_and_updates():
 
 def test_information_base_rejects_unknown_key():
     info = InformationBase()
-    with pytest.raises(UnknownKey):
+    with pytest.raises(UnknownConfigKey, match="property 'grid.unknown' is not registered"):
         info.get("grid.unknown")
-    with pytest.raises(UnknownKey):
+    with pytest.raises(UnknownConfigKey):
         info.set("grid.unknown", 1)
 
 
@@ -192,6 +191,16 @@ def test_information_base_type_checks():
     info.set("grid.load", 1)  # int is fine where float is declared
     assert info.get("grid.load") == 1.0
     assert isinstance(info.get("grid.load"), float)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, -(10**400)])
+def test_a_float_key_refuses_a_number_that_is_not_finite(value):
+    info, registry = InformationBase(), ConfigRegistry()
+    with pytest.raises(InvalidConfigValue, match="property 'grid.load' must be finite"):
+        info.set("grid.load", value)
+    with pytest.raises(InvalidConfigValue, match="config key 'resource.alpha' must be finite"):
+        registry.set("resource.alpha", value, "p")
+    assert info.get("grid.load") == 0.0 and registry.get("resource.alpha") == 0.5
 
 
 # -- registry and enforcement ----------------------------------------------------

@@ -192,6 +192,11 @@ def test_random_quorum_is_seeded_sample_listed_by_cost():
         assert list(q1.members) == [rid for rid in ranking if rid in set(q1.members)]
 
 
+def test_random_quorum_of_an_empty_pool_raises():
+    with pytest.raises(EmptyPool):
+        random_quorum([], 0.0, PARAMS, 1)
+
+
 def test_random_quorum_varies_with_seed():
     pool = random_pool(random.Random(5), 12)
     members = {random_quorum(pool, 0.0, PARAMS, s).members for s in range(40)}
