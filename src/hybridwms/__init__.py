@@ -6,13 +6,14 @@ resource quorum and executes them in one deterministic pass of the timing
 recurrence that produced the mapping estimates.
 """
 
-from .ecg import EcgFeatures, EcgSignal, Thresholds, estimate_disease, extract_features, synthesize_ecg
-from .engine import RunConfig, RunRecord, parse_run_config, record_document, run_workflow
+from .ecg import EcgFeatures, EcgSignal, estimate_disease, extract_features, synthesize_ecg
+from .engine import RunRecord, record_document, run_workflow
 from .errors import WmsError
 from .experiments import load_workflow_bundle, run_cost_study, run_policy_comparison
 from .gridengine import execute_plan, generate_catalogs, map_workflow
 from .policy import ConfigRegistry, InformationBase, Sla, decide_policy, enforce, expand_soft_label
 from .resources import AllocationCostParams, allocation_cost, generate_arq, rank_resources
+from .runconfig import RunConfig, Thresholds, parse_run_config
 from .workflow import parse_subworkflow, parse_workflow, topological_order
 
 __version__ = "0.1.0"

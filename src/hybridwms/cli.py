@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import documents as doc
-from .engine import enforce_run_policy, node_timings_csv, parse_run_config, record_document, run_workflow
+from .engine import enforce_run_policy, node_timings_csv, record_document, run_workflow
 from .errors import WmsError
 from .experiments import (
     comparison_csv,
@@ -33,6 +33,7 @@ from .experiments import (
 )
 from .policy import parse_repository, parse_sla
 from .resources import parse_pool
+from .runconfig import parse_run_config
 
 
 #: Each document flag: its packaged default under ``data/`` and the parser of

@@ -4,7 +4,8 @@ The generator places a Gaussian bump at every heartbeat on top of a constant
 baseline shift, with optional beat-to-beat jitter and measurement noise. The
 extractor recovers beat statistics, the dominant spectral component, and the
 baseline deviation; a fixed-order rule table maps those features to one of
-four outcomes. All randomness is seeded.
+four outcomes. All randomness is seeded. The beat width, the domain of each
+signal parameter and the diagnosis thresholds belong to ``runconfig``.
 The measurement noise is CPython's ``random.gauss`` stream replayed in bulk:
 the same Mersenne Twister words, drawn by one ``getrandbits`` call, and the
 same Box–Muller pairs (Box & Muller 1958), so every sample is bit-identical to
@@ -26,30 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBeatsDetected
-
-#: Width of one synthetic beat bump, seconds.
-BEAT_SIGMA = 0.02
+from .runconfig import BEAT_SIGMA, SIGNAL_DOMAINS, Thresholds
 
 #: Spectral scan grid, Hz. Covers well below resting heart rate up to above
 #: any plausible fibrillation rate.
 FREQ_MIN = 0.5
 FREQ_MAX = 10.0
 FREQ_STEP = 0.1
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    fibrillation_freq: float = 4.0
-    ischemia_st: float = 0.15
-    arrhythmia_rr: float = 0.12
-
-
-#: The domain of each diagnosis threshold; ``parse_run_config`` refuses values outside it.
-THRESHOLD_DOMAINS = {
-    "fibrillation_freq": (lambda v: v > 0, "must be positive"),
-    "ischemia_st": (lambda v: v >= 0, "must be non-negative"),
-    "arrhythmia_rr": (lambda v: v >= 0, "must be non-negative"),
-}
 
 
 @dataclass
@@ -75,48 +59,6 @@ class EcgFeatures:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.rr_mean, self.rr_std, self.dominant_freq, self.st_deviation)
-
-
-#: The domain of each signal parameter; ``synthesize_ecg`` refuses values outside it.
-#: Upper bounds on bpm, duration (s) and rate (Hz) bound synthesis work, and the one
-#: on noise keeps every feature finite (1e200 overflows the spectral scan); none is physiology.
-SIGNAL_DOMAINS = {
-    "bpm": (lambda v: 0 < v <= 1000, "must be in (0, 1000]"),
-    "irregularity": (lambda v: 0 <= v < 1, "must be in [0, 1)"),
-    "noise": (lambda v: 0 <= v <= 10, "must be in [0, 10]"),
-    "duration": (lambda v: 0 < v <= 3600, "must be in (0, 3600]"),
-    "rate": (lambda v: 0 < v <= 2000, "must be in (0, 2000]"),
-}
-
-
-#: The largest baseline shift ``detectability_problem`` allows, in beat heights.
-MAX_ST_OFFSET = 0.35
-
-
-def detectability_problem(bpm, irregularity, st_offset, duration, rate) -> tuple[str, str] | None:
-    """The parameter, and why, for which a noiseless ``synthesize_ecg`` signal
-    with these (in-domain) parameters might show ``detect_beats`` fewer than two
-    beats; ``None`` when it cannot.
-
-    At two samples per ``BEAT_SIGMA`` each beat has a sample above 0.969 of its
-    height. Beats at least ``4 * BEAT_SIGMA`` apart never rise above 0.30
-    between them, at the sample nearest the midpoint. A baseline within
-    ``MAX_ST_OFFSET`` then stays below half the peak, so does every dip, and
-    every beat rises above it. Two beats fit when the second, at most
-    ``(2 + irregularity)`` mean RR intervals in, still has its bump inside.
-    """
-    if not abs(st_offset) <= MAX_ST_OFFSET:
-        return "st_offset", f"must be in [-{MAX_ST_OFFSET}, {MAX_ST_OFFSET}]"
-    if not rate >= 2 / BEAT_SIGMA:
-        return "rate", f"must be >= {2 / BEAT_SIGMA:g}: two samples per beat width"
-    rr = 60.0 / bpm
-    if not rr * (1.0 - irregularity) >= 4 * BEAT_SIGMA:
-        limit = 60 / (4 * BEAT_SIGMA)
-        return "bpm", f"beats closer than {4 * BEAT_SIGMA:g} s merge: needs bpm * (1 - irregularity) <= {limit:g}"
-    need = rr * (2.0 + irregularity) + 4 * BEAT_SIGMA
-    if not duration >= need:
-        return "duration", f"{duration:g} s holds fewer than two beats at bpm {bpm:g}: needs at least {need:.6g} s"
-    return None
 
 
 def synthesize_ecg(

@@ -9,8 +9,9 @@ exceeds the enforced ``app.workflow`` are pruned from the walk; the SLA reaches
 the engine only through policy. A run's workspace holds only what its own nodes
 computed: a data-retrieval node reads its registered source when it runs, and a
 user-input node requires its key in the run configuration and records it, but
-no engine function reads the value. Every run is a pure function of its
-documents and seed.
+no engine function reads the value. The run configuration checked itself when
+it was built (``runconfig``), so every signal a run synthesizes is in domain.
+Every run is a pure function of its documents and seed.
 """
 
 from __future__ import annotations
@@ -20,24 +21,9 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
-
-import numpy as np
 
 from . import documents as doc
-from .ecg import (
-    DISEASES,
-    SIGNAL_DOMAINS,
-    THRESHOLD_DOMAINS,
-    EcgFeatures,
-    EcgSignal,
-    Thresholds,
-    detectability_problem,
-    estimate_disease,
-    extract_features,
-    feature_distance,
-    synthesize_ecg,
-)
+from .ecg import DISEASES, EcgFeatures, EcgSignal, estimate_disease, extract_features, feature_distance, synthesize_ecg
 from .errors import EmptyParameterGrid, InvalidConfigValue, MissingInput, NodeError, RunError, WmsError
 from .gridengine import RateMemo, SubWorkflowResult, execute_plan, map_workflow
 from .policy import (
@@ -59,6 +45,8 @@ from .resources import (
     generate_arq,
     random_quorum,
 )
+from .runconfig import CANDIDATE_DEFAULTS, RunConfig
+from .runconfig import parse_run_config  # noqa: F401 -- kept at this name; bench/workloads.py calls it through engine
 from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, service_rank
 
 
@@ -72,134 +60,7 @@ def derive_seed(run_seed: int, scheduler_seed: int, index: int, purpose: str) ->
 
 
 # --------------------------------------------------------------------------
-# Run configuration
-
-
-@dataclass(frozen=True)
-class PatientParams:
-    bpm: float
-    irregularity: float = 0.0
-    st_offset: float = 0.0
-    noise: float = 0.0
-    duration: float = 30.0
-    rate: float = 250.0
-    seed: int | None = None  # falls back to the run seed
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    patient: PatientParams | EcgSignal  # synthesis parameters, or a recorded sample loaded at parse time
-    candidates: tuple[dict, ...] = ()
-    thresholds: Thresholds = Thresholds()
-    user_inputs: dict = field(default_factory=dict)
-
-
-#: The signal parameters ``synthesize_ecg`` accepts and the diagnosis thresholds.
-_DOMAINS = {**SIGNAL_DOMAINS, **THRESHOLD_DOMAINS}
-
-
-def _domain_number(mapping: dict, key: str, path: str) -> float:
-    """A finite number, inside ``key``'s domain when ``_DOMAINS`` states one."""
-    value = doc.get_number(mapping, key, path)
-    if key in _DOMAINS and not _DOMAINS[key][0](value):
-        raise doc.SchemaError(f"{path}.{key}", _DOMAINS[key][1])
-    return value
-
-
-def _signal_record(record: dict, path: str) -> dict:
-    """The fields of a patient or candidate record whose keys were checked:
-    ``bpm`` is required, ``seed`` an integer, the rest numbers in their domains."""
-    fields = {"bpm": _domain_number(record, "bpm", path)}
-    for key in record:
-        fields[key] = doc.get_int(record, key, path) if key == "seed" else _domain_number(record, key, path)
-    return fields
-
-
-def _load_sample(file: str) -> EcgSignal:
-    """A recorded signal: a JSON file with a ``rate`` in its signal domain and
-    a non-empty list of finite ``values``."""
-    root = doc.require_mapping(doc.load_json(file), "patient_sample")
-    doc.reject_unknown(root, {"rate", "values"}, "patient_sample")
-    rate = _domain_number(root, "rate", "patient_sample")
-    values = doc.require_list(doc.get_required(root, "values", "patient_sample"), "patient_sample.values")
-    if not values:
-        raise doc.SchemaError("patient_sample.values", "must not be empty")
-    for i, value in enumerate(values):
-        if not doc.is_finite_number(value):
-            raise doc.SchemaError(f"patient_sample.values[{i}]", "expected a finite number")
-    return EcgSignal(values=np.asarray(values, dtype=float), rate=rate)
-
-
-def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
-    """Parse a run configuration document, loading and checking a sample file.
-    A synthesized patient and every VHS candidate are held to
-    ``detectability_problem``'s bounds, so their noiseless signals show two beats.
-
-    ``base_dir`` anchors relative sample-file references; it defaults to the
-    working directory.
-    """
-    root = doc.require_mapping(document, "run_config")
-    doc.reject_unknown(root, {"seed", "patient", "user_inputs", "vhs_grid", "thresholds"}, "run_config")
-    seed = doc.get_int(root, "seed", "run_config")
-
-    raw_patient = doc.require_mapping(doc.get_required(root, "patient", "run_config"), "run_config.patient")
-    if "file" in raw_patient:
-        doc.reject_unknown(raw_patient, {"file"}, "run_config.patient")
-        file = doc.get_str(raw_patient, "file", "run_config.patient")
-        patient = _load_sample(str(Path(base_dir or ".") / file))
-    else:
-        doc.reject_unknown(
-            raw_patient,
-            {"bpm", "irregularity", "st_offset", "noise", "duration", "rate", "seed"},
-            "run_config.patient",
-        )
-        patient = PatientParams(**_signal_record(raw_patient, "run_config.patient"))
-        problem = detectability_problem(
-            patient.bpm, patient.irregularity, patient.st_offset, patient.duration, patient.rate
-        )
-        if problem:
-            raise doc.SchemaError(f"run_config.patient.{problem[0]}", problem[1])
-
-    candidates = []
-    for i, raw in enumerate(doc.require_list(root.get("vhs_grid", []), "run_config.vhs_grid")):
-        path = f"run_config.vhs_grid[{i}]"
-        record = doc.require_mapping(raw, path)
-        doc.reject_unknown(record, {"bpm", "irregularity", "st_offset", "seed"}, path)
-        candidate = _signal_record(record, path)
-        # a candidate is synthesized noiselessly at the patient signal's duration and rate
-        problem = detectability_problem(
-            candidate["bpm"],
-            candidate.get("irregularity", 0.0),
-            candidate.get("st_offset", 0.0),
-            patient.duration,
-            patient.rate,
-        )
-        if problem:
-            field, message = problem
-            if field in ("duration", "rate"):
-                raise doc.SchemaError(path, f"with the patient signal's {field}: {message}")
-            raise doc.SchemaError(f"{path}.{field}", message)
-        candidates.append(candidate)
-
-    user_inputs = {}
-    if "user_inputs" in root:
-        user_inputs = dict(doc.require_mapping(root["user_inputs"], "run_config.user_inputs"))
-
-    thresholds = Thresholds()
-    if "thresholds" in root:
-        raw_thr = doc.require_mapping(root["thresholds"], "run_config.thresholds")
-        doc.reject_unknown(raw_thr, {"fibrillation_freq", "ischemia_st", "arrhythmia_rr"}, "run_config.thresholds")
-        kwargs = {key: _domain_number(raw_thr, key, "run_config.thresholds") for key in raw_thr}
-        thresholds = Thresholds(**kwargs)
-
-    return RunConfig(
-        seed=seed,
-        patient=patient,
-        candidates=tuple(candidates),
-        thresholds=thresholds,
-        user_inputs=user_inputs,
-    )
+# Run inputs
 
 
 def _patient_signal(config: RunConfig) -> EcgSignal:
@@ -207,15 +68,7 @@ def _patient_signal(config: RunConfig) -> EcgSignal:
     if isinstance(patient, EcgSignal):
         return patient
     seed = patient.seed if patient.seed is not None else config.seed
-    return synthesize_ecg(
-        bpm=patient.bpm,
-        irregularity=patient.irregularity,
-        st_offset=patient.st_offset,
-        noise=patient.noise,
-        duration=patient.duration,
-        rate=patient.rate,
-        seed=seed,
-    )
+    return synthesize_ecg(**{**_fields(patient), "seed": seed})
 
 
 #: Each key a data-retrieval node may read, and the run input behind it.
@@ -419,14 +272,8 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     for i in range(min(max_iter, len(candidates))):
         candidate = candidates[i]
         result = _dispatch_grid(ctx, node.id, payload["subworkflow"])
-        features = _candidate_features(
-            candidate["bpm"],
-            candidate.get("irregularity", 0.0),
-            candidate.get("st_offset", 0.0),
-            candidate.get("seed", 0),
-            signal.duration,
-            signal.rate,
-        )
+        c = {**CANDIDATE_DEFAULTS, **candidate}
+        features = _candidate_features(c["bpm"], c["irregularity"], c["st_offset"], c["seed"], signal.duration, signal.rate)
         distance = feature_distance(features, patient_features)
         matched = distance <= tolerance
         iterations.append(VhsIteration(i + 1, dict(candidate), distance, matched, result.makespan))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import documents as doc
-from .engine import RunConfig, check_workflow, replace_seed, run_workflow
+from .engine import check_workflow, replace_seed, run_workflow
 from .policy import Policy, Sla, parse_repository, parse_sla
 from .resources import (
     LEVELS,
@@ -24,6 +24,7 @@ from .resources import (
     generate_arq,
     quorum_grid_mean,
 )
+from .runconfig import RunConfig
 from .workflow import AbstractSubWorkflow, WorkflowGraph, parse_subworkflow, parse_workflow
 
 

@@ -15,12 +15,7 @@ import pytest
 
 from hybridwms.cli import main
 from hybridwms.documents import load_json
-from hybridwms.engine import (
-    PatientParams,
-    RunConfig,
-    parse_run_config,
-    run_workflow,
-)
+from hybridwms.engine import run_workflow
 from hybridwms.errors import NoMatchingPolicy
 from hybridwms.experiments import (
     load_workflow_bundle,
@@ -55,6 +50,7 @@ from hybridwms.resources import (
     quorum_grid_mean,
     rank_resources,
 )
+from hybridwms.runconfig import PatientParams, RunConfig, parse_run_config
 from hybridwms.simkernel import PlannedTask, exec_time, transfer_time
 from hybridwms.workflow import AbstractSubWorkflow, TaskSpec, topological_order
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hybridwms import documents
 from hybridwms.cli import build_parser, cmd_policy_comparison, cmd_run, main
 from hybridwms.ecg import synthesize_ecg
-from hybridwms.engine import parse_run_config, run_workflow
+from hybridwms.engine import run_workflow
 from hybridwms.errors import (
     EmptyParameterGrid,
     InvalidConfigValue,
@@ -29,6 +29,7 @@ from hybridwms.errors import (
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.policy import parse_repository, parse_sla
 from hybridwms.resources import parse_pool
+from hybridwms.runconfig import parse_run_config
 
 
 def data_path(rel):
@@ -455,6 +456,24 @@ def test_a_run_reads_no_document(tmp_path, monkeypatch):
     monkeypatch.setattr(documents, "load_json", refuse)
     record = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla, config)
     assert record.diagnosis == "fibrillation"
+
+
+#: Recorded samples, as (rate, sample count, message), too short or too long for
+#: a candidate of bpm 60, which is synthesized at the sample's duration and rate.
+SAMPLES_NO_CANDIDATE_FITS = [
+    (250, 250, "with the patient signal's duration: 1 s holds fewer than two beats at bpm 60: needs at least 2.08 s"),
+    (100, 360_001, "with the patient signal's duration: must be in (0, 3600]"),
+]
+
+
+@pytest.mark.parametrize("rate, samples, message", SAMPLES_NO_CANDIDATE_FITS, ids=["1 s", "3600.01 s"])
+def test_validate_refuses_a_candidate_the_sample_signal_cannot_hold(tmp_path, rate, samples, message):
+    write_json(tmp_path / "sample.json", {"rate": rate, "values": [0.0] * samples})
+    config = write_json(tmp_path / "run_config.json", {"seed": 1, "patient": {"file": "sample.json"}, "vhs_grid": [{"bpm": 60}]})
+    code, out, err = quiet_main(["validate", "--run-config", config])
+    assert code == 2
+    assert [line for line in out.splitlines() if "error:" in line] == [f"run-config: error: run_config.vhs_grid[0]: {message}"]
+    assert "Traceback" not in err
 
 
 WORKFLOW, RUN_CONFIG = "workflows/heart-disease.json", "run_config.json"

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from hybridwms import documents
 from hybridwms.documents import dump_json, load_json
-from hybridwms.engine import parse_run_config, record_document, run_workflow
+from hybridwms.engine import record_document, run_workflow
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.gridengine import execute_plan
 from hybridwms.policy import parse_repository, parse_sla
 from hybridwms.resources import parse_pool
+from hybridwms.runconfig import parse_run_config
 from test_gridengine import PACKAGED_SLAS, seeded_plans
 
 

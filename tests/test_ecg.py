@@ -15,14 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridwms.ecg import (
-    BEAT_SIGMA,
     DISEASES,
     FREQ_MAX,
     FREQ_MIN,
     FREQ_STEP,
     EcgFeatures,
     EcgSignal,
-    Thresholds,
     _gauss_noise,
     detect_beats,
     dominant_frequency,
@@ -32,6 +30,7 @@ from hybridwms.ecg import (
     synthesize_ecg,
 )
 from hybridwms.errors import NoBeatsDetected
+from hybridwms.runconfig import BEAT_SIGMA, Thresholds
 
 
 # -- synthesis -----------------------------------------------------------------

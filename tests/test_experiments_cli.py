@@ -16,7 +16,6 @@ import pytest
 from hybridwms import cli
 from hybridwms.cli import main
 from hybridwms.documents import load_json
-from hybridwms.engine import parse_run_config
 from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError
 from hybridwms.experiments import (
     comparison_csv,
@@ -28,6 +27,7 @@ from hybridwms.experiments import (
 )
 from hybridwms.policy import parse_repository
 from hybridwms.resources import AllocationCostParams, MetricTrace, ResourceDescriptor, parse_pool
+from hybridwms.runconfig import parse_run_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -11,7 +11,7 @@ import pytest
 
 from hybridwms import gridengine, simkernel
 from hybridwms.documents import dump_json, load_json
-from hybridwms.engine import parse_run_config, record_document, run_workflow
+from hybridwms.engine import record_document, run_workflow
 from hybridwms.errors import InfeasibleMapping, UnknownStrategy
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.gridengine import (
@@ -29,6 +29,7 @@ from hybridwms.resources import (
     generate_arq,
     parse_pool,
 )
+from hybridwms.runconfig import parse_run_config
 from hybridwms.simkernel import exec_time, transfer_time
 from hybridwms.workflow import AbstractSubWorkflow, TaskSpec, topological_order
 

@@ -14,11 +14,8 @@ from hybridwms import engine
 from hybridwms.documents import dump_json, load_json
 from hybridwms.ecg import EcgSignal, extract_features, synthesize_ecg
 from hybridwms.engine import (
-    PatientParams,
-    RunConfig,
     derive_seed,
     node_timings_csv,
-    parse_run_config,
     _candidate_features,
     record_document,
     replace_seed,
@@ -35,6 +32,7 @@ from hybridwms.errors import (
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.policy import Policy, PolicyKind, Predicate, parse_repository, parse_sla
 from hybridwms.resources import parse_pool, quorum_size
+from hybridwms.runconfig import PatientParams, RunConfig, Thresholds, parse_run_config
 from hybridwms.workflow import Node, NodeKind, WorkflowGraph
 
 
@@ -175,10 +173,24 @@ def test_run_config_signal_fields_parse_cleanly_or_raise_schema_error(field, val
             assert isinstance(value, (int, float)) and not isinstance(value, bool) and SIGNAL_DOMAINS[key](value)
             assert not all(shows_two_beats(**record) for record in records)
             assert err.path.startswith(("run_config.patient.", "run_config.vhs_grid["))
+        with pytest.raises(SchemaError) as built:
+            built_in_code(document, index)
+        assert built.value.path == err.path
         return
     number = getattr(config.patient, key) if index is None else config.candidates[index][key]
     assert math.isfinite(number) and SIGNAL_DOMAINS[key](number)
     assert all(shows_two_beats(**record) for record in records)
+    built = built_in_code(document, index)
+    assert (built.patient, built.candidates) == (config.patient, config.candidates)
+
+
+def built_in_code(document, index):
+    """The packaged run config with ``document``'s patient (``index`` None) or
+    candidates put in by code, not by the parser."""
+    packaged = parse_run_config(PACKAGED_RUN_CONFIG)
+    if index is None:
+        return replace(packaged, patient=PatientParams(**document["patient"]))
+    return replace(packaged, candidates=tuple(document["vhs_grid"]))
 
 
 @st.composite
@@ -214,12 +226,62 @@ def test_a_noiseless_signal_inside_the_domain_always_shows_two_beats(document):
     assert record.vhs is not None and record.vhs.iterations
 
 
+#: Run-config records built in code that break a rule, and the path and
+#: message each reports when it is built.
+CODE_BUILT_RUN_CONFIG_FAULTS = [
+    (lambda c: replace(c, candidates=({"bpm": 5000},)), "run_config.vhs_grid[0].bpm", "must be in (0, 1000]"),
+    (lambda c: replace(c, patient=replace(c.patient, bpm=2000)), "run_config.patient.bpm", "must be in (0, 1000]"),
+    (lambda c: Thresholds(fibrillation_freq=-1), "run_config.thresholds.fibrillation_freq", "must be positive"),
+    (
+        lambda c: RunConfig(seed=1, patient=PatientParams(bpm=70), candidates=({"bpm": "fast"},)),
+        "run_config.vhs_grid[0].bpm",
+        "expected finite number",
+    ),
+    (lambda c: replace(c, seed=1.5), "run_config.seed", "expected integer"),
+    (lambda c: replace(c, user_inputs=["note"]), "run_config.user_inputs", "expected object, got list"),
+    (
+        lambda c: replace(c, patient=EcgSignal(values=[0.0] * 3, rate=5000.0)),
+        "run_config.vhs_grid[0]",
+        "with the patient signal's rate: must be in (0, 2000]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, path, message",
+    CODE_BUILT_RUN_CONFIG_FAULTS,
+    ids=["candidate-bpm", "patient-bpm", "thresholds", "candidate-text", "seed", "user-inputs", "sample-rate"],
+)
+def test_a_code_built_run_config_that_breaks_a_rule_cannot_be_built(build, path, message):
+    config = load_defaults()[3]
+    with pytest.raises(SchemaError) as err:
+        build(config)
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_a_checked_run_config_cannot_be_edited_past_its_check():
+    bundle, pool, repo, config = load_defaults()
+    config = replace(config, user_inputs={"operator.note": "ok"})
+    with pytest.raises(TypeError):
+        config.candidates[0]["bpm"] = 5000
+    with pytest.raises(TypeError):
+        config.user_inputs["operator.note"] = "edited"
+    assert config.candidates[0]["bpm"] == 60.0
+    assert config.user_inputs["operator.note"] == "ok"
+
+    def record(config):
+        run = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("High Performance"), config)
+        return dump_json(record_document(run))
+
+    assert record(config) == record(load_defaults()[3])
+
+
 def test_replace_seed_keeps_everything_else():
     _, _, _, config = load_defaults()
     changed = replace_seed(config, 999)
     assert changed.seed == 999
     assert changed.patient == config.patient
-    assert changed.candidates == config.candidates
+    assert changed.candidates is config.candidates  # checked again, but shared: a study holds a config per replicate
 
 
 # -- full runs over the packaged documents ------------------------------------------
