@@ -11,7 +11,9 @@ computed: a data-retrieval node reads its registered source when it runs, and a
 user-input node requires its key in the run configuration and records it, but
 no engine function reads the value. The run configuration checked itself when
 it was built (``runconfig``), so every signal a run synthesizes is in domain.
-Every run is a pure function of its documents and seed.
+Every run is a pure function of its documents and seed, so one features memo
+serves every run in the process: each distinct synthesized signal, a patient's
+or a VHS candidate's, is made and extracted once. Features are kept, never signals.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .resources import (
     generate_arq,
     random_quorum,
 )
-from .runconfig import CANDIDATE_DEFAULTS, RunConfig
+from .runconfig import CANDIDATE_DEFAULTS, PatientParams, RunConfig
 from .runconfig import parse_run_config  # noqa: F401 -- kept at this name; bench/workloads.py calls it through engine
 from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, service_rank
 
@@ -63,16 +65,32 @@ def derive_seed(run_seed: int, scheduler_seed: int, index: int, purpose: str) ->
 # Run inputs
 
 
-def _patient_signal(config: RunConfig) -> EcgSignal:
+def _patient(config: RunConfig) -> PatientParams | EcgSignal:
+    """The run's patient: a recorded signal, or its synthesis parameters with the seed resolved."""
     patient = config.patient
-    if isinstance(patient, EcgSignal):
+    if isinstance(patient, EcgSignal) or patient.seed is not None:
         return patient
-    seed = patient.seed if patient.seed is not None else config.seed
-    return synthesize_ecg(**{**_fields(patient), "seed": seed})
+    return dataclasses.replace(patient, seed=config.seed)
 
 
 #: Each key a data-retrieval node may read, and the run input behind it.
-DATA_SOURCES = {"patient.ecg": _patient_signal}
+DATA_SOURCES = {"patient.ecg": _patient}
+
+
+@functools.lru_cache(maxsize=1024)
+def _signal_features(bpm, irregularity, st_offset, noise, duration, rate, seed) -> EcgFeatures:
+    """Features of the signal ``synthesize_ecg`` makes from these arguments,
+    which depend on them alone: each distinct signal, a patient's or a VHS
+    candidate's, is synthesized and extracted once while it stays among the
+    memo's most recently used. Features are kept, never signals; a failure is
+    not kept (memo functions: Michie 1968)."""
+    return extract_features(synthesize_ecg(bpm, irregularity, st_offset, noise, duration, rate, seed))
+
+
+def _duration_and_rate(source: PatientParams | EcgSignal) -> tuple[float, float]:
+    """The patient signal's ``(duration, rate)``, bit for bit as its ``EcgSignal`` has them, without synthesizing it."""
+    rate = float(source.rate)
+    return source.duration if isinstance(source, EcgSignal) else int(round(source.duration * rate)) / rate, rate
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +188,8 @@ def _input(ctx: _Context, key: str):
 
 
 def _fn_extract_features(ctx: _Context) -> dict:
-    features = extract_features(_input(ctx, "patient.ecg"))
+    source = _input(ctx, "patient.ecg")  # a recorded signal is unhashable, and extracted at each run
+    features = extract_features(source) if isinstance(source, EcgSignal) else _signal_features(*_fields(source).values())
     ctx.workspace["features"] = features
     return {"features": _fields(features)}
 
@@ -252,12 +271,6 @@ def _loop_setting(ctx: _Context, key: str, payload_value):
     return payload_value
 
 
-@functools.lru_cache(maxsize=1024)
-def _candidate_features(bpm, irregularity, st_offset, seed, duration, rate) -> EcgFeatures:
-    """Features of a noiseless VHS candidate, which depend on these arguments alone (features are kept, never signals)."""
-    return extract_features(synthesize_ecg(bpm, irregularity, st_offset, 0.0, duration, rate, seed))
-
-
 def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     payload = node.payload
     max_iter = _loop_setting(ctx, "vhs.max_iter", payload["max_iterations"])
@@ -265,7 +278,8 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     candidates = ctx.config.candidates
     if not candidates:
         raise EmptyParameterGrid("no candidate parameter sets configured")
-    patient_features, signal = _input(ctx, "features"), _input(ctx, "patient.ecg")
+    patient_features = _input(ctx, "features")
+    duration, rate = _duration_and_rate(_input(ctx, "patient.ecg"))  # every candidate is synthesized at these
 
     iterations = []
     matched = False
@@ -273,7 +287,7 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
         candidate = candidates[i]
         result = _dispatch_grid(ctx, node.id, payload["subworkflow"])
         c = {**CANDIDATE_DEFAULTS, **candidate}
-        features = _candidate_features(c["bpm"], c["irregularity"], c["st_offset"], c["seed"], signal.duration, signal.rate)
+        features = _signal_features(c["bpm"], c["irregularity"], c["st_offset"], 0.0, duration, rate, c["seed"])
         distance = feature_distance(features, patient_features)
         matched = distance <= tolerance
         iterations.append(VhsIteration(i + 1, dict(candidate), distance, matched, result.makespan))

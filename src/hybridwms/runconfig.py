@@ -4,8 +4,9 @@ the VHS candidate grid, the diagnosis thresholds and the user inputs.
 Each record checks its rules when it is built, parsed or in code, and raises
 ``SchemaError`` at the document path of a bad value: numbers finite, seeds
 integers, values in their domains, signals able to show two beats. A checked
-``RunConfig`` holds read-only candidates and user inputs. numpy is imported
-only to load a recorded sample.
+``RunConfig`` holds read-only candidates and user inputs, a ``Thresholds``, and
+a patient that is ``PatientParams`` or a well-formed recorded ``EcgSignal``.
+numpy is imported only to load or check a recorded sample.
 """
 
 from __future__ import annotations
@@ -147,17 +148,37 @@ class RunConfig:
 
     def __post_init__(self):
         doc.get_int({"seed": self.seed}, "seed", "run_config")
+        if not isinstance(self.patient, PatientParams):
+            _check_recorded(self.patient)
         duration, rate = self.patient.duration, self.patient.rate  # every candidate is synthesized at these
-        for name, value in (("rate", rate), ("duration", duration)) if self.candidates else ():
-            in_domain, message = SIGNAL_DOMAINS[name]
-            if not in_domain(value):  # a recorded signal's may lie outside the domain synthesis accepts
-                raise doc.SchemaError("run_config.vhs_grid[0]", f"with the patient signal's {name}: {message}")
+        in_domain, message = SIGNAL_DOMAINS["duration"]
+        if self.candidates and not in_domain(duration):  # a recorded signal may be longer than synthesis accepts
+            raise doc.SchemaError("run_config.vhs_grid[0]", f"with the patient signal's duration: {message}")
         candidates = _Checked([_candidate(c, i, duration, rate) for i, c in enumerate(self.candidates)])
         if type(self.candidates) is not _Checked:
             object.__setattr__(self, "candidates", candidates)
+        if not isinstance(self.thresholds, Thresholds):
+            raise doc.SchemaError("run_config.thresholds", f"expected Thresholds, got {type(self.thresholds).__name__}")
         user_inputs = doc.require_mapping(self.user_inputs, "run_config.user_inputs")
         if type(user_inputs) is not MappingProxyType:  # a read-only view is kept: no rule reads a user input's value
             object.__setattr__(self, "user_inputs", MappingProxyType(dict(user_inputs)))
+
+
+def _check_recorded(signal) -> None:
+    """Refuse a patient that is neither ``PatientParams`` nor an ``ecg.EcgSignal``
+    with a rate in its domain and values a non-empty 1-D float array of finite numbers."""
+    import numpy as np  # here, not at module top: only a recorded signal needs it
+    from .ecg import EcgSignal
+
+    path = "run_config.patient"
+    if not isinstance(signal, EcgSignal):
+        raise doc.SchemaError(path, f"expected PatientParams or EcgSignal, got {type(signal).__name__}")
+    _number({"rate": signal.rate}, "rate", path, SIGNAL_DOMAINS)
+    values = signal.values
+    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f" and values.size):
+        raise doc.SchemaError(f"{path}.values", "expected a non-empty 1-D float array")
+    if not np.isfinite(values).all():
+        raise doc.SchemaError(f"{path}.values", "expected finite numbers")
 
 
 def _load_sample(file: str):

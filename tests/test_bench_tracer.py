@@ -27,6 +27,7 @@ def test_tracer_installs_counts_through_the_package_and_uninstalls(monkeypatch):
     sla = parse_sla(documents.load_json(data_path("slas/high_performance.json")))
     config = engine.parse_run_config(documents.load_json(data_path("run_config.json")))
 
+    engine._signal_features.cache_clear()  # a memo warmed by earlier tests would hide every synthesis
     tracer = Tracer()
     tracer.install()
     try:

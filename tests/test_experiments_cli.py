@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridwms import cli
+from hybridwms import cli, engine
 from hybridwms.cli import main
 from hybridwms.documents import load_json
 from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError
@@ -253,6 +253,26 @@ def test_comparison_is_deterministic():
     first = run_policy_comparison(spec, bundle, pool, repo, config)
     second = run_policy_comparison(spec, bundle, pool, repo, config)
     assert first == second
+
+
+def test_a_study_synthesizes_each_distinct_patient_once(monkeypatch):
+    bundle, pool, repo, config = load_defaults()
+    spec = comparison_spec(replicates=20)
+    synthesize, patients = engine.synthesize_ecg, []
+
+    def counted(bpm, irregularity, st_offset, noise, duration, rate, seed):
+        if noise > 0:  # a patient; every VHS candidate is noiseless
+            patients.append(seed)
+        return synthesize(bpm, irregularity, st_offset, noise, duration, rate, seed)
+
+    monkeypatch.setattr(engine, "synthesize_ecg", counted)
+    engine._signal_features.cache_clear()
+    cold = run_policy_comparison(spec, bundle, pool, repo, config)
+    assert sorted(patients) == [spec.base_seed + r for r in range(1, 21)]  # 60 runs, 20 distinct patients
+    warm = run_policy_comparison(spec, bundle, pool, repo, config)
+    assert len(patients) == 20
+    assert (comparison_csv(warm), summary_csv(warm)) == (comparison_csv(cold), summary_csv(cold))
+    assert summary_csv(cold).encode("utf-8") == (GOLDEN / "comparison_summary.csv").read_bytes()
 
 
 def test_summary_reconstructs_from_rows():

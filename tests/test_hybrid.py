@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hybridwms.ecg import EcgSignal, extract_features, synthesize_ecg
 from hybridwms.engine import (
     derive_seed,
     node_timings_csv,
-    _candidate_features,
+    _signal_features,
     record_document,
     replace_seed,
     run_workflow,
@@ -241,8 +242,38 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
     (lambda c: replace(c, user_inputs=["note"]), "run_config.user_inputs", "expected object, got list"),
     (
         lambda c: replace(c, patient=EcgSignal(values=[0.0] * 3, rate=5000.0)),
-        "run_config.vhs_grid[0]",
-        "with the patient signal's rate: must be in (0, 2000]",
+        "run_config.patient.rate",
+        "must be in (0, 2000]",
+    ),
+    (
+        lambda c: replace(c, patient=EcgSignal([0.0, 1.0, 0.0, 1.0] * 100, 250.0), candidates=()),
+        "run_config.patient.values",
+        "expected a non-empty 1-D float array",
+    ),
+    (
+        lambda c: replace(c, patient=EcgSignal(np.array([[0.0, 1.0]] * 100), 250.0), candidates=()),
+        "run_config.patient.values",
+        "expected a non-empty 1-D float array",
+    ),
+    (
+        lambda c: replace(c, patient=EcgSignal(np.array([0.0, 1.0, math.nan, 1.0]), 250.0), candidates=()),
+        "run_config.patient.values",
+        "expected finite numbers",
+    ),
+    (
+        lambda c: replace(c, patient=EcgSignal(np.array([0.0, 1.0]), "250"), candidates=()),
+        "run_config.patient.rate",
+        "expected finite number",
+    ),
+    (
+        lambda c: replace(c, patient={"bpm": 70}),
+        "run_config.patient",
+        "expected PatientParams or EcgSignal, got dict",
+    ),
+    (
+        lambda c: RunConfig(1, PatientParams(70), thresholds=None),
+        "run_config.thresholds",
+        "expected Thresholds, got NoneType",
     ),
 ]
 
@@ -250,7 +281,21 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
 @pytest.mark.parametrize(
     "build, path, message",
     CODE_BUILT_RUN_CONFIG_FAULTS,
-    ids=["candidate-bpm", "patient-bpm", "thresholds", "candidate-text", "seed", "user-inputs", "sample-rate"],
+    ids=[
+        "candidate-bpm",
+        "patient-bpm",
+        "thresholds",
+        "candidate-text",
+        "seed",
+        "user-inputs",
+        "sample-rate",
+        "sample-list",
+        "sample-2d",
+        "sample-nan",
+        "sample-rate-text",
+        "patient-type",
+        "thresholds-type",
+    ],
 )
 def test_a_code_built_run_config_that_breaks_a_rule_cannot_be_built(build, path, message):
     config = load_defaults()[3]
@@ -484,17 +529,17 @@ def test_empty_candidate_grid_fails_the_loop_node():
     assert isinstance(err.value.cause.cause, EmptyParameterGrid)
 
 
-# -- candidate feature memo ------------------------------------------------------------
+# -- features memo ------------------------------------------------------------------
 
 
-def test_memoised_candidate_features_equal_a_direct_extraction():
+def test_memoised_signal_features_equal_a_direct_extraction():
     _, _, _, config = load_defaults()
     for candidate in config.candidates:
         args = (candidate["bpm"], candidate.get("irregularity", 0.0), candidate.get("st_offset", 0.0))
         seed = candidate.get("seed", 0)
         direct = extract_features(synthesize_ecg(*args, noise=0.0, duration=30.0, rate=250.0, seed=seed))
-        assert _candidate_features(*args, seed, 30.0, 250.0) == direct
-        assert _candidate_features(*args, seed, 30.0, 250.0) == direct  # from the cache
+        assert _signal_features(*args, 0.0, 30.0, 250.0, seed) == direct
+        assert _signal_features(*args, 0.0, 30.0, 250.0, seed) == direct  # from the cache
 
 
 def test_runs_give_the_same_record_from_a_cold_or_a_warm_memo():
@@ -504,26 +549,82 @@ def test_runs_give_the_same_record_from_a_cold_or_a_warm_memo():
         run = run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label("High Performance"), config)
         return dump_json(record_document(run))
 
-    _candidate_features.cache_clear()
+    _signal_features.cache_clear()
     cold = record()
-    assert _candidate_features.cache_info().currsize > 0
+    assert _signal_features.cache_info().currsize > 0
     assert record() == cold
 
 
-def test_candidate_memo_is_bounded():
-    maxsize = _candidate_features.cache_info().maxsize
+def test_features_memo_is_bounded():
+    maxsize = _signal_features.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
 
 
-def test_candidate_memo_does_not_cache_failures():
+def test_features_memo_does_not_cache_failures():
     # one beat in 3.5 s: extraction fails, and must fail again rather than be remembered
-    before = _candidate_features.cache_info()
+    before = _signal_features.cache_info()
     for _ in range(2):
         with pytest.raises(NoBeatsDetected):
-            _candidate_features(30.0, 0.0, 0.0, 0, 3.5, 250.0)
-    after = _candidate_features.cache_info()
+            _signal_features(30.0, 0.0, 0.0, 0.0, 3.5, 250.0, 0)
+    after = _signal_features.cache_info()
     assert after.misses - before.misses == 2
     assert after.currsize == before.currsize
+
+
+def equal_twin(value):
+    """A number equal to ``value``, and so of the same ``lru_cache`` key, but
+    spelled differently: a zero as the zero of the other sign, an int as a
+    float, an integral float as an int."""
+    if value == 0:
+        return -0.0 if math.copysign(1.0, value) > 0 else 0.0
+    if isinstance(value, int):
+        return float(value)
+    return int(value) if value.is_integer() else value
+
+
+@st.composite
+def patients_and_twins(draw):
+    """The memo's arguments for a patient across the ``PatientParams`` domain,
+    sized so synthesis stays cheap, with ints, integral floats and both zeros
+    drawn; and the twin arguments, equal field by field but spelled differently."""
+    args = (
+        draw(st.integers(1, 1000) | st.floats(1.0, 1000.0)),  # bpm
+        draw(st.sampled_from([0, 0.0, 0.5]) | st.floats(0.0, 0.99)),  # irregularity
+        draw(st.sampled_from([0, 0.0, -0.0]) | st.floats(-0.35, 0.35)),  # st_offset
+        draw(st.sampled_from([0, 0.0, 10]) | st.floats(0.0, 10.0)),  # noise
+        draw(st.integers(1, 20) | st.floats(0.1, 20.0)),  # duration
+        draw(st.sampled_from([100, 250, 2000]) | st.floats(100.0, 500.0)),  # rate
+    )
+    assume(args[4] * args[5] <= 20_000)
+    try:
+        PatientParams(*args)
+    except SchemaError:
+        reject()  # outside the domain, or a signal that cannot show two beats
+    seed = draw(st.integers(0, 2**63))
+    return (*args, seed), (*map(equal_twin, args), seed)
+
+
+def features_or_error(call):
+    """``call()``'s features, bit for bit, or the type of error it raised."""
+    try:
+        return repr(call())
+    except NoBeatsDetected as err:
+        return type(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=patients_and_twins())
+def test_the_features_memo_equals_a_fresh_extraction_cold_and_warm(pair):
+    args, twin = pair
+    _signal_features.cache_clear()
+    for key in (args, twin):  # the cold call, then a warm one through the twin's equal key
+        signal = synthesize_ecg(*key)
+        assert features_or_error(lambda: _signal_features(*key)) == features_or_error(lambda: extract_features(signal))
+        # the loop derives the patient signal's duration and rate without synthesizing it
+        derived = engine._duration_and_rate(PatientParams(*key))
+        assert [v.hex() for v in derived] == [signal.duration.hex(), signal.rate.hex()]
+    info = _signal_features.cache_info()
+    assert info.hits == info.currsize  # one hit when the features are kept; a failure is never kept
 
 
 # -- recorded samples -----------------------------------------------------------------
