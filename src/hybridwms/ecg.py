@@ -36,7 +36,7 @@ FREQ_MAX = 10.0
 FREQ_STEP = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EcgSignal:
     values: np.ndarray
     rate: float  # samples per second

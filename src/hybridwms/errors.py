@@ -64,15 +64,7 @@ class UnknownStrategy(WmsError):
 
 
 class InfeasibleMapping(WmsError):
-    """A task's transformation is available on no quorum resource."""
-
-
-class StuckSimulation(WmsError):
-    """A plan places a task before one of its producers; ``unfinished`` lists it and every later task."""
-
-    def __init__(self, unfinished):
-        self.unfinished = sorted(unfinished)
-        super().__init__("simulation stuck; unfinished tasks: " + ", ".join(self.unfinished))
+    """A quorum names a member that is absent from the resource pool."""
 
 
 class MissingInput(WmsError):

@@ -5,7 +5,7 @@ Each record checks its rules when it is built, parsed or in code, and raises
 ``SchemaError`` at the document path of a bad value: numbers finite, seeds
 integers, values in their domains, signals able to show two beats. A checked
 ``RunConfig`` holds read-only candidates and user inputs, a ``Thresholds``, and
-a patient that is ``PatientParams`` or a well-formed recorded ``EcgSignal``.
+a patient: ``PatientParams``, or a checked, read-only copy of an ``EcgSignal``.
 numpy is imported only to load or check a recorded sample.
 """
 
@@ -149,7 +149,7 @@ class RunConfig:
     def __post_init__(self):
         doc.get_int({"seed": self.seed}, "seed", "run_config")
         if not isinstance(self.patient, PatientParams):
-            _check_recorded(self.patient)
+            object.__setattr__(self, "patient", _recorded(self.patient))
         duration, rate = self.patient.duration, self.patient.rate  # every candidate is synthesized at these
         in_domain, message = SIGNAL_DOMAINS["duration"]
         if self.candidates and not in_domain(duration):  # a recorded signal may be longer than synthesis accepts
@@ -164,9 +164,11 @@ class RunConfig:
             object.__setattr__(self, "user_inputs", MappingProxyType(dict(user_inputs)))
 
 
-def _check_recorded(signal) -> None:
+def _recorded(signal):
     """Refuse a patient that is neither ``PatientParams`` nor an ``ecg.EcgSignal``
-    with a rate in its domain and values a non-empty 1-D float array of finite numbers."""
+    with a rate in its domain and values a non-empty 1-D float array of finite
+    numbers. Return it with its values copied into immutable bytes; a signal whose
+    values already live in bytes is returned as it is, so rebuilt configs share it."""
     import numpy as np  # here, not at module top: only a recorded signal needs it
     from .ecg import EcgSignal
 
@@ -179,6 +181,9 @@ def _check_recorded(signal) -> None:
         raise doc.SchemaError(f"{path}.values", "expected a non-empty 1-D float array")
     if not np.isfinite(values).all():
         raise doc.SchemaError(f"{path}.values", "expected finite numbers")
+    if isinstance(values.base, bytes):
+        return signal
+    return EcgSignal(np.frombuffer(values.tobytes(), values.dtype), signal.rate)
 
 
 def _load_sample(file: str):

@@ -57,9 +57,6 @@ class Node:
     kind: NodeKind
     payload: dict = field(default_factory=dict)
 
-    def __hash__(self):
-        return hash(self.id)
-
     @property
     def min_service(self) -> str:
         return self.payload.get("min_service", SERVICE_LEVELS[0])

@@ -5,21 +5,19 @@ import importlib.resources
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridwms import gridengine, simkernel
 from hybridwms.documents import dump_json, load_json
 from hybridwms.engine import record_document, run_workflow
 from hybridwms.errors import InfeasibleMapping, UnknownStrategy
 from hybridwms.experiments import load_workflow_bundle
-from hybridwms.gridengine import (
-    Catalogs,
-    execute_plan,
-    generate_catalogs,
-    map_workflow,
-)
+from hybridwms.gridengine import execute_plan, generate_catalogs, map_workflow
 from hybridwms.policy import parse_repository, parse_sla
 from hybridwms.resources import (
     AllocationCostParams,
@@ -30,7 +28,7 @@ from hybridwms.resources import (
     parse_pool,
 )
 from hybridwms.runconfig import parse_run_config
-from hybridwms.simkernel import exec_time, transfer_time
+from hybridwms.simkernel import PlannedTransfer, TaskRecord, TransferRecord, exec_time, transfer_time
 from hybridwms.workflow import AbstractSubWorkflow, TaskSpec, topological_order
 
 PARAMS = AllocationCostParams()
@@ -183,32 +181,6 @@ def test_quorum_member_missing_from_pool_rejected():
     pool = two_site_pool()
     with pytest.raises(InfeasibleMapping):
         map_workflow(diamond_subwf(), quorum_of(pool, "r1", "ghost"), pool)
-
-
-def test_missing_transformation_is_infeasible():
-    pool = two_site_pool()
-    quorum = quorum_of(pool, "r1", "r2")
-    catalogs = Catalogs(transformations=(("prep", "r1"),))
-    with pytest.raises(InfeasibleMapping):
-        map_workflow(diamond_subwf(), quorum, pool, catalogs=catalogs)
-
-
-def test_round_robin_respects_catalog_feasibility():
-    pool = two_site_pool()
-    quorum = quorum_of(pool, "r1", "r2")
-    subwf = AbstractSubWorkflow("w", (TaskSpec("a", 10.0, "tf"), TaskSpec("b", 10.0, "tf")), (), ())
-    catalogs = Catalogs(transformations=(("tf", "r1"),))
-    with pytest.raises(InfeasibleMapping):
-        map_workflow(subwf, quorum, pool, scheduler="RoundRobin", catalogs=catalogs)
-
-
-def test_partial_catalog_restricts_min_eft_choice():
-    pool = two_site_pool()
-    quorum = quorum_of(pool, "r1", "r2")
-    subwf = AbstractSubWorkflow("w", (TaskSpec("a", 100.0, "tf"),), (), ())
-    catalogs = Catalogs(transformations=(("tf", "r2"),))
-    plan = map_workflow(subwf, quorum, pool, catalogs=catalogs)
-    assert assignment_of(plan, "a") == "r2"
 
 
 def test_stage_in_transfers_only_for_tasks_off_the_replica_host():
@@ -433,3 +405,162 @@ def test_plan_document_is_json_stable():
     result_doc = result.as_document()
     assert result_doc["makespan"] == result.makespan
     assert len(result_doc["tasks"]) == 4
+
+
+# -- the oracle property -------------------------------------------------------------
+
+
+def scan_records(placement, deps, inputs, pool, replica_host):
+    """Scan simulation of a placement ``[(task, work, resource)]``: each resource
+    serves its tasks in placement order, and each pass over the resources, in
+    id order, starts every queue head whose producers have ended. A stage-in
+    leaves the replica host at 0. Returns ``{task: (resource, ready, start, end)}``."""
+    queues = {}
+    for entry in placement:
+        queues.setdefault(entry[2], []).append(entry)
+    producers_of = {}
+    for producer, consumer, size in deps:
+        producers_of.setdefault(consumer, []).append((producer, size))
+    stage_ins = {}
+    for _, size, consumer in inputs:
+        stage_ins.setdefault(consumer, []).append(size)
+    placed = {task_id: rid for task_id, _, rid in placement}
+    free_at = dict.fromkeys(queues, 0.0)
+    records = {}
+    while len(records) < len(placement):
+        progressed = False
+        for rid in sorted(queues):
+            if not queues[rid]:
+                continue
+            task_id, work, _ = queues[rid][0]
+            if any(p not in records for p, _ in producers_of.get(task_id, ())):
+                continue
+            ready = 0.0
+            if rid != replica_host:
+                for size in stage_ins.get(task_id, ()):
+                    ready = max(ready, transfer_time(size, pool[replica_host], pool[rid]))
+            for producer, size in producers_of.get(task_id, ()):
+                arrival = records[producer][3]
+                if placed[producer] != rid:
+                    arrival += transfer_time(size, pool[placed[producer]], pool[rid])
+                ready = max(ready, arrival)
+            start = max(ready, free_at[rid])
+            end = start + exec_time(work, pool[rid], start)
+            records[task_id] = (rid, ready, start, end)
+            free_at[rid] = end
+            queues[rid].pop(0)
+            progressed = True
+        assert progressed, "the placement is not in dependency order"
+    return records
+
+
+def oracle_placement(subwf, members, pool, scheduler, seed):
+    """Each scheduler's rule over the scan simulation, task by task in
+    topological order: ``MinEFT`` takes the member on which the task, appended
+    to the placement so far, ends first (ties to the lowest id); ``RoundRobin``
+    takes the members in rank order, cyclically; ``Random`` takes
+    ``members[rng.randrange(n)]`` from ``random.Random(seed)``."""
+    work = {t.id: t.work for t in subwf.tasks}
+    host = members[0]
+    rng = random.Random(seed)
+    placement = []
+    for index, task_id in enumerate(topological_order(subwf)):
+        if scheduler == "MinEFT":
+
+            def end_on(rid):
+                trial = placement + [(task_id, work[task_id], rid)]
+                return scan_records(trial, subwf.data_deps, subwf.inputs, pool, host)[task_id][3]
+
+            rid = min(sorted(members), key=end_on)  # min keeps the first of equal ends
+        elif scheduler == "RoundRobin":
+            rid = members[index % len(members)]
+        else:
+            rid = members[rng.randrange(len(members))]
+        placement.append((task_id, work[task_id], rid))
+    return placement
+
+
+@st.composite
+def mapping_cases(draw):
+    """A random task DAG with stage-ins, a pool over up to three sites with
+    noisy or noiseless load, a quorum of its members in a random rank order,
+    a scheduler and a seed. Values come from small sets, so equal finish
+    times, and so ties, are common."""
+    n_tasks = draw(st.integers(1, 7))
+    ids = draw(st.permutations([f"t{i}" for i in range(n_tasks)]))  # names need not follow dependency order
+    tasks = tuple(TaskSpec(tid, draw(st.sampled_from([10.0, 100.0, 250.0])), "tf") for tid in ids)
+    sizes = st.sampled_from([0.0, 1e6, 3e6])
+    deps = tuple(
+        (ids[i], ids[j], draw(sizes)) for i in range(n_tasks) for j in range(i + 1, n_tasks) if draw(st.booleans())
+    )
+    inputs = tuple((f"in{k}", draw(sizes), draw(st.sampled_from(ids))) for k in range(draw(st.integers(0, 3))))
+    subwf = AbstractSubWorkflow("prop", tasks, deps, inputs)
+
+    noisy = draw(st.booleans())
+    pool = {}
+    for i in range(draw(st.integers(1, 5))):
+        trace = MetricTrace(
+            base=draw(st.sampled_from([0.0, 0.3])),
+            amplitude=draw(st.sampled_from([0.0, 0.4])),
+            period=40.0,
+            noise_sigma=0.05 if noisy else 0.0,
+            seed=draw(st.integers(0, 1 << 16)),
+        )
+        pool[f"r{i}"] = ResourceDescriptor(
+            id=f"r{i}",
+            site=draw(st.sampled_from(["s0", "s1", "s2"])),
+            cpu_rate=draw(st.sampled_from([50.0, 100.0, 200.0])),
+            net_trace=MetricTrace(base=0.2),
+            sys_trace=trace,
+            bandwidth=draw(st.sampled_from([1e6, 4e6])),
+            latency=draw(st.sampled_from([0.0, 0.1])),
+        )
+    ranked = draw(st.permutations(sorted(pool)))
+    members = tuple(ranked[: draw(st.integers(1, len(ranked)))])
+    return subwf, pool, members, draw(st.sampled_from(gridengine.SCHEDULER_KINDS)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mapping_cases(), share_rates=st.booleans())
+def test_mapping_and_replay_equal_a_scan_simulation_of_each_scheduler_rule(case, share_rates):
+    subwf, pool, members, scheduler, seed = case
+    host = members[0]
+    rates = {} if share_rates else None  # the engine shares one memo between mapping and replay
+    plan = map_workflow(subwf, Quorum("L2", members), pool, scheduler=scheduler, seed=seed, rates=rates)
+    result = execute_plan(plan, pool, rates=rates)
+
+    placement = oracle_placement(subwf, members, pool, scheduler, seed)
+    assert [(p.task_id, p.work, p.resource_id) for p in plan.assignments] == placement
+    expected = scan_records(placement, subwf.data_deps, subwf.inputs, pool, host)
+    tasks = [TaskRecord(task_id, *expected[task_id]) for task_id, _, _ in placement]
+    assert list(plan.estimates) == tasks
+    assert list(result.tasks) == tasks
+    makespan = max((r.end for r in tasks), default=0.0)
+    assert plan.makespan_estimate == result.makespan == makespan
+
+    placed = {task_id: rid for task_id, _, rid in placement}
+    assert plan.transfers == tuple(
+        PlannedTransfer(file, host, placed[consumer], size, consumer)
+        for file, size, consumer in subwf.inputs
+        if placed[consumer] != host
+    )
+    moves = [(consumer, file, host, placed[consumer], size, 0.0) for file, size, consumer in subwf.inputs]
+    moves += [
+        (consumer, f"{producer}->{consumer}", placed[producer], placed[consumer], size, expected[producer][3])
+        for producer, consumer, size in subwf.data_deps
+    ]
+    arrivals = []  # (consumer, transfer) of every input that crosses resources
+    for consumer, file, src, dst, size, leaves in moves:
+        if src != dst:
+            lands = leaves + transfer_time(size, pool[src], pool[dst])
+            arrivals.append((consumer, TransferRecord(file, src, dst, size, leaves, lands)))
+    transfers = [transfer for _, transfer in arrivals]
+    assert Counter(result.transfers) == Counter(transfers)
+    assert [(t.end, t.start) for t in result.transfers] == sorted((t.end, t.start) for t in transfers)
+
+    start = {r.task_id: r.start for r in tasks}
+    assert all(transfer.end <= start[consumer] for consumer, transfer in arrivals)
+    assert all(expected[producer][3] <= start[consumer] for producer, consumer, _ in subwf.data_deps)
+    for rid in members:  # no resource runs two tasks at once
+        spans = sorted((r.start, r.end) for r in tasks if r.resource_id == rid)
+        assert all(prev_end <= next_start for (_, prev_end), (next_start, _) in zip(spans, spans[1:]))

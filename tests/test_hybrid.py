@@ -4,7 +4,7 @@ import copy
 import importlib.resources
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -319,6 +319,20 @@ def test_a_checked_run_config_cannot_be_edited_past_its_check():
         return dump_json(record_document(run))
 
     assert record(config) == record(load_defaults()[3])
+
+
+def test_a_checked_run_configs_recorded_signal_cannot_be_edited():
+    signal = synthesize_ecg(330, noise=0.02, seed=3)
+    recorded = signal.values.copy()
+    config = replace(load_defaults()[3], patient=signal)
+    with pytest.raises(FrozenInstanceError):
+        config.patient.rate = 1e6
+    with pytest.raises(ValueError):
+        config.patient.values[0] = 1.0
+    signal.values[:] = 0.0  # the caller's array, not the config's copy
+    assert np.array_equal(config.patient.values, recorded)
+    assert config.patient.rate == 250.0
+    assert replace_seed(config, 2).patient is config.patient  # copied once, then shared
 
 
 def test_replace_seed_keeps_everything_else():

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from hybridwms.errors import StuckSimulation
 from hybridwms.gridengine import ConcretePlan, execute_plan
 from hybridwms.resources import MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
@@ -183,27 +182,6 @@ def test_simulation_is_deterministic():
     first = run(plan, deps, resources=resources)
     second = run(plan, deps, resources=resources)
     assert first == second
-
-
-def test_unfinished_tasks_raise():
-    r1 = make_resource("r1")
-    plan = [PlannedTask("a", 1.0, "r1"), PlannedTask("b", 1.0, "r1")]
-    deps = [("a", "b", 0.0), ("b", "a", 0.0)]
-    with pytest.raises(StuckSimulation) as err:
-        run(plan, deps, resources=[r1])
-    assert err.value.unfinished == ["a", "b"]
-
-
-def test_plan_validation():
-    r1 = make_resource("r1")
-    with pytest.raises(ValueError):
-        run([PlannedTask("a", 1.0, "r1"), PlannedTask("a", 1.0, "r1")], resources=[r1])
-    with pytest.raises(ValueError):
-        run([PlannedTask("a", 1.0, "ghost")], resources=[r1])
-    with pytest.raises(ValueError):
-        run([PlannedTask("a", 1.0, "r1")], deps=[("a", "ghost", 1.0)], resources=[r1])
-    with pytest.raises(ValueError):
-        run([PlannedTask("a", 1.0, "r1")], transfers=[PlannedTransfer("f", "r1", "r1", 1.0, "ghost")], resources=[r1])
 
 
 def test_empty_plan_finishes_at_zero():
