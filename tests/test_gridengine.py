@@ -183,6 +183,34 @@ def test_quorum_member_missing_from_pool_rejected():
         map_workflow(diamond_subwf(), quorum_of(pool, "r1", "ghost"), pool)
 
 
+def test_absent_quorum_members_are_named_in_rank_order():
+    pool = two_site_pool()
+    with pytest.raises(InfeasibleMapping, match=r"\['ghost', 'phantom'\]"):
+        map_workflow(diamond_subwf(), quorum_of(pool, "ghost", "r1", "phantom"), pool)
+
+
+def test_min_eft_may_place_any_transformation_on_any_member():
+    # every member provides every transformation, so both tasks of a chain
+    # of two transformations go to the fast member ranked second
+    pool = {
+        "r1": make_resource("r1", "s", cpu_rate=100.0),
+        "r2": make_resource("r2", "s", cpu_rate=400.0),
+    }
+    subwf = AbstractSubWorkflow("w", (TaskSpec("a", 100.0, "prep"), TaskSpec("b", 100.0, "solve")), (("a", "b", 0.0),), ())
+    plan = map_workflow(subwf, quorum_of(pool, "r1", "r2"), pool)
+    assert [p.resource_id for p in plan.assignments] == ["r2", "r2"]
+    assert plan.makespan_estimate == pytest.approx(0.5)
+
+
+def test_round_robin_places_tasks_of_every_transformation():
+    pool = two_site_pool()
+    subwf = AbstractSubWorkflow(
+        "w", tuple(TaskSpec(f"t{i}", 10.0, name) for i, name in enumerate(("prep", "solve", "merge"))), (), ()
+    )
+    plan = map_workflow(subwf, quorum_of(pool, "r3", "r1"), pool, scheduler="RoundRobin")
+    assert [p.resource_id for p in plan.assignments] == ["r3", "r1", "r3"]
+
+
 def test_stage_in_transfers_only_for_tasks_off_the_replica_host():
     pool = two_site_pool()
     subwf = AbstractSubWorkflow(

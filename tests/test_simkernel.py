@@ -160,6 +160,18 @@ def test_stage_in_precedes_a_transfer_with_equal_start_and_end():
     assert result.transfers[0].end == result.transfers[1].end
 
 
+def test_equal_transfers_follow_their_producers_plan_position():
+    # two zero-work producers end at 0 and ship equal outputs to c: the
+    # transfers tie on (end, start) and sort by plan position, not by the
+    # order in which the dependencies are listed
+    r1 = make_resource("r1", site="x", bandwidth=1e6, latency=0.1)
+    r2 = make_resource("r2", site="y", bandwidth=1e6, latency=0.1)
+    plan = [PlannedTask("p1", 0.0, "r2"), PlannedTask("p2", 0.0, "r2"), PlannedTask("c", 100.0, "r1")]
+    result = run(plan, [("p2", "c", 1e6), ("p1", "c", 1e6)], resources=[r1, r2])
+    assert [t.file for t in result.transfers] == ["p1->c", "p2->c"]
+    assert result.transfers[0].end == result.transfers[1].end == pytest.approx(1.1)
+
+
 def test_load_dependent_duration_uses_start_time():
     # sinusoidal load, no noise: duration must be evaluated at the task's start
     trace = MetricTrace(base=0.5, amplitude=0.4, period=40.0)
