@@ -9,7 +9,8 @@ then decides and enforces the policy set for ``--sla`` from ``--repo`` as
 ``run`` does, and the one for each ``--spec`` configuration from ``--repo``
 plus its extra policies as ``experiment policy-comparison`` does. A command
 that fails exits 2 and writes nothing. The commands that write files check
-``--out-dir`` before any document is loaded.
+``--out-dir`` before any document is loaded. A closed stdout also exits 2,
+after a command's files are written.
 """
 
 from __future__ import annotations
@@ -188,17 +189,24 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
-            return cmd_run(args)
-        if args.command == "experiment":
-            if args.experiment == "cost-table":
-                return cmd_cost_table(args)
-            return cmd_policy_comparison(args)
-        return cmd_validate(args)
+            status = cmd_run(args)
+        elif args.command == "validate":
+            status = cmd_validate(args)
+        elif args.experiment == "cost-table":
+            status = cmd_cost_table(args)
+        else:
+            status = cmd_policy_comparison(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+        return status
     except WmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush stays quiet
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

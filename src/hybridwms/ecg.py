@@ -16,6 +16,8 @@ SIMD version of those per CPU, and its ``log`` differs from libm in the last
 bit for 0.35% of inputs on an AVX-512 machine.
 The spectral scan steps a phasor along its frequency grid (Goertzel 1958):
 one complex multiply per sample and step, not a cos/sin pair, in O(n) memory.
+numpy is imported in the functions that compute on signals, so importing this
+module, and ``engine`` with it, loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NoBeatsDetected
 from .runconfig import BEAT_SIGMA, SIGNAL_DOMAINS, Thresholds
@@ -43,6 +43,8 @@ class EcgSignal:
 
     @property
     def times(self) -> np.ndarray:
+        import numpy as np  # here, not at module top: validate imports this module, through engine, without numpy
+
         return np.arange(len(self.values)) / self.rate
 
     @property
@@ -82,6 +84,7 @@ def synthesize_ecg(
     for name, (in_domain, message) in SIGNAL_DOMAINS.items():
         if not in_domain(params[name]):
             raise ValueError(f"{name} {message}")
+    import numpy as np
 
     rng = random.Random(seed)
     rr_base = 60.0 / bpm
@@ -116,6 +119,8 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
     ``getrandbits`` call returns the same words, least significant first. An
     odd ``n`` leaves the last pair's second normal pending, as ``gauss`` does.
     """
+    import numpy as np
+
     k = n + n % 2  # uniforms: two per pair of normals
     words = np.frombuffer(stream.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4").astype(np.uint64)
     u = ((words[0::2] >> 5) * 67108864 + (words[1::2] >> 6)).astype(np.float64) * 2.0**-53
@@ -131,6 +136,8 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
 
 def detect_beats(signal: EcgSignal) -> np.ndarray:
     """Beat instants: peaks of contiguous runs above half the global maximum."""
+    import numpy as np
+
     values = signal.values
     peak = float(values.max(initial=0.0)) if len(values) else 0.0
     if peak <= 0:
@@ -155,6 +162,8 @@ def dominant_frequency(signal: EcgSignal) -> float:
     power is ``|Σz|²``. Powers differ from direct cos/sin sums only by rounding;
     only their argmax must match, as the result is a grid frequency.
     """
+    import numpy as np
+
     x = signal.values - signal.values.mean()
     t = signal.times
     steps = int(round((FREQ_MAX - FREQ_MIN) / FREQ_STEP)) + 1
@@ -171,6 +180,8 @@ def dominant_frequency(signal: EcgSignal) -> float:
 
 def extract_features(signal: EcgSignal) -> EcgFeatures:
     """Recover rhythm and baseline features from a raw signal."""
+    import numpy as np
+
     beats = detect_beats(signal)
     rr = np.diff(beats)
     rr_mean = float(rr.mean())

@@ -394,6 +394,25 @@ def test_python_dash_m_hybridwms_runs_the_cli():
     assert "run-config: ok" in done.stdout
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out-dir", "{tmp}"]])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, command, unbuffered):
+    # the read end is closed before the process starts, so its first write to stdout fails
+    package_root = Path(importlib.resources.files("hybridwms")).parent
+    env = {**os.environ, "PYTHONPATH": str(package_root), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        args = [arg.format(tmp=tmp_path / "out") for arg in command]
+        done = subprocess.run([sys.executable, "-m", "hybridwms", *args], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and done.stderr.startswith("error: "), done.stderr
+    if command[0] == "run":  # its files were written before its first print
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["node_timings.csv", "run_record.json"]
+
+
 def test_cli_validate_flags_broken_documents(tmp_path, capsys):
     bad = tmp_path / "pool.json"
     bad.write_text("[{}]")

@@ -1,14 +1,21 @@
-"""Every import in the package and its tests is used, and the run
-configuration's module imports neither numpy nor the signal code.
+"""Every import in the package and its tests is used, and a command that
+computes no signal loads no numpy.
 
-No linter runs on this repository, so this test is the check: it parses each
-module with ``ast`` and lists every imported name that the module never reads.
-A name counts as read when it appears as a name anywhere in the module or is
-listed in its ``__all__``. An import whose line carries ``# noqa: F401`` is kept
-on purpose (a name some other code patches, say).
+No linter runs on this repository, so the first test is the check: it parses
+each module with ``ast`` and lists every imported name that the module never
+reads. A name counts as read when it appears as a name anywhere in the module or
+is listed in its ``__all__``. An import whose line carries ``# noqa: F401`` is
+kept on purpose (a name some other code patches, say).
+
+The others import the package in a fresh interpreter and list the modules it
+loaded.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,46 +62,29 @@ def test_no_module_in_src_or_tests_imports_a_name_it_never_reads(tmp_path):
     assert [line for path in modules for line in unused_imports(path, ROOT)] == []
 
 
-def module_level_imports(source: str) -> set[str]:
-    """The modules that importing a module of this source imports: every import
-    outside a function, a relative one as ``hybridwms.<name>``."""
-    imported, pending = set(), [ast.parse(source)]
-    while pending:
-        for node in ast.iter_child_nodes(pending.pop()):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                imported.add(node.module)
-            elif isinstance(node, ast.ImportFrom):  # from .errors import X, or from . import documents
-                names = [node.module] if node.module else [alias.name for alias in node.names]
-                imported.update(f"hybridwms.{name}" for name in names)
-            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                pending.append(node)
-    return imported
+def loaded_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``, then
+    return the sorted names in its ``sys.modules`` that are numpy's or the
+    package's."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'hybridwms'))))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_the_run_config_module_imports_neither_numpy_nor_the_signal_code():
-    # the scan itself: plain, dotted, relative and nested imports count, one in a function does not
-    sample = (
-        "import os.path\n"
-        "from json import dumps\n"
-        "from . import documents\n"
-        "from .errors import SchemaError\n"
-        "if True:\n"
-        "    import math\n"
-        "class C:\n"
-        "    import struct\n"
-        "def f():\n"
-        "    import numpy\n"
-    )
-    assert module_level_imports(sample) == {"os.path", "json", "hybridwms.documents", "hybridwms.errors", "math", "struct"}
+def test_the_package_root_loads_only_its_errors():
+    code = "import hybridwms, hybridwms.errors\nassert hybridwms.WmsError is hybridwms.errors.WmsError"
+    assert loaded_modules(code) == ["hybridwms", "hybridwms.errors"]
 
-    # hybridwms/__init__.py still imports every module, so only the module's own imports are followed
-    package, closure, pending = ROOT / "src" / "hybridwms", set(), ["hybridwms.runconfig"]
-    while pending:
-        name = pending.pop()
-        closure.add(name)
-        imported = module_level_imports((package / f"{name.removeprefix('hybridwms.')}.py").read_text(encoding="utf-8"))
-        assert "numpy" not in {module.split(".")[0] for module in imported}, name
-        pending += [module for module in imported if module.startswith("hybridwms.") and module not in closure]
-    assert "hybridwms.documents" in closure and not closure & {"hybridwms.ecg", "hybridwms.engine"}
+
+def test_the_run_config_module_loads_neither_numpy_nor_the_signal_code():
+    loaded = loaded_modules("import hybridwms.runconfig")
+    assert "hybridwms.documents" in loaded
+    assert not {"numpy", "hybridwms.ecg", "hybridwms.engine"} & set(loaded)
+
+
+def test_validate_on_the_packaged_documents_loads_no_numpy():
+    code = "import contextlib, io\nfrom hybridwms import cli\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(['validate']) == 0"
+    loaded = loaded_modules(code)
+    assert "hybridwms.engine" in loaded and "numpy" not in loaded
