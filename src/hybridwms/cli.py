@@ -9,13 +9,16 @@ then decides and enforces the policy set for ``--sla`` from ``--repo`` as
 ``run`` does, and the one for each ``--spec`` configuration from ``--repo``
 plus its extra policies as ``experiment policy-comparison`` does. A command
 that fails exits 2 and writes nothing. The commands that write files check
-``--out-dir`` before any document is loaded. A closed stdout also exits 2,
-after a command's files are written.
+``--out-dir`` before any document is loaded. A stdout that cannot be written
+(closed or full) also exits 2, ``--help`` included: a command's output is
+written once it is done, after its files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from importlib import resources
@@ -188,26 +191,40 @@ def cmd_validate(args) -> int:
     return 2 if failures else 0
 
 
-def main(argv=None) -> int:
+def _command(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "run":
-            status = cmd_run(args)
-        elif args.command == "validate":
-            status = cmd_validate(args)
-        elif args.experiment == "cost-table":
-            status = cmd_cost_table(args)
-        else:
-            status = cmd_policy_comparison(args)
-        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
-        return status
+            return cmd_run(args)
+        if args.command == "validate":
+            return cmd_validate(args)
+        if args.experiment == "cost-table":
+            return cmd_cost_table(args)
+        return cmd_policy_comparison(args)
     except WmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush stays quiet
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+
+
+def main(argv=None) -> int:
+    text = io.StringIO()  # stdout is written in one place below, so one handler meets every fault on it
+    try:
+        with contextlib.redirect_stdout(text):
+            status = _command(argv)
+    except SystemExit as exc:  # argparse exits after --help (0) and after a usage error (2)
+        status = exc.code
+    output = text.getvalue()
+    try:
+        if output:  # writing even "" can fail on a full device
+            sys.stdout.write(output)
+            sys.stdout.flush()  # a closed or full stdout fails here, not in the interpreter's exit flush
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # a stdout with no descriptor leaves nothing for the exit flush
+            stdout_fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)  # what is still buffered goes nowhere
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -14,8 +14,14 @@ a per-sample ``gauss`` loop. numpy does only the steps IEEE 754 rounds exactly
 ``sin`` stay on libm through ``math``, as ``gauss`` calls them. numpy picks a
 SIMD version of those per CPU, and its ``log`` differs from libm in the last
 bit for 0.35% of inputs on an AVX-512 machine.
-The spectral scan steps a phasor along its frequency grid (Goertzel 1958):
-one complex multiply per sample and step, not a cos/sin pair, in O(n) memory.
+The spectral scan reads its grid off one real FFT of the folded signal: when
+the rate is N·FREQ_STEP Hz for an integer N ≥ 200, every grid frequency
+completes a whole number of cycles in N samples, so each step's sum is a bin
+of the length-N DFT of the signal folded modulo N. At any other rate it steps
+a phasor along the grid (Goertzel 1958): one complex multiply per sample and
+step, not a cos/sin pair, in O(n) memory. Only the beat instants, one
+uniform draw each, come from a Python loop: adding the beats' Gaussians and
+finding each run's peak are whole-array passes.
 numpy is imported in the functions that compute on signals, so importing this
 module, and ``engine`` with it, loads no numpy.
 """
@@ -79,6 +85,9 @@ def synthesize_ecg(
     of additive Gaussian sample noise. The noise is bit-identical to one
     ``gauss(0.0, noise)`` call per sample, replayed in bulk by ``_gauss_noise``
     (libm ``log``/``cos``/``sin``, numpy only for exactly rounded steps).
+    The beats' Gaussians are evaluated over all beat windows in one pass and
+    added by ``np.add.at``, which adds in index order, so where windows overlap
+    they add in beat order, bit for bit as a loop over beats would.
     """
     params = {"bpm": bpm, "irregularity": irregularity, "noise": noise, "duration": duration, "rate": rate}
     for name, (in_domain, message) in SIGNAL_DOMAINS.items():
@@ -95,13 +104,15 @@ def synthesize_ecg(
         t += rr_base * (1.0 + irregularity * rng.uniform(-1.0, 1.0))
 
     n = int(round(duration * rate))
-    times = np.arange(n) / rate
     values = np.full(n, st_offset, dtype=float)
-    for beat in beats:
-        lo = max(0, int((beat - 4 * BEAT_SIGMA) * rate))
-        hi = min(n, int((beat + 4 * BEAT_SIGMA) * rate) + 1)
-        window = times[lo:hi]
-        values[lo:hi] += np.exp(-((window - beat) ** 2) / (2 * BEAT_SIGMA**2))
+    # every beat's window [lo, hi) at once; astype truncates toward zero, as int() does
+    centres = np.asarray(beats)
+    lo = np.maximum(0, ((centres - 4 * BEAT_SIGMA) * rate).astype(np.int64))
+    hi = np.minimum(n, ((centres + 4 * BEAT_SIGMA) * rate).astype(np.int64) + 1)
+    sizes = hi - lo  # lo <= n, since beat < duration
+    index = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    bumps = np.exp(-((index / rate - np.repeat(centres, sizes)) ** 2) / (2 * BEAT_SIGMA**2))
+    np.add.at(values, index, bumps)  # in index order: overlapping windows add in beat order
     if noise > 0:
         values += _gauss_noise(rng, n, noise)
     return EcgSignal(values=values, rate=float(rate))
@@ -135,45 +146,62 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
 
 
 def detect_beats(signal: EcgSignal) -> np.ndarray:
-    """Beat instants: peaks of contiguous runs above half the global maximum."""
+    """Beat instants: peaks of contiguous runs above half the global maximum.
+
+    All runs at once: ``np.maximum.reduceat`` gives each run's maximum, and a
+    run's peak is its first sample equal to it, as ``argmax`` picks.
+    """
     import numpy as np
 
     values = signal.values
     peak = float(values.max(initial=0.0)) if len(values) else 0.0
     if peak <= 0:
         raise NoBeatsDetected("signal has no positive excursion")
-    above = np.concatenate(([False], values >= 0.5 * peak, [False]))
-    edges = np.flatnonzero(np.diff(above)).tolist()  # run starts and ends alternate
-    beats = [
-        (start + int(np.argmax(values[start:end]))) / signal.rate
-        for start, end in zip(edges[::2], edges[1::2])
-    ]
-    if len(beats) < 2:
-        raise NoBeatsDetected(f"found {len(beats)} beat(s), need at least 2")
-    return np.asarray(beats)
+    above = np.flatnonzero(values >= 0.5 * peak)
+    starts = np.flatnonzero(np.diff(above, prepend=-2) > 1)  # where each run begins in ``above``
+    if len(starts) < 2:
+        raise NoBeatsDetected(f"found {len(starts)} beat(s), need at least 2")
+    run_values = values[above]
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(above)))
+    at_max = np.flatnonzero(run_values == np.maximum.reduceat(run_values, starts)[run])
+    first = at_max[np.diff(run[at_max], prepend=-1) > 0]  # argmax's rule: the first maximum of each run
+    return above[first] / signal.rate
 
 
 def dominant_frequency(signal: EcgSignal) -> float:
     """Frequency of maximal spectral power on the fixed scan grid.
 
     Single-bin transform of the mean-removed signal; the lowest frequency
-    wins a tie. Phasor recurrence (Goertzel 1958): ``z = x·e^{-2πi·FREQ_MIN·t}``
-    is multiplied by ``e^{-2πi·FREQ_STEP·t}`` once per grid step, and a step's
-    power is ``|Σz|²``. Powers differ from direct cos/sin sums only by rounding;
-    only their argmax must match, as the result is a grid frequency.
+    wins a tie. When the rate is N·FREQ_STEP Hz to double precision, for an
+    integer N ≥ 200, ``e^{-2πi·f·t}`` at every grid frequency f repeats every
+    N samples, so step k's sum is bin ``f / FREQ_STEP`` of the DFT of the
+    signal folded modulo N (``x'[r] = Σ_j x[r + jN]``): one ``rfft`` of
+    length N. At any other rate a phasor recurrence (Goertzel 1958) runs:
+    ``z = x·e^{-2πi·FREQ_MIN·t}`` is multiplied by ``e^{-2πi·FREQ_STEP·t}``
+    once per grid step, and a step's power is ``|Σz|²``. Powers differ from
+    direct cos/sin sums only by rounding; only their argmax must match, as the
+    result is a grid frequency.
     """
     import numpy as np
 
     x = signal.values - signal.values.mean()
-    t = signal.times
-    steps = int(round((FREQ_MAX - FREQ_MIN) / FREQ_STEP)) + 1
-    z = x * np.exp(-2j * math.pi * FREQ_MIN * t)
-    w = np.exp(-2j * math.pi * FREQ_STEP * t)
-    powers = np.empty(steps)
-    for k in range(steps):
-        total = z.sum()
-        powers[k] = total.real**2 + total.imag**2
-        z *= w
+    per_hz = round(1 / FREQ_STEP)
+    first, last = round(FREQ_MIN * per_hz), round(FREQ_MAX * per_hz)  # the grid's DFT bins at period N
+    period = round(signal.rate * per_hz)
+    if period >= 2 * last and period / per_hz == signal.rate:  # an rfft of length N has bins 0..N // 2
+        folded = np.zeros(-(-len(x) // period) * period)
+        folded[: len(x)] = x
+        bins = np.fft.rfft(folded.reshape(-1, period).sum(axis=0))[first : last + 1]
+        powers = bins.real**2 + bins.imag**2
+    else:
+        t = signal.times
+        z = x * np.exp(-2j * math.pi * FREQ_MIN * t)
+        w = np.exp(-2j * math.pi * FREQ_STEP * t)
+        powers = np.empty(last - first + 1)
+        for k in range(len(powers)):
+            total = z.sum()
+            powers[k] = total.real**2 + total.imag**2
+            z *= w
     # argmax takes the first maximum: the lowest frequency wins a tie
     return round(FREQ_MIN + int(np.argmax(powers)) * FREQ_STEP, 10)
 

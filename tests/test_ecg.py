@@ -291,6 +291,10 @@ def beats_or_error(find, signal):
         return "no beats"
 
 
+#: Rates of both scan paths: a whole number of FREQ_STEPs per second folds the
+#: signal for one FFT, and most float rates take the phasor recurrence.
+scan_rates = st.floats(100.0, 500.0) | st.integers(1000, 5000).map(lambda k: k / 10)
+
 synthetic_ecgs = st.builds(
     synthesize_ecg,
     bpm=st.floats(30.0, 330.0),
@@ -298,7 +302,7 @@ synthetic_ecgs = st.builds(
     st_offset=st.floats(-0.5, 0.5),
     noise=st.floats(0.0, 0.3),
     duration=st.floats(4.0, 90.0),
-    rate=st.floats(100.0, 500.0),
+    rate=scan_rates,
     seed=st.integers(0, 2**31),
 )
 
@@ -307,6 +311,8 @@ synthetic_ecgs = st.builds(
 @given(signal=synthetic_ecgs)
 @example(signal=synthesize_ecg(bpm=60, duration=4.0, rate=100.0))
 @example(signal=synthesize_ecg(bpm=200, irregularity=0.3, noise=0.3, duration=90.0, rate=500.0, seed=9))
+@example(signal=synthesize_ecg(bpm=75, irregularity=0.1, noise=0.1, duration=20.0, rate=250.0, seed=3))  # fold path
+@example(signal=synthesize_ecg(bpm=75, irregularity=0.1, noise=0.1, duration=20.0, rate=257.35, seed=3))  # phasor path
 def test_fast_paths_match_the_oracles_on_synthetic_ecgs(signal):
     assert dominant_frequency(signal) in accepted_frequencies(signal)
     beats = beats_or_error(oracle_beats, signal)
@@ -334,7 +340,11 @@ def test_scan_matches_the_oracle_on_tones_between_grid_points(k, offset, phase, 
     assert dominant_frequency(signal) in accepted_frequencies(signal)
 
 
-@pytest.mark.parametrize("k, duration, rate", [(7, 10.0, 100.0), (40, 12.34, 250.0), (90, 30.0, 500.0)])
+@pytest.mark.parametrize(
+    "k, duration, rate",
+    # the last two rates are no whole number of FREQ_STEPs per second, so they take the phasor recurrence
+    [(7, 10.0, 100.0), (40, 12.34, 250.0), (90, 30.0, 500.0), (40, 12.34, 257.35), (90, 30.0, 360.05)],
+)
 def test_scan_matches_the_oracle_on_close_calls(k, duration, rate):
     # a tone between grid steps k and k+1, 1e-8 of a step either side of where
     # their oracle powers tie: the gap (~1e-8 of the largest power) is no near-tie,
@@ -357,9 +367,11 @@ def test_scan_matches_the_oracle_on_close_calls(k, duration, rate):
 
 
 @settings(max_examples=40, deadline=None)
-@given(value=st.floats(-100.0, 100.0), n=st.integers(2, 20000), rate=st.floats(100.0, 500.0))
+@given(value=st.floats(-100.0, 100.0), n=st.integers(2, 20000), rate=scan_rates)
 @example(value=1.799806078595907, n=999, rate=100.0)  # every grid power ties in exact arithmetic
 @example(value=8.799806078595907, n=1000, rate=100.0)  # every grid power is 0 in exact arithmetic
+@example(value=1.799806078595907, n=2501, rate=250.0)  # fold path, with a partial last period
+@example(value=1.799806078595907, n=2501, rate=257.35)  # phasor path
 def test_scan_matches_the_oracle_on_constant_signals(value, n, rate):
     signal = EcgSignal(values=np.full(n, value), rate=rate)
     assert dominant_frequency(signal) in accepted_frequencies(signal)
@@ -433,13 +445,46 @@ def test_noise_replays_the_gauss_loop_bit_for_bit(seed, draws, n, sigma):
 
 
 def oracle_beat_stream(bpm, irregularity, duration, seed):
-    """The generator as the beat loop leaves it: one uniform per planted beat."""
+    """(generator, planted beat instants): the generator as the beat loop leaves
+    it, one uniform per planted beat."""
     rng = random.Random(seed)
     rr_base = 60.0 / bpm
-    t = rr_base
+    beats, t = [], rr_base
     while t < duration:
+        beats.append(t)
         t += rr_base * (1.0 + irregularity * rng.uniform(-1.0, 1.0))
-    return rng
+    return rng, beats
+
+
+def oracle_beat_train(bpm, irregularity, st_offset, duration, rate, seed):
+    """The noiseless signal, one beat's window at a time: each Gaussian is added
+    over [lo, hi) after the beats before it."""
+    beats = oracle_beat_stream(bpm, irregularity, duration, seed)[1]
+    n = int(round(duration * rate))
+    times = np.arange(n) / rate
+    values = np.full(n, st_offset, dtype=float)
+    for beat in beats:
+        lo = max(0, int((beat - 4 * BEAT_SIGMA) * rate))
+        hi = min(n, int((beat + 4 * BEAT_SIGMA) * rate) + 1)
+        values[lo:hi] += np.exp(-((times[lo:hi] - beat) ** 2) / (2 * BEAT_SIGMA**2))
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bpm=st.floats(20.0, 1000.0),
+    irregularity=st.floats(0.0, 0.99),
+    st_offset=st.floats(-0.5, 0.5),
+    duration=st.floats(0.01, 30.0),
+    rate=st.floats(100.0, 2000.0) | st.integers(1000, 20000).map(lambda k: k / 10),
+    seed=st.integers(0, 2**31),
+)
+@example(bpm=1000.0, irregularity=0.0, st_offset=0.0, duration=0.1, rate=500.0, seed=0)  # one window clipped at both ends
+@example(bpm=1000.0, irregularity=0.99, st_offset=0.2, duration=5.0, rate=250.0, seed=1)  # overlapping windows
+@example(bpm=60.0, irregularity=0.0, st_offset=0.0, duration=0.01, rate=100.0, seed=0)  # one sample, no beat
+def test_beat_placement_matches_a_per_beat_loop_bit_for_bit(bpm, irregularity, st_offset, duration, rate, seed):
+    shape = dict(bpm=bpm, irregularity=irregularity, st_offset=st_offset, duration=duration, rate=rate, seed=seed)
+    assert same_bits(synthesize_ecg(**shape).values, oracle_beat_train(**shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,7 +502,7 @@ def test_noisy_signal_is_its_noiseless_twin_plus_the_oracle_noise(bpm, irregular
     shape = dict(bpm=bpm, irregularity=irregularity, st_offset=st_offset, duration=duration, rate=rate, seed=seed)
     noisy = synthesize_ecg(noise=noise, **shape).values
     clean = synthesize_ecg(**shape).values
-    clean += oracle_noise(oracle_beat_stream(bpm, irregularity, duration, seed), len(clean), noise)
+    clean += oracle_noise(oracle_beat_stream(bpm, irregularity, duration, seed)[0], len(clean), noise)
     assert same_bits(noisy, clean)
 
 

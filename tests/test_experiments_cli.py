@@ -1,7 +1,9 @@
 """Experiment harness and command-line tests."""
 
+import errno
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -411,6 +413,57 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, command, unbuffer
     assert "Traceback" not in done.stderr and done.stderr.startswith("error: "), done.stderr
     if command[0] == "run":  # its files were written before its first print
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["node_timings.csv", "run_record.json"]
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout on a full device: every write fails, as on ``/dev/full``."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "command, written",
+    [
+        (["--help"], []),
+        (["run", "--help"], []),
+        (["validate"], []),
+        (["run", "--out-dir", "{tmp}"], ["node_timings.csv", "run_record.json"]),
+        (["experiment", "cost-table", "--out-dir", "{tmp}"], ["cost_table.csv", "quorum_means.csv"]),
+        (["experiment", "policy-comparison", "--replicates", "1", "--out-dir", "{tmp}"], ["comparison.csv", "comparison_summary.csv"]),
+    ],
+    ids=["help", "run-help", "validate", "run", "cost-table", "policy-comparison"],
+)
+def test_a_stdout_that_cannot_be_written_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command, written):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main([arg.format(tmp=tmp_path / "out") for arg in command]) == 2
+    assert capsys.readouterr().err == f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
+    if written:  # the command's files were written before its output
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+
+
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_help_into_a_stdout_that_cannot_be_written_exits_2_without_a_traceback(target):
+    # block-buffered, so argparse's text reaches the descriptor only when it is flushed
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this system")
+    package_root = Path(importlib.resources.files("hybridwms")).parent
+    env = {**os.environ, "PYTHONPATH": str(package_root), "PYTHONUNBUFFERED": ""}
+    if target == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(target, os.O_WRONLY)
+    try:
+        done = subprocess.run([sys.executable, "-m", "hybridwms", "--help"], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(stdout)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_cli_validate_flags_broken_documents(tmp_path, capsys):
