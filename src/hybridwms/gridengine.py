@@ -8,7 +8,11 @@ one recurrence in one pass over the tasks in plan order. Plans are
 topologically ordered and every resource serves its tasks in plan order, so a
 task's estimate is its execution: estimates are exact for every scheduler.
 ``MinEFT`` is HEFT's earliest-finish-time placement without the upward-rank
-ordering (Topcuoglu, Hariri & Wu, IEEE TPDS 2002).
+ordering (Topcuoglu, Hariri & Wu, IEEE TPDS 2002). It times a member only if
+the member's end floor, the later of its last task's end and the task's latest
+producer end plus the work at nominal speed, is below the best end so far: no
+member at or above it can end strictly earlier, so every plan is that of the
+exhaustive scan.
 """
 
 from __future__ import annotations
@@ -36,12 +40,17 @@ RateMemo = dict[tuple[str, float], float]  # effective rate by (resource id, sta
 
 @dataclass(frozen=True)
 class Catalogs:
-    """The transformation catalog of a mapping round: which member provides what."""
+    """The transformation catalog of a mapping round: which members provide what."""
 
-    transformations: tuple[tuple[str, str], ...]  # (transformation, resource id)
+    providers: dict[str, tuple[str, ...]]  # member ids by transformation
+
+    @property
+    def transformations(self) -> tuple[tuple[str, str], ...]:
+        """Every (transformation, resource id) pair, in catalog order."""
+        return tuple((name, rid) for name, rids in self.providers.items() for rid in rids)
 
     def resources_with(self, transformation: str) -> tuple[str, ...]:
-        return tuple(rid for name, rid in self.transformations if name == transformation)
+        return self.providers.get(transformation, ())
 
 
 def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum) -> Catalogs:
@@ -51,8 +60,7 @@ def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum) -> Catalogs:
     Input files need no catalog: the mapper stages them from the first (best
     ranked) member, which acts as the submit host.
     """
-    names = sorted({t.transformation for t in subwf.tasks})
-    return Catalogs(tuple((name, rid) for name in names for rid in quorum.members))
+    return Catalogs(dict.fromkeys(sorted({t.transformation for t in subwf.tasks}), quorum.members))
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,21 @@ class _Estimator:
     consumer, bytes)``. ``rates`` memoizes each rate by ``(resource id,
     start)``, so it is evaluated once per pair; estimators over the same pool
     may share it, and ``None`` gives this estimator its own.
+
+    A task's end on a resource is at least its end floor: ``max(avail,
+    producers_end) + work / cpu_rate``, where ``avail`` is the end of the last
+    task committed to the resource. Transfers take no negative time, so the
+    task starts no earlier than ``max(avail, producers_end)``, and the rate is
+    at most ``cpu_rate`` (see ``effective_rate``); IEEE ``+`` and ``/`` round
+    monotonically, so the floor holds for the rounded values too. ``MinEFT``
+    skips a member whose floor is not below the best end so far, and only a
+    member it times reads a rate.
     """
 
     def __init__(self, pool: dict[str, ResourceDescriptor], stage_ins, dependencies, rates: RateMemo | None):
         self._pool = pool
         self._rates = {} if rates is None else rates
-        self._avail: dict[str, float] = {}
+        self.avail: dict[str, float] = {}  # end of the last task committed to each resource
         self.end_of: dict[str, float] = {}
         self.placed: dict[str, str] = {}
         self.records: list[TaskRecord] = []  # commit order
@@ -120,6 +137,13 @@ class _Estimator:
         self._deps_into = {}
         for producer, consumer, size in dependencies:
             self._deps_into.setdefault(consumer, []).append((producer, size))
+
+    def producers_end(self, task_id: str) -> float:
+        """The latest end of the task's producers, or 0.0 without any."""
+        latest = 0.0
+        for producer, _ in self._deps_into.get(task_id, ()):
+            latest = max(latest, self.end_of[producer])
+        return latest
 
     def ready_time(self, task_id: str, resource_id: str) -> float:
         resource = self._pool[resource_id]
@@ -137,7 +161,7 @@ class _Estimator:
 
     def finish_time(self, task_id: str, work: float, resource_id: str) -> tuple[float, float, float]:
         ready = self.ready_time(task_id, resource_id)
-        start = max(ready, self._avail.get(resource_id, 0.0))
+        start = max(ready, self.avail.get(resource_id, 0.0))
         rate = self._rates.get((resource_id, start))
         if rate is None:
             rate = self._rates[resource_id, start] = effective_rate(self._pool[resource_id], start)
@@ -146,7 +170,7 @@ class _Estimator:
     def commit(self, task_id: str, resource_id: str, ready: float, start: float, end: float) -> None:
         self.placed[task_id] = resource_id
         self.end_of[task_id] = end
-        self._avail[resource_id] = end
+        self.avail[resource_id] = end
         self.records.append(TaskRecord(task_id, resource_id, ready, start, end))
 
 
@@ -161,11 +185,14 @@ def map_workflow(
     """Assign every task of the sub-workflow to a quorum member.
 
     ``MinEFT`` greedily minimizes each task's estimated finish time (ties go
-    to the lowest resource id), ``RoundRobin`` cycles through the quorum in
-    rank order, and ``Random`` draws uniformly from the quorum using the given
-    seed. ``rates`` is the estimator's rate memo; calls over the same pool may
-    share one (the engine shares one per run). A quorum member absent from
-    ``pool`` raises ``InfeasibleMapping``.
+    to the lowest resource id). It walks the members in id order and skips one
+    whose end floor (see ``_Estimator``) is at or above the best end so far:
+    that member cannot end strictly earlier, so the plan is the exhaustive
+    scan's, and a skipped member reads no load. ``RoundRobin`` cycles through
+    the quorum in rank order, and ``Random`` draws uniformly from the quorum
+    using the given seed. ``rates`` is the estimator's rate memo; calls over
+    the same pool may share one (the engine shares one per run). A quorum
+    member absent from ``pool`` raises ``InfeasibleMapping``.
     """
     if scheduler not in SCHEDULER_KINDS:
         raise UnknownStrategy(f"unknown scheduler {scheduler!r}")
@@ -188,8 +215,13 @@ def map_workflow(
         # every member, in rank order; kept as a call, since bench/tracing.py counts calls through it
         eligible = catalogs.resources_with(task.transformation)
         if scheduler == "MinEFT":
+            producers_end = estimator.producers_end(task_id)
             best = None
             for rid in sorted(eligible):
+                if best is not None and (
+                    max(estimator.avail.get(rid, 0.0), producers_end) + task.work / pool[rid].cpu_rate >= best[3]
+                ):
+                    continue  # the end floor: this member cannot end strictly earlier
                 ready, start, end = estimator.finish_time(task_id, task.work, rid)
                 if best is None or end < best[3]:
                     best = (rid, ready, start, end)

@@ -20,7 +20,10 @@ def effective_rate(resource: ResourceDescriptor, t: float) -> float:
     """Speed of a resource at time ``t``: nominal speed degraded by system load.
 
     A fully loaded system keeps 10% of nominal speed, so task durations stay
-    finite for any load value.
+    finite for any load value. The load is clamped to [0, 1], so the rate never
+    exceeds ``cpu_rate``, rounding included: a task of work ``w`` started at
+    ``s >= f`` ends no earlier than ``f + w / cpu_rate``, which is the end
+    floor that lets ``MinEFT`` skip members.
     """
     return resource.cpu_rate * (1.0 - 0.9 * metric_at(resource.sys_trace, t))
 

@@ -592,3 +592,105 @@ def test_mapping_and_replay_equal_a_scan_simulation_of_each_scheduler_rule(case,
     for rid in members:  # no resource runs two tasks at once
         spans = sorted((r.start, r.end) for r in tasks if r.resource_id == rid)
         assert all(prev_end <= next_start for (_, prev_end), (next_start, _) in zip(spans, spans[1:]))
+
+
+# -- MinEFT's end floor at bench size ----------------------------------------------
+
+
+def bench_sized_pool(rng):
+    """32 noisy resources over six sites, in the ranges of the bench's grid pool."""
+    sites = [f"site{j}" for j in range(6)]
+    bandwidth = {s: rng.choice([5e6, 2e7, 5e7, 1e8]) for s in sites}
+    latency = {s: rng.uniform(0.005, 0.08) for s in sites}
+
+    def trace():
+        return MetricTrace(
+            base=rng.uniform(0.05, 0.45),
+            amplitude=rng.uniform(0.0, 0.1),
+            period=rng.uniform(7200.0, 28800.0),
+            phase=rng.uniform(0.0, 6.28),
+            noise_sigma=rng.uniform(0.01, 0.04),
+            seed=rng.randrange(1, 2**31),
+        )
+
+    pool = {}
+    for i in range(32):
+        site = sites[i % 6]
+        rid = f"{site}-{i:02d}"
+        cpu_rate = rng.uniform(60.0, 160.0)
+        pool[rid] = ResourceDescriptor(rid, site, cpu_rate, trace(), trace(), bandwidth[site], latency[site])
+    return pool
+
+
+def layered_subwf(rng, n_tasks):
+    """Layers of 3-10 tasks; each task below the first reads 1-3 tasks of the
+    two layers above it, and each first-layer task stages in one file."""
+    ids = [f"t{i:03d}" for i in range(n_tasks)]
+    layers, start = [], 0
+    while start < n_tasks:
+        width = min(n_tasks - start, rng.randint(3, 10))
+        layers.append(ids[start : start + width])
+        start += width
+    tasks = tuple(TaskSpec(t, rng.uniform(500.0, 5000.0), rng.choice(["tfa", "tfb"])) for t in ids)
+    deps = []
+    for depth in range(1, len(layers)):
+        above = [t for layer in layers[max(0, depth - 2) : depth] for t in layer]
+        for t in layers[depth]:
+            for producer in rng.sample(above, min(len(above), rng.randint(1, 3))):
+                deps.append((producer, t, rng.uniform(1e5, 5e6)))
+    inputs = tuple((f"in-{t}", rng.uniform(1e6, 1e7), t) for t in layers[0])
+    return AbstractSubWorkflow("layered", tasks, tuple(deps), inputs)
+
+
+def bench_sized_cases():
+    """Yield ``(subwf, quorum, pool)``: 50-150-task layered DAGs on 32-member
+    noisy pools, with L1, L2 and L3 quorums."""
+    rng = random.Random(2202)
+    for _ in range(40):
+        pool = bench_sized_pool(rng)
+        for level in ("L1", "L2", "L3"):
+            quorum = generate_arq(list(pool.values()), level, rng.uniform(0, 3600), PARAMS)
+            yield layered_subwf(rng, rng.randint(50, 150)), quorum, pool
+
+
+def exhaustive_min_eft(subwf, quorum, pool):
+    """``MinEFT`` without a floor: time the task on every member with the
+    estimator and keep the first of the earliest ends, in id order."""
+    host = quorum.members[0]
+    stage_ins = [(host, size, consumer) for _, size, consumer in subwf.inputs]
+    estimator = gridengine._Estimator(pool, stage_ins, subwf.data_deps, None)
+    work = {t.id: t.work for t in subwf.tasks}
+    for task_id in topological_order(subwf):
+        timed = [(estimator.finish_time(task_id, work[task_id], rid), rid) for rid in sorted(quorum.members)]
+        (ready, start, end), rid = min(timed, key=lambda item: item[0][2])  # min keeps the first of equal ends
+        estimator.commit(task_id, rid, ready, start, end)
+    return estimator.records
+
+
+def test_min_eft_with_its_end_floor_equals_an_exhaustive_scan_at_bench_size():
+    # Close finish times on 32 noisy members: a floor that is too high, or
+    # that uses the rate at some instant instead of the nominal rate, skips
+    # a member that would have won.
+    for subwf, quorum, pool in bench_sized_cases():
+        plan = map_workflow(subwf, quorum, pool, scheduler="MinEFT")
+        expected = exhaustive_min_eft(subwf, quorum, pool)
+        assert [(p.task_id, p.resource_id) for p in plan.assignments] == [(r.task_id, r.resource_id) for r in expected]
+        assert list(plan.estimates) == expected
+
+
+def test_min_eft_times_fewer_than_half_of_all_placements_on_a_large_quorum(monkeypatch):
+    calls = []
+    finish_time = gridengine._Estimator.finish_time
+
+    def counted_finish_time(estimator, task_id, work, resource_id):
+        calls.append(resource_id)
+        return finish_time(estimator, task_id, work, resource_id)
+
+    monkeypatch.setattr(gridengine._Estimator, "finish_time", counted_finish_time)
+    rng = random.Random(2203)
+    pool = bench_sized_pool(rng)
+    quorum = generate_arq(list(pool.values()), "L3", 0.0, PARAMS)
+    subwf = layered_subwf(rng, 100)
+    map_workflow(subwf, quorum, pool, scheduler="MinEFT")
+    assert len(quorum.members) == 32
+    assert 2 * len(calls) < len(subwf.tasks) * len(quorum.members)  # the floor skips most members

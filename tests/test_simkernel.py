@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hybridwms.gridengine import ConcretePlan, execute_plan
 from hybridwms.resources import MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
     PlannedTask,
     PlannedTransfer,
+    effective_rate,
     exec_time,
     transfer_time,
 )
@@ -45,6 +48,39 @@ def test_exec_time_idle_and_saturated():
     busy = make_resource("r", cpu_rate=50.0, sys_base=1.0)
     # fully loaded resource retains a tenth of its speed
     assert exec_time(100.0, busy, 0.0) == pytest.approx(20.0)
+
+
+@st.composite
+def loaded_resources(draw):
+    """A resource whose load trace reaches both clamps: base at 0 or 1 or in
+    between, amplitude up to 2, with or without noise."""
+    trace = MetricTrace(
+        base=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        amplitude=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+        period=draw(st.floats(1e-3, 1e5)),
+        phase=draw(st.floats(0.0, 7.0)),
+        noise_sigma=draw(st.just(0.0) | st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 1 << 32)),
+    )
+    cpu_rate = draw(st.sampled_from([1e-3, 100.0]) | st.floats(1e-3, 1e9))
+    return ResourceDescriptor("r", "s", cpu_rate, MetricTrace(base=0.1), trace, 1e6, 0.0)
+
+
+@given(
+    resource=loaded_resources(),
+    work=st.sampled_from([1e-300, 1.0, 1e12]) | st.floats(1e-300, 1e12),
+    f=st.just(0.0) | st.floats(0.0, 1e12),
+    wait=st.just(0.0) | st.floats(0.0, 1e12),
+)
+@example(resource=make_resource("r", cpu_rate=100.0, sys_base=1.0), work=1e12, f=1e12, wait=0.0)
+@example(resource=make_resource("r", cpu_rate=3.0, sys_base=0.0), work=0.1, f=0.7, wait=0.0)
+def test_no_start_at_or_after_a_floor_ends_before_the_floor_plus_work_at_nominal_speed(resource, work, f, wait):
+    # MinEFT's end floor, checked on the rounded floats: the rate never exceeds
+    # cpu_rate, and a later start never ends earlier than the floor
+    s = f + wait
+    assert effective_rate(resource, f) <= resource.cpu_rate
+    assert effective_rate(resource, s) <= resource.cpu_rate
+    assert s + work / effective_rate(resource, s) >= f + work / resource.cpu_rate
 
 
 def test_transfer_time_free_within_site():
