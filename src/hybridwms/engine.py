@@ -2,18 +2,19 @@
 
 A run starts from a user requirement (SLA), decides and enforces policies,
 forms the resource quorum, then walks the workflow graph node by node. Local
-nodes execute in-process and take no simulated time; grid nodes are mapped
-and executed by the grid engine's one-pass timing recurrence, advancing the
-run's simulated clock by their makespan. Nodes whose minimum service level
-exceeds the enforced ``app.workflow`` are pruned from the walk; the SLA reaches
-the engine only through policy. A run's workspace holds only what its own nodes
-computed: a data-retrieval node reads its registered source when it runs, and a
-user-input node requires its key in the run configuration and records it, but
-no engine function reads the value. The run configuration checked itself when
-it was built (``runconfig``), so every signal a run synthesizes is in domain.
-Every run is a pure function of its documents and seed, so one features memo
-serves every run in the process: each distinct synthesized signal, a patient's
-or a VHS candidate's, is made and extracted once. Features are kept, never signals.
+nodes execute in-process and take no simulated time; grid nodes are mapped by
+the grid engine's one-pass timing recurrence and executed from its records,
+advancing the run's simulated clock by their makespan. Nodes whose minimum
+service level exceeds the enforced ``app.workflow`` are pruned from the walk;
+the SLA reaches the engine only through policy. A run's workspace holds only
+what its own nodes computed: a data-retrieval node reads its registered source
+when it runs, and a user-input node requires its key in the run configuration
+and records it, but no engine function reads the value. The run configuration
+checked itself when it was built (``runconfig``), so every signal a run
+synthesizes is in domain. Every run is a pure function of its documents and
+seed, so one features memo serves every run in the process: each distinct
+synthesized signal, a patient's or a VHS candidate's, is made and extracted
+once. Features are kept, never signals.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def _dispatch_grid(ctx: _Context, node_id: str, subworkflow_id: str) -> SubWorkf
     plan = map_workflow(
         ctx.subworkflows[subworkflow_id], ctx.quorum, ctx.pool_map, scheduler=scheduler, seed=seed, rates=ctx.rates
     )
-    result = execute_plan(plan, ctx.pool_map, rates=ctx.rates)
+    result = execute_plan(plan, ctx.pool_map)
     ctx.dispatches.append(DispatchRecord(index, node_id, ctx.cursor, ctx.cursor + result.makespan, result))
     ctx.cursor += result.makespan
     return result

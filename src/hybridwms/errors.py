@@ -64,7 +64,7 @@ class UnknownStrategy(WmsError):
 
 
 class InfeasibleMapping(WmsError):
-    """A quorum names a member that is absent from the resource pool."""
+    """A quorum has no members, or names a member absent from the resource pool."""
 
 
 class MissingInput(WmsError):

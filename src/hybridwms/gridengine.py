@@ -1,12 +1,13 @@
-"""Low-level grid engine: workflow mapping, and the replay of its plans.
+"""Low-level grid engine: workflow mapping, and the execution it records.
 
 An abstract sub-workflow (tasks, data edges, input files) is mapped onto the
 members of a resource quorum by a pluggable scheduler, producing a concrete
 plan with per-task time estimates and the transfers needed to stage data.
-Every quorum member provides every transformation. Mapping and execution run
-one recurrence in one pass over the tasks in plan order. Plans are
-topologically ordered and every resource serves its tasks in plan order, so a
-task's estimate is its execution: estimates are exact for every scheduler.
+Every quorum member provides every transformation. Mapping runs one
+recurrence in one pass over the tasks in plan order. Plans are topologically
+ordered and every resource serves its tasks in plan order, so a task's
+estimate is its execution: estimates are exact for every scheduler, and
+executing a plan reads its records instead of running the recurrence again.
 ``MinEFT`` is HEFT's earliest-finish-time placement without the upward-rank
 ordering (Topcuoglu, Hariri & Wu, IEEE TPDS 2002). It times a member only if
 the member's end floor, the later of its last task's end and the task's latest
@@ -101,7 +102,7 @@ class ConcretePlan:
 
 
 class _Estimator:
-    """The timing recurrence of mapping and of execution.
+    """The timing recurrence of mapping, whose records are also the execution's.
 
     Tasks are committed in plan order to single-slot resources. A task is
     ready when its last input arrives: a stage-in starts at time zero, and a
@@ -121,7 +122,9 @@ class _Estimator:
     at most ``cpu_rate`` (see ``effective_rate``); IEEE ``+`` and ``/`` round
     monotonically, so the floor holds for the rounded values too. ``MinEFT``
     skips a member whose floor is not below the best end so far, and only a
-    member it times reads a rate.
+    member it times reads a rate. Its records, in commit order, become the
+    plan's estimates, and ``execute_plan`` reads them: no second estimator
+    times a plan.
     """
 
     def __init__(self, pool: dict[str, ResourceDescriptor], stage_ins, dependencies, rates: RateMemo | None):
@@ -192,11 +195,14 @@ def map_workflow(
     the quorum in rank order, and ``Random`` draws uniformly from the quorum
     using the given seed. ``rates`` is the estimator's rate memo; calls over
     the same pool may share one (the engine shares one per run). A quorum
-    member absent from ``pool`` raises ``InfeasibleMapping``.
+    without members, or with a member absent from ``pool``, raises
+    ``InfeasibleMapping``.
     """
     if scheduler not in SCHEDULER_KINDS:
         raise UnknownStrategy(f"unknown scheduler {scheduler!r}")
     member_ids = list(quorum.members)
+    if not member_ids:
+        raise InfeasibleMapping(f"quorum {quorum.level} has no members")
     missing = [m for m in member_ids if m not in pool]
     if missing:
         raise InfeasibleMapping(f"quorum members absent from pool: {missing}")
@@ -209,6 +215,8 @@ def map_workflow(
     estimator = _Estimator(pool, stage_ins, subwf.data_deps, rates)
     rng = random.Random(seed)
 
+    avail = estimator.avail
+    by_id = sorted((rid, pool[rid].cpu_rate) for rid in member_ids)  # MinEFT's walk, with each nominal rate
     assignments = []
     for index, task_id in enumerate(order):
         task = tasks[task_id]
@@ -217,10 +225,8 @@ def map_workflow(
         if scheduler == "MinEFT":
             producers_end = estimator.producers_end(task_id)
             best = None
-            for rid in sorted(eligible):
-                if best is not None and (
-                    max(estimator.avail.get(rid, 0.0), producers_end) + task.work / pool[rid].cpu_rate >= best[3]
-                ):
+            for rid, cpu_rate in by_id:
+                if best is not None and max(avail.get(rid, 0.0), producers_end) + task.work / cpu_rate >= best[3]:
                     continue  # the end floor: this member cannot end strictly earlier
                 ready, start, end = estimator.finish_time(task_id, task.work, rid)
                 if best is None or end < best[3]:
@@ -290,43 +296,32 @@ class SubWorkflowResult:
         }
 
 
-def execute_plan(
-    plan: ConcretePlan, pool: dict[str, ResourceDescriptor], rates: RateMemo | None = None
-) -> SubWorkflowResult:
-    """Replay a plan that ``map_workflow`` made: one pass of the mapping
-    recurrence in plan order, so the task records equal the plan's estimates.
-    The engine runs it after each mapping, the bench tracer spans it as
-    ``gridengine.execute``, and acceptance criterion 4 checks it against a scan
-    simulation. A hand-built plan is not checked: it must list each task once,
-    after its producers, on a resource of ``pool``.
+def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> SubWorkflowResult:
+    """Execute a plan that ``map_workflow`` made by reading its records: the
+    task records are the plan's estimates and the makespan is its makespan
+    estimate, so execution reads no load and times no task again. The engine
+    runs it after each mapping, the bench tracer spans it as
+    ``gridengine.execute``, and acceptance criterion 4 checks its makespan
+    against a scan simulation. A hand-built plan is not checked: its estimates
+    must be the mapping recurrence's records, in plan order. ``pool`` gives
+    the links that transfers cross.
 
     Transfer records list the plan's stage-ins, which start at time zero, and
     one transfer per dependency that crosses resources, which starts at its
     producer's end. They are sorted by (end, start, producer's plan position,
     dependency order), a stage-in counting as position -1 and its order
     being its place in ``plan.transfers``.
-
-    ``rates`` is the estimator's rate memo, as for ``map_workflow``.
     """
-    position = {planned.task_id: index for index, planned in enumerate(plan.assignments)}
-    stage_ins = ((t.src_resource, t.size_bytes, t.consumer) for t in plan.transfers)
-    estimator = _Estimator(pool, stage_ins, plan.dependencies, rates)
-    for planned in plan.assignments:
-        times = estimator.finish_time(planned.task_id, planned.work, planned.resource_id)
-        estimator.commit(planned.task_id, planned.resource_id, *times)
-
-    tasks, placed, end_of = estimator.records, estimator.placed, estimator.end_of
+    record = {r.task_id: (index, r.resource_id, r.end) for index, r in enumerate(plan.estimates)}
     moves = [((-1, i), t.file, t.src_resource, t.dst_resource, t.size_bytes, 0.0) for i, t in enumerate(plan.transfers)]
-    moves += [
-        ((position[producer], i), f"{producer}->{consumer}", placed[producer], placed[consumer], size, end_of[producer])
-        for i, (producer, consumer, size) in enumerate(plan.dependencies)
-        if placed[producer] != placed[consumer]
-    ]
+    for i, (producer, consumer, size) in enumerate(plan.dependencies):
+        position, src, leaves = record[producer]
+        dst = record[consumer][1]
+        if src != dst:
+            moves.append(((position, i), f"{producer}->{consumer}", src, dst, size, leaves))
     transfers = []
     for order, file, src, dst, size, start in moves:
         end = start + transfer_time(size, pool[src], pool[dst])
         transfers.append(((end, start) + order, TransferRecord(file, src, dst, size, start, end)))
     transfers.sort(key=lambda item: item[0])
-
-    makespan = max((r.end for r in tasks), default=0.0)
-    return SubWorkflowResult(plan, tuple(tasks), tuple(record for _, record in transfers), makespan)
+    return SubWorkflowResult(plan, plan.estimates, tuple(r for _, r in transfers), plan.makespan_estimate)

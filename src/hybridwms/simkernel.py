@@ -1,12 +1,13 @@
 """Timing primitives, and the plan entries and execution records they time.
 
 ``effective_rate``, ``exec_time`` and ``transfer_time`` are the whole timing
-model; ``effective_rate`` alone turns load into speed. Plans are executed by
-the one-pass recurrence in ``gridengine``, which also produces the mapping
-estimates: resources run one task at a time in plan order, and data moves as
-non-blocking transfers that begin the moment the producer finishes (stage-ins
-at time zero). ``gridengine.SubWorkflowResult`` collects one execution's
-``TaskRecord`` and ``TransferRecord`` entries.
+model; ``effective_rate`` alone turns load into speed. The mapping recurrence
+in ``gridengine`` times each task once, as it places it: resources run one
+task at a time in plan order, and data moves as non-blocking transfers that
+begin the moment the producer finishes (stage-ins at time zero). Its
+``TaskRecord`` entries are the plan's estimates, and executing the plan reads
+them and derives the ``TransferRecord`` entries from them;
+``gridengine.SubWorkflowResult`` collects both.
 """
 
 from __future__ import annotations

@@ -183,6 +183,13 @@ def test_quorum_member_missing_from_pool_rejected():
         map_workflow(diamond_subwf(), quorum_of(pool, "r1", "ghost"), pool)
 
 
+def test_a_quorum_without_members_is_rejected():
+    pool = parse_pool(load_json(importlib.resources.files("hybridwms") / "data" / "pool.json"))
+    for scheduler in gridengine.SCHEDULER_KINDS:
+        with pytest.raises(InfeasibleMapping, match="has no members"):
+            map_workflow(diamond_subwf(), Quorum("L1", ()), pool, scheduler=scheduler)
+
+
 def test_absent_quorum_members_are_named_in_rank_order():
     pool = two_site_pool()
     with pytest.raises(InfeasibleMapping, match=r"\['ghost', 'phantom'\]"):
@@ -288,6 +295,19 @@ def test_estimates_match_independent_replay_and_simulation():
             assert estimate.task_id == simulated.task_id
             assert estimate.start == simulated.start
             assert estimate.end == simulated.end
+        assert result.makespan == plan.makespan_estimate
+
+
+def test_execution_reads_the_plans_records_and_no_load(monkeypatch):
+    plans = list(seeded_plans())
+
+    def no_load(trace, t):
+        raise AssertionError("execution read a load")
+
+    monkeypatch.setattr(simkernel, "metric_at", no_load)
+    for plan, pool, _, _ in plans:
+        result = execute_plan(plan, pool)
+        assert result.tasks == plan.estimates
         assert result.makespan == plan.makespan_estimate
 
 
@@ -553,9 +573,9 @@ def mapping_cases(draw):
 def test_mapping_and_replay_equal_a_scan_simulation_of_each_scheduler_rule(case, share_rates):
     subwf, pool, members, scheduler, seed = case
     host = members[0]
-    rates = {} if share_rates else None  # the engine shares one memo between mapping and replay
+    rates = {} if share_rates else None  # the engine shares one memo between the mappings of a run
     plan = map_workflow(subwf, Quorum("L2", members), pool, scheduler=scheduler, seed=seed, rates=rates)
-    result = execute_plan(plan, pool, rates=rates)
+    result = execute_plan(plan, pool)
 
     placement = oracle_placement(subwf, members, pool, scheduler, seed)
     assert [(p.task_id, p.work, p.resource_id) for p in plan.assignments] == placement

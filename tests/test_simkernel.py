@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hybridwms import gridengine
 from hybridwms.gridengine import ConcretePlan, execute_plan
 from hybridwms.resources import MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
@@ -104,8 +105,19 @@ def task(result, task_id):
 
 
 def run(plan, deps=(), transfers=(), resources=()):
-    concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), (), 0.0)
-    return execute_plan(concrete, {r.id: r for r in resources})
+    """Execute a hand-built plan whose estimates are the mapping recurrence's
+    records: the estimator times and commits each task in plan order, as
+    ``map_workflow`` does."""
+    pool = {r.id: r for r in resources}
+    stage_ins = [(t.src_resource, t.size_bytes, t.consumer) for t in transfers]
+    estimator = gridengine._Estimator(pool, stage_ins, deps, None)
+    for planned in plan:
+        times = estimator.finish_time(planned.task_id, planned.work, planned.resource_id)
+        estimator.commit(planned.task_id, planned.resource_id, *times)
+    estimates = tuple(estimator.records)
+    makespan = max((r.end for r in estimates), default=0.0)
+    concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), estimates, makespan)
+    return execute_plan(concrete, pool)
 
 
 def test_single_task():

@@ -295,6 +295,37 @@ def test_topological_order_ties_break_by_id():
     assert topological_order(subwf) == ["a", "b", "c"]
 
 
+def oracle_topological_order(task_ids, deps):
+    """Repeatedly place the smallest id among the unplaced tasks whose
+    producers are all placed."""
+    producers = {t: {p for p, c, _ in deps if c == t} for t in task_ids}
+    order = []
+    while len(order) < len(task_ids):
+        order.append(min(t for t in task_ids if t not in order and producers[t] <= set(order)))
+    return order
+
+
+@st.composite
+def shuffled_dags(draw):
+    """Task ids and dependencies of a random DAG: edges run forward in a
+    hidden rank that is not id order, may repeat, and are listed in drawn
+    order, and the tasks are listed in a shuffled order. Ids of one and two
+    digits make string order differ from number order ("t10" < "t2")."""
+    n = draw(st.integers(1, 14))
+    ranked = draw(st.permutations([f"t{i}" for i in range(n)]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    deps = tuple((ranked[min(i, j)], ranked[max(i, j)], 1.0) for i, j in edges if i != j)
+    return draw(st.permutations(ranked)), deps
+
+
+@given(dag=shuffled_dags())
+def test_topological_order_places_the_smallest_id_whose_producers_are_placed(dag):
+    # every plan position, and so every mapping and execution record, hangs on this order
+    task_ids, deps = dag
+    subwf = AbstractSubWorkflow("s", tuple(TaskSpec(t, 1.0, "tf") for t in task_ids), deps, ())
+    assert topological_order(subwf) == oracle_topological_order(task_ids, deps)
+
+
 def test_topological_order_cycle_error_lists_cycle():
     # a sub-workflow orders its tasks when it is built, so a cyclic one cannot be built
     with pytest.raises(CycleError) as err:
