@@ -5,10 +5,10 @@ Subcommands: ``run`` (one workflow end to end), ``experiment cost-table``,
 document flag defaults to the packaged example documents, so each command
 works out of the box. ``validate`` runs the same document loaders as ``run``
 and ``experiment policy-comparison``, for every document in ``DOCUMENTS``,
-then decides and enforces the policy set for ``--sla`` from ``--repo`` as
-``run`` does, and the one for each ``--spec`` configuration from ``--repo``
-plus its extra policies as ``experiment policy-comparison`` does. A command
-that fails exits 2 and writes nothing. The commands that write files check
+then decides and enforces the policy set for ``--sla`` from ``--repo`` on
+``--pool`` as ``run`` does, and the one for each ``--spec`` configuration
+from ``--repo`` plus its extra policies as ``experiment policy-comparison``
+does. A command that fails exits 2 and writes nothing. The commands that write files check
 ``--out-dir`` before any document is loaded. A stdout that cannot be written
 (closed or full) also exits 2, ``--help`` included: a command's output is
 written once it is done, after its files.
@@ -176,7 +176,7 @@ def cmd_validate(args) -> int:
             print(f"{name}: ok ({getattr(args, name.replace('-', '_'))})")
     failures = len(DOCUMENTS) - len(loaded)
     policy_sets = []  # (label, SLA, repository) of every policy set a command decides
-    if "repo" in loaded:
+    if "repo" in loaded and "pool" in loaded:  # a pool that failed to load has already failed validate
         repo = loaded["repo"]
         if "sla" in loaded:
             policy_sets.append(("sla", loaded["sla"], repo))
@@ -184,7 +184,7 @@ def cmd_validate(args) -> int:
             policy_sets += [(f"spec {c.name}", c.sla, repo + list(c.extra_policies)) for c in loaded["spec"].configs]
     for label, sla, repository in policy_sets:
         try:
-            enforce_run_policy(sla, repository)
+            enforce_run_policy(sla, repository, loaded["pool"])
         except WmsError as exc:
             failures += 1
             print(f"{label} + repo: error: {exc}")

@@ -32,7 +32,6 @@ from .gridengine import RateMemo, SubWorkflowResult, execute_plan, map_workflow
 from .policy import (
     DEFAULT_PROVENANCE,
     ConfigRegistry,
-    InformationBase,
     Override,
     PolicySet,
     Sla,
@@ -383,15 +382,15 @@ def run_workflow(
 
 
 def enforce_run_policy(
-    sla: Sla, repo: list
+    sla: Sla, repo: list, pool
 ) -> tuple[Sla, PolicySet, ConfigRegistry, tuple[Override, ...], AllocationCostParams]:
-    """What a run takes from its SLA and repository: the SLA with its soft
-    label expanded, the policy set decided for it with the default information
-    base, a fresh registry that set was enforced into, the overrides, and the
-    registry's allocation-cost weights. ``validate`` calls this too, so a
-    repository that no run could use for the SLA fails there."""
+    """What a run takes from its SLA, repository and pool: the SLA with its
+    soft label expanded, the policy set decided for it on the pool's observed
+    properties, a fresh registry that set was enforced into, the overrides, and
+    the registry's allocation-cost weights. ``validate`` calls this too, so a
+    repository that no run could use for the SLA and pool fails there."""
     expanded = expand_soft_label(sla) if sla.soft_label is not None else sla
-    policy_set = decide_policy(expanded, repo, InformationBase())
+    policy_set = decide_policy(expanded, repo, pool)
     registry = ConfigRegistry()
     overrides = enforce(policy_set, registry)
     try:
@@ -403,7 +402,7 @@ def enforce_run_policy(
 
 def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRecord:
     check_workflow(graph, subworkflows)
-    expanded, policy_set, registry, overrides, params = enforce_run_policy(sla, repo)
+    expanded, policy_set, registry, overrides, params = enforce_run_policy(sla, repo, pool)
     level = registry.get("resource.level")
     scheduler_seed = registry.get("scheduler.seed")
     if level == RANDOM_LEVEL:

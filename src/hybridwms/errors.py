@@ -45,7 +45,7 @@ class NoMatchingPolicy(WmsError):
 
 
 class UnknownConfigKey(WmsError):
-    """A key outside the schema of the configuration registry or of the information base."""
+    """A key outside the configuration registry's schema, ``policy.CONFIG_SCHEMA``."""
 
 
 class InvalidConfigValue(WmsError):

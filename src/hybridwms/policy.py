@@ -1,15 +1,16 @@
-"""SLA model, policy repository, decision point, enforcement, and the one
-typed key store behind both ends of a decision.
+"""SLA model, policy repository, decision point, enforcement, and the typed
+configuration registry that enforcement writes.
 
 A user's requirement is the triple (resource level, workflow performance,
 application service level), optionally given as a natural-language soft label
 that expands through a fixed table. The decision point picks one policy per
-kind by condition match and priority; the grid properties its conditions read
-come from the information base. Enforcement writes the winning actions into a
-configuration registry with full provenance. Both stores are a
-``ConfigRegistry``, each over its own closed schema of ``ConfigKeySpec``s, so
-one type check and one finiteness check (``documents.is_finite_number``)
-guard every value either holds.
+kind by condition match and priority. A condition reads SLA fields and grid
+properties (``PROPERTIES``), each property observed from the resource pool the
+decision is for, at t = 0, the instant the quorum is ranked, and only when a
+predicate on it is checked. Enforcement writes the winning actions into a
+``ConfigRegistry`` with full provenance; its closed schema of
+``ConfigKeySpec``s gives one type check and one finiteness check
+(``documents.is_finite_number``) for every value it holds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     WmsError,
 )
 from .gridengine import SCHEDULER_KINDS
-from .resources import LEVELS, RANDOM_LEVEL
+from .resources import LEVELS, RANDOM_LEVEL, grid_load
 from .workflow import SERVICE_LEVELS
 
 PERFORMANCE_LEVELS = ("Fast", "Standard", "Economy")
@@ -41,6 +42,10 @@ SOFT_LABELS = {
 
 #: SLA fields a policy condition may reference without a property prefix.
 SLA_FIELDS = ("user_id", "resource_level", "performance", "service_level")
+
+#: The grid properties a policy condition may read, each a number observed from
+#: the pool at t = 0: ``grid.load`` is the pool's mean system load.
+PROPERTIES = {"grid.load": lambda pool: grid_load(pool, 0.0)}
 
 #: Application selector values: the three service levels plus a variant that
 #: forces the simulation loop to run regardless of the diagnosis.
@@ -123,7 +128,7 @@ class PolicySet:
 
 
 # --------------------------------------------------------------------------
-# Typed key stores: the configuration registry and the information base
+# Configuration registry
 
 
 @dataclass(frozen=True)
@@ -145,13 +150,6 @@ CONFIG_SCHEMA = {
     "vhs.tolerance": ConfigKeySpec(float, 0.1, minimum=1e-12),
 }
 
-#: The grid properties a policy condition may read.
-PROPERTY_SCHEMA = {
-    "grid.alert": ConfigKeySpec(bool, False),
-    "grid.load": ConfigKeySpec(float, 0.0),
-    "site.maintenance": ConfigKeySpec(bool, False),
-}
-
 DEFAULT_PROVENANCE = "default"
 
 
@@ -162,8 +160,6 @@ class ConfigEntry:
 
 
 def _type_ok(value, expected: type) -> bool:
-    if expected is bool:
-        return isinstance(value, bool)
     if isinstance(value, bool):
         return False  # bool is an int subclass; never accept it for numbers
     if expected is float:
@@ -175,79 +171,67 @@ class ConfigRegistry:
     """Runtime configuration written by policy enforcement.
 
     Every entry is traceable to the policy that wrote it or to the documented
-    default it was initialized with. ``schema`` is the closed key set and
-    ``noun`` what an error message calls a key; ``InformationBase`` sets both.
+    default it was initialized with; ``CONFIG_SCHEMA`` is the closed key set.
     """
 
-    schema, noun = CONFIG_SCHEMA, "config key"
-
     def __init__(self):
-        self._entries = {key: ConfigEntry(spec.default, DEFAULT_PROVENANCE) for key, spec in self.schema.items()}
+        self._entries = {key: ConfigEntry(spec.default, DEFAULT_PROVENANCE) for key, spec in CONFIG_SCHEMA.items()}
 
     def get(self, key: str):
         return self.entry(key).value
 
     def entry(self, key: str) -> ConfigEntry:
         if key not in self._entries:
-            raise UnknownConfigKey(f"{self.noun} {key!r} is not registered")
+            raise UnknownConfigKey(f"config key {key!r} is not registered")
         return self._entries[key]
 
     def set(self, key: str, value, provenance: str) -> None:
         self.entry(key)  # refuses a key that is not registered
-        spec = self.schema[key]
+        spec = CONFIG_SCHEMA[key]
         if not _type_ok(value, spec.type):
-            raise TypeMismatch(f"{self.noun} {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
+            raise TypeMismatch(f"config key {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
         if spec.type is float:
             if not doc.is_finite_number(value):
-                raise InvalidConfigValue(f"{self.noun} {key!r} must be finite, got {value!r}")
+                raise InvalidConfigValue(f"config key {key!r} must be finite, got {value!r}")
             value = float(value)
         if spec.domain is not None and value not in spec.domain:
-            raise InvalidConfigValue(f"{self.noun} {key!r} must be one of {list(spec.domain)}, got {value!r}")
+            raise InvalidConfigValue(f"config key {key!r} must be one of {list(spec.domain)}, got {value!r}")
         if spec.minimum is not None and value < spec.minimum:
-            raise InvalidConfigValue(f"{self.noun} {key!r} must be >= {spec.minimum}, got {value!r}")
+            raise InvalidConfigValue(f"config key {key!r} must be >= {spec.minimum}, got {value!r}")
         self._entries[key] = ConfigEntry(value, provenance)
 
     def as_dict(self) -> dict:
         return {key: {"value": entry.value, "provenance": entry.provenance} for key, entry in sorted(self._entries.items())}
 
 
-class InformationBase(ConfigRegistry):
-    """The grid properties that policy conditions read, each at its default
-    until the caller that observes the grid sets it."""
-
-    schema, noun = PROPERTY_SCHEMA, "property"
-
-    def set(self, key: str, value) -> None:
-        super().set(key, value, "observed")
-
-
 # --------------------------------------------------------------------------
 # Policy decision point
 
 
-def _predicate_holds(predicate: Predicate, sla: Sla, info: InformationBase) -> bool:
-    actual = getattr(sla, predicate.key) if predicate.key in SLA_FIELDS else info.get(predicate.key)
+def _predicate_holds(predicate: Predicate, sla: Sla, pool) -> bool:
+    actual = getattr(sla, predicate.key) if predicate.key in SLA_FIELDS else PROPERTIES[predicate.key](pool)
     try:
         return _OPERATORS[predicate.op](actual, predicate.value)
     except TypeError as exc:
         raise TypeMismatch(f"cannot compare {predicate.key}={actual!r} with {predicate.value!r}") from exc
 
 
-def policy_matches(policy: Policy, sla: Sla, info: InformationBase) -> bool:
-    return all(_predicate_holds(p, sla, info) for p in policy.condition)
+def policy_matches(policy: Policy, sla: Sla, pool) -> bool:
+    return all(_predicate_holds(p, sla, pool) for p in policy.condition)
 
 
-def decide_policy(sla: Sla, repo: list[Policy], info: InformationBase) -> PolicySet:
+def decide_policy(sla: Sla, repo: list[Policy], pool) -> PolicySet:
     """Select the matching policy with maximal priority for each kind.
 
-    Ties break by ascending policy id. Property predicates read the
-    information base at decision time.
+    Ties break by ascending policy id. A property predicate observes its
+    property from ``pool`` when it is checked, so a repository that names no
+    property reads no load.
     """
     if sla.soft_label is not None:
         raise ValueError("sla must be expanded before policy decision")
     chosen: dict[PolicyKind, Policy] = {}
     for kind in (PolicyKind.APP, PolicyKind.RESOURCE, PolicyKind.WORKFLOW):
-        matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, info)]
+        matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, pool)]
         if not matching:
             raise NoMatchingPolicy(kind.value)
         matching.sort(key=lambda p: (-p.priority, p.id))
@@ -337,15 +321,16 @@ def parse_repository(document) -> list[Policy]:
             pred = doc.require_mapping(raw_pred, pred_path)
             doc.reject_unknown(pred, {"key", "op", "value"}, pred_path)
             key = doc.get_str(pred, "key", pred_path)
-            if key not in SLA_FIELDS and key not in PROPERTY_SCHEMA:
+            if key not in SLA_FIELDS and key not in PROPERTIES:
                 raise doc.SchemaError(f"{pred_path}.key", f"{key!r} is neither an SLA field nor a declared property")
             op = doc.get_str(pred, "op", pred_path)
             if op not in _OPERATORS:
                 raise doc.SchemaError(f"{pred_path}.op", f"unknown operator {op!r}")
             value = doc.get_required(pred, "value", pred_path)
-            expected = str if key in SLA_FIELDS else PROPERTY_SCHEMA[key].type
-            if op in ("<=", ">=") and not _type_ok(value, expected):
-                raise doc.SchemaError(f"{pred_path}.value", f"{op} needs a {expected.__name__} value")
+            if key in SLA_FIELDS and not (isinstance(value, str) and value):
+                raise doc.SchemaError(f"{pred_path}.value", f"SLA field {key!r} needs a non-empty string")
+            if key in PROPERTIES and not doc.is_finite_number(value):
+                raise doc.SchemaError(f"{pred_path}.value", f"property {key!r} needs a finite number")
             condition.append(Predicate(key, op, value))
 
         actions = []

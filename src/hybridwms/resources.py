@@ -116,6 +116,16 @@ def allocation_cost(res: ResourceDescriptor, t: float, params: AllocationCostPar
     return params.alpha * metric_at(res.net_trace, t) + params.beta * metric_at(res.sys_trace, t)
 
 
+def grid_load(pool, t: float) -> float:
+    """Mean system load of the pool at time t, summed in pool order."""
+    if not pool:
+        raise EmptyPool("an empty pool has no load")
+    total = 0.0
+    for res in pool:
+        total += metric_at(res.sys_trace, t)
+    return total / len(pool)
+
+
 def rank_resources(pool, t: float, params: AllocationCostParams) -> list[tuple[str, float]]:
     """Rank the pool ascending by allocation cost (lower cost performs better);
     ties break by ascending resource id."""

@@ -26,7 +26,6 @@ from hybridwms.experiments import (
 from hybridwms.gridengine import execute_plan, map_workflow
 from hybridwms.policy import (
     ConfigRegistry,
-    InformationBase,
     Policy,
     PolicyKind,
     Predicate,
@@ -307,17 +306,15 @@ def random_policy(rng, index):
     kind = rng.choice(list(PolicyKind))
     conditions = []
     for _ in range(rng.randrange(3)):
-        which = rng.randrange(5)
+        which = rng.randrange(4)
         if which == 0:
             conditions.append(Predicate("resource_level", rng.choice(["==", "!=", "<=", ">="]), rng.choice(["L1", "L2", "L3"])))
         elif which == 1:
             conditions.append(Predicate("performance", rng.choice(["==", "!="]), rng.choice(["Fast", "Standard", "Economy"])))
         elif which == 2:
             conditions.append(Predicate("service_level", rng.choice(["==", "!="]), rng.choice(["EcgOnly", "EcgDetect", "EcgVhs"])))
-        elif which == 3:
-            conditions.append(Predicate("grid.load", rng.choice(["<=", ">="]), round(rng.uniform(0, 1), 3)))
         else:
-            conditions.append(Predicate("grid.alert", "==", rng.random() < 0.5))
+            conditions.append(Predicate("grid.load", rng.choice(["<=", ">="]), round(rng.uniform(0, 1), 3)))
     actions = [rng.choice(
         [
             ("resource.level", rng.choice(["L1", "L2", "L3", "RANDOM"])),
@@ -346,22 +343,21 @@ def test_criterion_6_decision_matches_brute_force_and_enforcement_idempotent(cap
                 performance=rng.choice(["Fast", "Standard", "Economy"]),
                 service_level=rng.choice(["EcgOnly", "EcgDetect", "EcgVhs"]),
             )
-            info_base = InformationBase()
-            info_base.set("grid.load", round(rng.uniform(0, 1), 3))
-            info_base.set("grid.alert", rng.random() < 0.5)
+            load = MetricTrace(base=round(rng.uniform(0, 1), 3))  # the one member's grid.load
+            pool = [ResourceDescriptor("r", "s", 1.0, MetricTrace(base=0.0), load, 1.0, 0.0)]
 
             expected = {}
             for kind in PolicyKind:
-                matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, info_base)]
+                matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, pool)]
                 expected[kind] = min(matching, key=lambda p: (-p.priority, p.id)) if matching else None
 
             if any(v is None for v in expected.values()):
                 with pytest.raises(NoMatchingPolicy):
-                    decide_policy(sla, repo, info_base)
+                    decide_policy(sla, repo, pool)
                 refused += 1
                 continue
 
-            chosen = decide_policy(sla, repo, info_base)
+            chosen = decide_policy(sla, repo, pool)
             assert chosen.app == expected[PolicyKind.APP]
             assert chosen.resource == expected[PolicyKind.RESOURCE]
             assert chosen.workflow == expected[PolicyKind.WORKFLOW]

@@ -497,6 +497,28 @@ def test_cli_validate_reads_the_comparison_spec(tmp_path, capsys, edit, message)
     assert "Traceback" not in captured.err
 
 
+def test_a_grid_load_condition_decides_on_the_pool_and_validate_agrees_with_run(tmp_path, capsys):
+    repo = load_json(data_path("policies.json"))
+    repo[0]["condition"].append({"key": "grid.load", "op": "<=", "value": 0.3})  # RP-A, the default SLA's L1
+    busy = [{"key": "resource_level", "op": "==", "value": "L1"}, {"key": "grid.load", "op": ">=", "value": 0.5}]
+    repo.append({"id": "RP-BUSY", "kind": "Resource", "priority": 10, "condition": busy, "actions": [{"key": "resource.level", "value": "L2"}]})
+    (tmp_path / "repo.json").write_text(json.dumps(repo))
+    decided = {}
+    for load in (0.2, 0.4, 0.6):
+        pool = load_json(data_path("pool.json"))
+        for resource in pool:
+            resource["sys_trace"] = {"base": load}  # so grid.load is exactly load
+        (tmp_path / f"pool-{load}.json").write_text(json.dumps(pool))
+        flags = ["--repo", str(tmp_path / "repo.json"), "--pool", str(tmp_path / f"pool-{load}.json")]
+        validated = main(["validate", *flags])
+        out = tmp_path / f"out-{load}"
+        ran = main(["run", *flags, "--out-dir", str(out)])
+        assert validated == ran
+        decided[load] = json.loads((out / "run_record.json").read_text())["policies"]["resource"] if ran == 0 else None
+    assert decided == {0.2: "RP-A", 0.4: None, 0.6: "RP-BUSY"}
+    assert capsys.readouterr().err.count("no matching policy of kind Resource") == 1
+
+
 def test_cli_rejects_out_of_domain_candidate_before_running(tmp_path, capsys):
     document = load_json(data_path("run_config.json"))
     document["vhs_grid"][2]["irregularity"] = 1.5

@@ -17,7 +17,6 @@ from hybridwms.policy import (
     DEFAULT_PROVENANCE,
     SOFT_LABELS,
     ConfigRegistry,
-    InformationBase,
     Override,
     Policy,
     PolicyKind,
@@ -31,10 +30,22 @@ from hybridwms.policy import (
     parse_sla,
     policy_matches,
 )
+from hybridwms.resources import MetricTrace, ResourceDescriptor
 
 
 def policy(pid, kind, priority=0, condition=(), actions=(("scheduler.seed", 1),)):
     return Policy(pid, kind, priority, tuple(condition), tuple(actions))
+
+
+def loaded_pool(*loads):
+    """A pool of one resource per load, whose system load is that constant."""
+    return [
+        ResourceDescriptor(f"r{i}", "s", 1.0, MetricTrace(base=0.0), MetricTrace(base=load), 1.0, 0.0)
+        for i, load in enumerate(loads)
+    ]
+
+
+POOL = loaded_pool(0.0)
 
 
 def full_repo():
@@ -84,50 +95,47 @@ def expanded(level="L1", perf="Fast", service="EcgVhs"):
 
 
 def test_decide_picks_highest_priority_per_kind():
-    chosen = decide_policy(expanded(), full_repo(), InformationBase())
+    chosen = decide_policy(expanded(), full_repo(), POOL)
     assert chosen.ids() == {"app": "A1", "resource": "R1", "workflow": "W1"}
 
 
 def test_decide_falls_back_to_catch_all():
-    chosen = decide_policy(expanded("L3", "Economy", "EcgOnly"), full_repo(), InformationBase())
+    chosen = decide_policy(expanded("L3", "Economy", "EcgOnly"), full_repo(), POOL)
     assert chosen.ids() == {"app": "A2", "resource": "R2", "workflow": "W2"}
 
 
 def test_decide_breaks_priority_ties_by_id():
     repo = full_repo() + [policy("A0", PolicyKind.APP, 10, [Predicate("service_level", "==", "EcgVhs")])]
-    chosen = decide_policy(expanded(), repo, InformationBase())
+    chosen = decide_policy(expanded(), repo, POOL)
     assert chosen.app.id == "A0"
 
 
 def test_decide_requires_every_kind():
     repo = [p for p in full_repo() if p.kind is not PolicyKind.WORKFLOW]
     with pytest.raises(NoMatchingPolicy) as err:
-        decide_policy(expanded(), repo, InformationBase())
+        decide_policy(expanded(), repo, POOL)
     assert err.value.kind == "LowLevelWorkflow"
 
 
 def test_decide_rejects_unexpanded_sla():
     with pytest.raises(ValueError):
-        decide_policy(Sla(user_id="u", soft_label="Balanced"), full_repo(), InformationBase())
+        decide_policy(Sla(user_id="u", soft_label="Balanced"), full_repo(), POOL)
 
 
-def test_condition_reads_information_base():
-    info = InformationBase()
+def test_condition_reads_the_pool_load():
     repo = full_repo() + [
-        policy("R9", PolicyKind.RESOURCE, 99, [Predicate("grid.alert", "==", True)]),
+        policy("R9", PolicyKind.RESOURCE, 99, [Predicate("grid.load", ">=", 0.5)]),
     ]
-    assert decide_policy(expanded(), repo, info).resource.id == "R1"
-    info.set("grid.alert", True)
-    assert decide_policy(expanded(), repo, info).resource.id == "R9"
+    assert decide_policy(expanded(), repo, loaded_pool(0.2, 0.6)).resource.id == "R1"
+    assert decide_policy(expanded(), repo, loaded_pool(0.4, 0.6)).resource.id == "R9"
 
 
 def test_numeric_predicates_and_operators():
-    info = InformationBase()
-    info.set("grid.load", 0.7)
+    pool = loaded_pool(0.7)
     sla = expanded()
-    assert policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", ">=", 0.5)]), sla, info)
-    assert policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", "<=", 0.7)]), sla, info)
-    assert not policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", "!=", 0.7)]), sla, info)
+    assert policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", ">=", 0.5)]), sla, pool)
+    assert policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", "<=", 0.7)]), sla, pool)
+    assert not policy_matches(policy("x", PolicyKind.APP, condition=[Predicate("grid.load", "!=", 0.7)]), sla, pool)
 
 
 def test_ordered_comparison_against_none_raises():
@@ -135,7 +143,7 @@ def test_ordered_comparison_against_none_raises():
         policy_matches(
             policy("x", PolicyKind.APP, condition=[Predicate("resource_level", "<=", 3)]),
             Sla(user_id="u"),
-            InformationBase(),
+            POOL,
         )
 
 
@@ -145,8 +153,8 @@ def test_multi_predicate_condition_is_conjunction():
         PolicyKind.APP,
         condition=[Predicate("performance", "==", "Fast"), Predicate("resource_level", "==", "L1")],
     )
-    assert policy_matches(p, expanded(), InformationBase())
-    assert not policy_matches(p, expanded(level="L2"), InformationBase())
+    assert policy_matches(p, expanded(), POOL)
+    assert not policy_matches(p, expanded(level="L2"), POOL)
 
 
 def test_policy_requires_an_action():
@@ -163,47 +171,15 @@ def test_policy_set_checks_kinds():
         )
 
 
-# -- information base ----------------------------------------------------------
-
-
-def test_information_base_defaults_and_updates():
-    info = InformationBase()
-    assert info.get("grid.alert") is False
-    assert info.get("grid.load") == 0.0
-    info.set("grid.load", 0.4)
-    assert info.get("grid.load") == 0.4
-
-
-def test_information_base_rejects_unknown_key():
-    info = InformationBase()
-    with pytest.raises(UnknownConfigKey, match="property 'grid.unknown' is not registered"):
-        info.get("grid.unknown")
-    with pytest.raises(UnknownConfigKey):
-        info.set("grid.unknown", 1)
-
-
-def test_information_base_type_checks():
-    info = InformationBase()
-    with pytest.raises(TypeMismatch):
-        info.set("grid.alert", 1)
-    with pytest.raises(TypeMismatch):
-        info.set("grid.load", True)
-    info.set("grid.load", 1)  # int is fine where float is declared
-    assert info.get("grid.load") == 1.0
-    assert isinstance(info.get("grid.load"), float)
+# -- registry and enforcement ----------------------------------------------------
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, -(10**400)])
 def test_a_float_key_refuses_a_number_that_is_not_finite(value):
-    info, registry = InformationBase(), ConfigRegistry()
-    with pytest.raises(InvalidConfigValue, match="property 'grid.load' must be finite"):
-        info.set("grid.load", value)
+    registry = ConfigRegistry()
     with pytest.raises(InvalidConfigValue, match="config key 'resource.alpha' must be finite"):
         registry.set("resource.alpha", value, "p")
-    assert info.get("grid.load") == 0.0 and registry.get("resource.alpha") == 0.5
-
-
-# -- registry and enforcement ----------------------------------------------------
+    assert registry.get("resource.alpha") == 0.5
 
 
 def test_registry_defaults_cover_schema():
@@ -279,7 +255,7 @@ def test_decide_enforce_reproducible_over_shuffled_repos():
         repo = full_repo()
         rng.shuffle(repo)
         registry = ConfigRegistry()
-        enforce(decide_policy(expanded(), repo, InformationBase()), registry)
+        enforce(decide_policy(expanded(), repo, POOL), registry)
         if baseline is None:
             baseline = registry.as_dict()
         assert registry.as_dict() == baseline
@@ -349,3 +325,40 @@ def test_parse_repository_rejects_bad_documents():
     dup = repo_doc() + repo_doc()
     with pytest.raises(SchemaError):
         parse_repository(dup)
+
+
+@pytest.mark.parametrize("key", ["grid.alert", "site.maintenance"])
+def test_parse_repository_refuses_a_property_the_pool_cannot_show(key):
+    repo = repo_doc()
+    repo[0]["condition"][0] = {"key": key, "op": "==", "value": True}
+    with pytest.raises(SchemaError) as err:
+        parse_repository(repo)
+    assert err.value.path == "policies[0].condition[0].key"
+
+
+@pytest.mark.parametrize(
+    "key, op, value, ok",
+    [
+        ("resource_level", "==", "L1", True),
+        ("resource_level", "!=", 3, False),
+        ("resource_level", "==", "", False),
+        ("performance", "<=", None, False),
+        ("service_level", "==", ["EcgVhs"], False),
+        ("grid.load", "<=", 0.5, True),
+        ("grid.load", "!=", 1, True),
+        ("grid.load", "==", True, False),
+        ("grid.load", "<=", float("nan"), False),
+        ("grid.load", ">=", float("inf"), False),
+        ("grid.load", "==", 10**400, False),
+        ("grid.load", ">=", "0.5", False),
+    ],
+)
+def test_parse_repository_type_checks_every_predicate_value(key, op, value, ok):
+    repo = repo_doc()
+    repo[0]["condition"][0] = {"key": key, "op": op, "value": value}
+    if ok:
+        assert parse_repository(repo)[0].condition == (Predicate(key, op, value),)
+        return
+    with pytest.raises(SchemaError) as err:
+        parse_repository(repo)
+    assert err.value.path == "policies[0].condition[0].value"

@@ -24,6 +24,7 @@ from hybridwms.resources import (
     cost_grid,
     cost_table_csv,
     generate_arq,
+    grid_load,
     hour_instants,
     metric_at,
     parse_pool,
@@ -139,6 +140,19 @@ def test_rank_ties_break_by_id():
 def test_rank_empty_pool_raises():
     with pytest.raises(EmptyPool):
         rank_resources([], 0.0, PARAMS)
+
+
+def test_grid_load_is_the_pool_mean_of_system_load_in_pool_order():
+    rng = random.Random(24)
+    for _ in range(20):
+        pool = random_pool(rng, rng.randint(1, 12), noise=0.05)
+        t = rng.uniform(0, 1e5)
+        total = 0.0
+        for res in pool:
+            total += metric_at(res.sys_trace, t)
+        assert grid_load(pool, t) == total / len(pool)
+    with pytest.raises(EmptyPool):
+        grid_load([], 0.0)
 
 
 # -- quorums ----------------------------------------------------------------
