@@ -13,7 +13,7 @@ ordering (Topcuoglu, Hariri & Wu, IEEE TPDS 2002). It times a member only if
 the member's end floor, the later of its last task's end and the task's latest
 producer end plus the work at nominal speed, is below the best end so far: no
 member at or above it can end strictly earlier, so every plan is that of the
-exhaustive scan.
+exhaustive scan. Each task's inputs and their sources' links are gathered once.
 """
 
 from __future__ import annotations
@@ -115,6 +115,10 @@ class _Estimator:
     start)``, so it is evaluated once per pair; estimators over the same pool
     may share it, and ``None`` gives this estimator its own.
 
+    A task's inputs, with their sources' site, bandwidth and latency, are
+    gathered at its first ``finish_time`` or ``producers_end``, once its
+    producers are committed. ``finish_time`` reads ``avail`` on every call.
+
     A task's end on a resource is at least its end floor: ``max(avail,
     producers_end) + work / cpu_rate``, where ``avail`` is the end of the last
     task committed to the resource. Transfers take no negative time, so the
@@ -134,6 +138,7 @@ class _Estimator:
         self.end_of: dict[str, float] = {}
         self.placed: dict[str, str] = {}
         self.records: list[TaskRecord] = []  # commit order
+        self._inputs: dict[str, tuple[list, float]] = {}  # by task id, see _gathered
         self._stage_ins = {}
         for src, size, consumer in stage_ins:
             self._stage_ins.setdefault(consumer, []).append((src, size))
@@ -141,33 +146,40 @@ class _Estimator:
         for producer, consumer, size in dependencies:
             self._deps_into.setdefault(consumer, []).append((producer, size))
 
+    def _gathered(self, task_id: str) -> tuple[list, float]:
+        """``([(leaves, site, bandwidth, latency, bytes) of each input], latest producer end)``."""
+        gathered = self._inputs.get(task_id)
+        if gathered is None:
+            inputs, latest = [], 0.0
+            for src, size in self._stage_ins.get(task_id, ()):
+                r = self._pool[src]
+                inputs.append((0.0, r.site, r.bandwidth, r.latency, size))
+            for producer, size in self._deps_into.get(task_id, ()):
+                leaves, r = self.end_of[producer], self._pool[self.placed[producer]]
+                inputs.append((leaves, r.site, r.bandwidth, r.latency, size))
+                latest = max(latest, leaves)
+            gathered = self._inputs[task_id] = (inputs, latest)
+        return gathered
+
     def producers_end(self, task_id: str) -> float:
         """The latest end of the task's producers, or 0.0 without any."""
-        latest = 0.0
-        for producer, _ in self._deps_into.get(task_id, ()):
-            latest = max(latest, self.end_of[producer])
-        return latest
-
-    def ready_time(self, task_id: str, resource_id: str) -> float:
-        resource = self._pool[resource_id]
-        ready = 0.0
-        for src, size in self._stage_ins.get(task_id, ()):
-            if src != resource_id:
-                ready = max(ready, transfer_time(size, self._pool[src], resource))
-        for producer, size in self._deps_into.get(task_id, ()):
-            arrival = self.end_of[producer]
-            src = self.placed[producer]
-            if src != resource_id:
-                arrival += transfer_time(size, self._pool[src], resource)
-            ready = max(ready, arrival)
-        return ready
+        return self._gathered(task_id)[1]
 
     def finish_time(self, task_id: str, work: float, resource_id: str) -> tuple[float, float, float]:
-        ready = self.ready_time(task_id, resource_id)
-        start = max(ready, self.avail.get(resource_id, 0.0))
+        r = self._pool[resource_id]
+        site, bandwidth, latency = r.site, r.bandwidth, r.latency
+        ready = 0.0
+        for leaves, src_site, src_bandwidth, src_latency, size in self._gathered(task_id)[0]:
+            if src_site != site:  # transfer_time inline, its min and max as comparisons
+                slowest = src_bandwidth if src_bandwidth <= bandwidth else bandwidth
+                leaves += size / slowest + (src_latency if src_latency >= latency else latency)
+            if leaves > ready:
+                ready = leaves
+        avail = self.avail.get(resource_id, 0.0)
+        start = avail if avail > ready else ready
         rate = self._rates.get((resource_id, start))
         if rate is None:
-            rate = self._rates[resource_id, start] = effective_rate(self._pool[resource_id], start)
+            rate = self._rates[resource_id, start] = effective_rate(r, start)
         return ready, start, start + work / rate
 
     def commit(self, task_id: str, resource_id: str, ready: float, start: float, end: float) -> None:

@@ -40,8 +40,11 @@ SOFT_LABELS = {
     "Balanced": ("L2", "Standard", "EcgDetect"),
 }
 
+#: The values each SLA field but ``user_id`` may hold, in an SLA and in a policy condition.
+SLA_DOMAINS = {"resource_level": LEVELS, "performance": PERFORMANCE_LEVELS, "service_level": SERVICE_LEVELS}
+
 #: SLA fields a policy condition may reference without a property prefix.
-SLA_FIELDS = ("user_id", "resource_level", "performance", "service_level")
+SLA_FIELDS = ("user_id", *SLA_DOMAINS)
 
 #: The grid properties a policy condition may read, each a number observed from
 #: the pool at t = 0: ``grid.load`` is the pool's mean system load.
@@ -281,7 +284,7 @@ def parse_sla(document: dict) -> Sla:
     user_id = doc.get_str(root, "user_id", "sla")
     soft = root.get("soft_label")
     fields = {}
-    for key, domain in (("resource_level", LEVELS), ("performance", PERFORMANCE_LEVELS), ("service_level", SERVICE_LEVELS)):
+    for key, domain in SLA_DOMAINS.items():
         if key in root:
             value = doc.get_str(root, key, "sla")
             if value not in domain:
@@ -329,6 +332,8 @@ def parse_repository(document) -> list[Policy]:
             value = doc.get_required(pred, "value", pred_path)
             if key in SLA_FIELDS and not (isinstance(value, str) and value):
                 raise doc.SchemaError(f"{pred_path}.value", f"SLA field {key!r} needs a non-empty string")
+            if key in SLA_DOMAINS and value not in SLA_DOMAINS[key]:
+                raise doc.SchemaError(f"{pred_path}.value", f"expected one of {list(SLA_DOMAINS[key])}")
             if key in PROPERTIES and not doc.is_finite_number(value):
                 raise doc.SchemaError(f"{pred_path}.value", f"property {key!r} needs a finite number")
             condition.append(Predicate(key, op, value))

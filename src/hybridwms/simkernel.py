@@ -7,12 +7,13 @@ task at a time in plan order, and data moves as non-blocking transfers that
 begin the moment the producer finishes (stage-ins at time zero). Its
 ``TaskRecord`` entries are the plan's estimates, and executing the plan reads
 them and derives the ``TransferRecord`` entries from them;
-``gridengine.SubWorkflowResult`` collects both.
+``gridengine.SubWorkflowResult`` collects both. Plan entries and records are
+named tuples: immutable, hashable, and cheap to build by the thousand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .resources import ResourceDescriptor, metric_at
 
@@ -42,8 +43,7 @@ def transfer_time(size_bytes: float, src: ResourceDescriptor, dst: ResourceDescr
     return size_bytes / rate + max(src.latency, dst.latency)
 
 
-@dataclass(frozen=True)
-class PlannedTask:
+class PlannedTask(NamedTuple):
     """One plan entry: a task pinned to a resource."""
 
     task_id: str
@@ -51,8 +51,7 @@ class PlannedTask:
     resource_id: str
 
 
-@dataclass(frozen=True)
-class PlannedTransfer:
+class PlannedTransfer(NamedTuple):
     """Stage-in of an existing replica to the resource of the task that reads
     it; such transfers start at time zero."""
 
@@ -63,8 +62,7 @@ class PlannedTransfer:
     consumer: str
 
 
-@dataclass(frozen=True)
-class TaskRecord:
+class TaskRecord(NamedTuple):
     task_id: str
     resource_id: str
     ready: float
@@ -72,8 +70,7 @@ class TaskRecord:
     end: float
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     file: str
     src_resource: str
     dst_resource: str

@@ -5,6 +5,7 @@ enforces the property plus its runtime budget.
 """
 
 import itertools
+import operator
 import random
 import statistics
 import time
@@ -34,7 +35,6 @@ from hybridwms.policy import (
     enforce,
     parse_repository,
     parse_sla,
-    policy_matches,
 )
 from hybridwms.resources import (
     AllocationCostParams,
@@ -301,6 +301,16 @@ def test_criterion_5_policy_comparison_ordering_and_golden_summary(capsys):
 
 # -- criterion 6 helpers ------------------------------------------------------------
 
+OPERATORS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
+
+
+def holds(policy, sla, load):
+    """Whether every predicate of the policy holds, computed here: an SLA field
+    is read from the SLA, and ``grid.load`` is the one member's base load."""
+    return all(
+        OPERATORS[p.op](load if p.key == "grid.load" else getattr(sla, p.key), p.value) for p in policy.condition
+    )
+
 
 def random_policy(rng, index):
     kind = rng.choice(list(PolicyKind))
@@ -343,12 +353,12 @@ def test_criterion_6_decision_matches_brute_force_and_enforcement_idempotent(cap
                 performance=rng.choice(["Fast", "Standard", "Economy"]),
                 service_level=rng.choice(["EcgOnly", "EcgDetect", "EcgVhs"]),
             )
-            load = MetricTrace(base=round(rng.uniform(0, 1), 3))  # the one member's grid.load
-            pool = [ResourceDescriptor("r", "s", 1.0, MetricTrace(base=0.0), load, 1.0, 0.0)]
+            load = round(rng.uniform(0, 1), 3)  # the one member's base system load, so grid.load
+            pool = [ResourceDescriptor("r", "s", 1.0, MetricTrace(base=0.0), MetricTrace(base=load), 1.0, 0.0)]
 
             expected = {}
             for kind in PolicyKind:
-                matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, pool)]
+                matching = [p for p in repo if p.kind is kind and holds(p, sla, load)]
                 expected[kind] = min(matching, key=lambda p: (-p.priority, p.id)) if matching else None
 
             if any(v is None for v in expected.values()):

@@ -341,6 +341,58 @@ def test_each_load_is_read_once_per_resource_and_start(monkeypatch):
     assert len(reads) < len(placements)  # the seeded mappings do repeat placements
 
 
+@st.composite
+def estimator_inputs(draw):
+    """``(pool, producers, stage-ins)``: up to six resources over three sites,
+    with repeated bandwidths and latencies; producers ``(resource id, end,
+    bytes)`` and stage-ins ``(source id, bytes)`` of one task, sizes from 0."""
+    pool = {}
+    for i in range(draw(st.integers(1, 6))):
+        pool[f"r{i}"] = make_resource(
+            f"r{i}",
+            site=draw(st.sampled_from(["s0", "s1", "s2"])),
+            bandwidth=draw(st.sampled_from([1e6, 4e6, 1e7])),
+            latency=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        )
+    ids = st.sampled_from(sorted(pool))
+    sizes = st.one_of(st.just(0.0), st.floats(0.0, 1e8))
+    producers = draw(st.lists(st.tuples(ids, st.floats(0.0, 1e4), sizes), max_size=4))
+    return pool, producers, draw(st.lists(st.tuples(ids, sizes), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=estimator_inputs(), producers_end_first=st.booleans())
+def test_a_task_is_ready_when_its_last_input_arrives_after_transfer_time(case, producers_end_first):
+    # finish_time computes transfer_time inline; this ties its copy to the
+    # definition that bench checks and the oracles use.
+    pool, producers, stage_ins = case
+    deps = [(f"p{i}", "x", size) for i, (_, _, size) in enumerate(producers)]
+    estimator = gridengine._Estimator(pool, [(src, size, "x") for src, size in stage_ins], deps, None)
+    inputs = [(0.0, src, size) for src, size in stage_ins]  # (leaves, source id, bytes)
+    for i, (rid, end, size) in enumerate(producers):
+        estimator.commit(f"p{i}", rid, 0.0, 0.0, end)
+        inputs.append((end, rid, size))
+    producers_end = max([0.0] + [end for _, end, _ in producers])
+    if producers_end_first:
+        assert estimator.producers_end("x") == producers_end
+    for r in pool:
+        arrivals = [leaves + (transfer_time(size, pool[src], pool[r]) if src != r else 0.0) for leaves, src, size in inputs]
+        ready, start, _ = estimator.finish_time("x", 100.0, r)
+        assert ready == max([0.0] + arrivals)
+        assert start == max(ready, estimator.avail.get(r, 0.0))
+    assert estimator.producers_end("x") == producers_end
+
+
+def test_a_task_timed_again_starts_after_a_task_committed_in_between():
+    # The estimator keeps a task's inputs between calls, never a resource's end.
+    pool = two_site_pool()  # r1 and r2 at alpha; r3 at beta, 1 MB/s, 0.2 s
+    estimator = gridengine._Estimator(pool, [("r3", 4e6, "x")], [("p", "x", 1e6)], None)
+    estimator.commit("p", "r1", 0.0, 0.0, 10.0)
+    assert estimator.finish_time("x", 100.0, "r2") == (10.0, 10.0, 11.0)  # stage-in lands at 4.2
+    estimator.commit("y", "r2", 0.0, 11.0, 50.0)
+    assert estimator.finish_time("x", 100.0, "r2") == (10.0, 50.0, 51.0)
+
+
 def tied_plans():
     """Yield ``(plan, pool, subwf, replica host)`` on identical noiseless
     resources, where many transfers end at the same time."""

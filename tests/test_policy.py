@@ -15,6 +15,7 @@ from hybridwms.errors import (
 from hybridwms.policy import (
     CONFIG_SCHEMA,
     DEFAULT_PROVENANCE,
+    SLA_DOMAINS,
     SOFT_LABELS,
     ConfigRegistry,
     Override,
@@ -344,6 +345,10 @@ def test_parse_repository_refuses_a_property_the_pool_cannot_show(key):
         ("resource_level", "==", "", False),
         ("performance", "<=", None, False),
         ("service_level", "==", ["EcgVhs"], False),
+        ("user_id", "!=", "anyone", True),
+        ("resource_level", "==", "L9", False),
+        ("performance", "!=", "Slow", False),
+        ("service_level", "==", "EcgVhsAlways", False),
         ("grid.load", "<=", 0.5, True),
         ("grid.load", "!=", 1, True),
         ("grid.load", "==", True, False),
@@ -362,3 +367,17 @@ def test_parse_repository_type_checks_every_predicate_value(key, op, value, ok):
     with pytest.raises(SchemaError) as err:
         parse_repository(repo)
     assert err.value.path == "policies[0].condition[0].value"
+
+
+@pytest.mark.parametrize("key", sorted(SLA_DOMAINS))
+def test_an_sla_field_and_a_condition_on_it_accept_the_same_values(key):
+    sla = {"user_id": "u", "resource_level": "L1", "performance": "Fast", "service_level": "EcgVhs"}
+    repo = repo_doc()
+    for value in SLA_DOMAINS[key] + ("L9", "Slow", "EcgVhsAlways", "l1", "fast"):
+        repo[0]["condition"][0] = {"key": key, "op": "==", "value": value}
+        for parse, document in ((parse_sla, {**sla, key: value}), (parse_repository, repo)):
+            if value in SLA_DOMAINS[key]:
+                parse(document)
+            else:
+                with pytest.raises(SchemaError):
+                    parse(document)
