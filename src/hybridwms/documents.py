@@ -4,10 +4,13 @@ and the canonical JSON writer.
 All shipped documents reject unknown keys so that typos surface as
 ``SchemaError`` with a path instead of being silently ignored.
 
-``dump_json`` writes its text in one recursive pass over plain JSON values.
-Its output is byte-equal to ``json.dumps(obj, sort_keys=True, indent=2)``
-plus a newline, and anything outside plain JSON values falls back to that
-call, so the stdlib's output or exception is what the caller gets.
+``dump_json`` writes its text in one recursive pass over plain JSON values,
+laying out each dict shape once per call: the sorted keys, each with its
+whole lead text, are memoized under the dict's keys and indentation, since a
+run record repeats a few shapes thousands of times. Its output is byte-equal
+to ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, and anything
+outside plain JSON values falls back to that call, so the stdlib's output or
+exception is what the caller gets.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def dump_json(obj) -> str:
     """
     pieces: list[str] = []
     try:
-        _write(obj, pieces.append, "\n", {})
+        _write(obj, pieces.append, "\n", {}, {})
     except (TypeError, ValueError, RecursionError):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     pieces.append("\n")
@@ -58,22 +61,34 @@ def dump_json(obj) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write(value, append, newline: str, texts: dict) -> None:
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _write(value, append, newline: str, texts: dict, layouts: dict) -> None:
     """Append the canonical text of ``value``; ``newline`` is the line break
-    plus indentation of its own line, and ``texts`` memoizes, for one call of
-    ``dump_json``, the text of each dict key and of each float written."""
+    plus indentation of its own line.
+
+    Both memos live for one call of ``dump_json``. ``texts`` holds the text
+    of each non-zero float written as a dict value (0.0 and -0.0 are equal
+    keys with different spellings, so zeros are never served from it).
+    ``layouts`` maps a dict's keys, in insertion order, and its ``newline`` to
+    the dict's layout, built when that shape is first met: the keys in sorted
+    order, each with its whole lead text (``{`` or ``,``, the line break and
+    indentation, the encoded key and ``": "``), the indentation of the
+    values, and the closing text. Keys match a layout by equality, so a key
+    that only equals a ``str`` (a ``str`` subclass, say) is written as that
+    ``str`` once a dict with equal keys has been; a shape first met with such
+    a key falls back. A dict's ``str`` values and non-zero floats are written
+    in its loop; every other value recurses.
+    """
     kind = type(value)
     if kind is str:
         append(_encode_str(value))
     elif kind is float:
-        text = texts.get(value)
-        if text is None or not value:  # 0.0 and -0.0 share a slot, not a spelling
-            if math.isfinite(value):
-                text = float.__repr__(value)
-            else:
-                text = "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-            texts[value] = text
-        append(text)
+        append(_float_text(value))
     elif kind is int:
         append(int.__repr__(value))
     elif kind is bool:
@@ -84,21 +99,33 @@ def _write(value, append, newline: str, texts: dict) -> None:
         if not value:
             append("{}")
             return
-        inner = newline + "  "
-        lead, comma = inner, "," + inner
-        append("{")
-        for key, item in sorted(value.items()):
-            if type(key) is not str:
-                raise TypeError("only str keys are written here")
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = _encode_str(key) + ": "
+        keys = tuple(value)
+        layout = layouts.get((keys, newline))
+        if layout is None:
+            inner = newline + "  "
+            lead, comma = "{" + inner, "," + inner
+            pairs = []
+            for key in sorted(keys):
+                if type(key) is not str:
+                    raise TypeError("only str keys are written here")
+                pairs.append((key, lead + _encode_str(key) + ": "))
+                lead = comma
+            layout = layouts[keys, newline] = (pairs, inner, newline + "}")
+        pairs, inner, close = layout
+        for key, lead in pairs:
             append(lead)
-            append(text)
-            lead = comma
-            _write(item, append, inner, texts)
-        append(newline)
-        append("}")
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                append(_encode_str(item))
+            elif kind is float and item:
+                text = texts.get(item)
+                if text is None:
+                    text = texts[item] = _float_text(item)
+                append(text)
+            else:
+                _write(item, append, inner, texts, layouts)
+        append(close)
     elif kind is list or kind is tuple:
         if not value:
             append("[]")
@@ -109,7 +136,7 @@ def _write(value, append, newline: str, texts: dict) -> None:
         for item in value:
             append(lead)
             lead = comma
-            _write(item, append, inner, texts)
+            _write(item, append, inner, texts, layouts)
         append(newline)
         append("]")
     else:

@@ -234,13 +234,18 @@ def map_workflow(
         task = tasks[task_id]
         # every member, in rank order; kept as a call, since bench/tracing.py counts calls through it
         eligible = catalogs.resources_with(task.transformation)
+        work = task.work
         if scheduler == "MinEFT":
             producers_end = estimator.producers_end(task_id)
             best = None
             for rid, cpu_rate in by_id:
-                if best is not None and max(avail.get(rid, 0.0), producers_end) + task.work / cpu_rate >= best[3]:
-                    continue  # the end floor: this member cannot end strictly earlier
-                ready, start, end = estimator.finish_time(task_id, task.work, rid)
+                if best is not None:
+                    floor = avail.get(rid, 0.0)
+                    if floor < producers_end:
+                        floor = producers_end
+                    if floor + work / cpu_rate >= best[3]:
+                        continue  # the end floor: this member cannot end strictly earlier
+                ready, start, end = estimator.finish_time(task_id, work, rid)
                 if best is None or end < best[3]:
                     best = (rid, ready, start, end)
             rid, ready, start, end = best
@@ -249,9 +254,9 @@ def map_workflow(
                 rid = member_ids[index % len(member_ids)]
             else:
                 rid = eligible[rng.randrange(len(eligible))]
-            ready, start, end = estimator.finish_time(task_id, task.work, rid)
+            ready, start, end = estimator.finish_time(task_id, work, rid)
         estimator.commit(task_id, rid, ready, start, end)
-        assignments.append(PlannedTask(task_id, task.work, rid))
+        assignments.append(PlannedTask(task_id, work, rid))
 
     placed = estimator.placed
     transfers = tuple(

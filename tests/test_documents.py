@@ -71,6 +71,41 @@ def test_writer_equals_the_stdlib_encoder(tree):
     assert dump_json(tree) == stdlib_text(tree)
 
 
+#: Keys of the repeated layouts: few, so layouts repeat, and ordered unlike
+#: insertion, needing escapes, or empty.
+LAYOUT_KEYS = ("a", "b", "B", "", "é", "a\n", '"q"', "\U0001f600")
+layout_values = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 2.5, -1e-7]),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    strings,
+)
+
+
+@st.composite
+def repeated_layouts(draw):
+    """A list of dicts over a few key sets drawn from ``LAYOUT_KEYS``, each
+    dict's keys inserted in a shuffled order. A value may be another dict over
+    the same key sets, so one layout meets two depths."""
+    shapes = draw(st.lists(st.lists(st.sampled_from(LAYOUT_KEYS), min_size=1, max_size=4, unique=True), min_size=1, max_size=3))
+
+    def record(depth: int) -> dict:
+        keys = draw(st.permutations(draw(st.sampled_from(shapes))))
+        return {key: record(depth - 1) if depth and draw(st.booleans()) else draw(layout_values) for key in keys}
+
+    return [record(1) for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_layouts())
+@example([{"x": 0.0}, {"x": -0.0}, {"x": 0.0}])
+@example([{"x": -0.0}, {"x": 0.0}])
+@example([{"a": 1, "b": {"a": 2.5, "b": "s"}}, {"a": {"a": -0.0, "b": 1}, "b": 0.0}])
+def test_repeated_layouts_equal_the_stdlib_encoder(records):
+    assert outcome(dump_json, records) == outcome(stdlib_text, records)
+
+
 def finite_by_float(value) -> bool:
     """The finite-number rule as ``float()`` tells it: an int or a float that
     converts without overflow to a value ``v`` with ``v - v == 0``."""
@@ -133,6 +168,10 @@ def self_containing_list():
         {"ids": {1, 2}},
         self_containing_list(),
         {"self": self_containing_list()},
+        [{"k": 1, "j": 2}, {Label("k"): 1, "j": 2}],
+        [{"1": "a"}, {1: "a"}],
+        [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
+        [{"k": "v"}, {"k": Label("v")}],
     ],
     ids=[
         "int-keys",
@@ -149,6 +188,10 @@ def self_containing_list():
         "set",
         "self-containing-list",
         "nested-self-containing-list",
+        "str-subclass-key-after-its-layout",
+        "int-key-after-str-layout",
+        "mixed-keys-after-str-layout",
+        "str-subclass-value-in-a-known-layout",
     ],
 )
 def test_values_outside_plain_json_get_the_stdlib_outcome(obj):
