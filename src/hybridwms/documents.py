@@ -7,7 +7,8 @@ All shipped documents reject unknown keys so that typos surface as
 ``dump_json`` writes its text in one recursive pass over plain JSON values,
 laying out each dict shape once per call: the sorted keys, each with its
 whole lead text, are memoized under the dict's keys and indentation, since a
-run record repeats a few shapes thousands of times. Its output is byte-equal
+run record repeats a few shapes thousands of times, and a list's dict item
+with the previous dict item's keys reuses that layout. Its output is byte-equal
 to ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, and anything
 outside plain JSON values falls back to that call, so the stdlib's output or
 exception is what the caller gets.
@@ -52,7 +53,7 @@ def dump_json(obj) -> str:
     pieces: list[str] = []
     try:
         _write(obj, pieces.append, "\n", {}, {})
-    except (TypeError, ValueError, RecursionError):
+    except (TypeError, KeyError, ValueError, RecursionError):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     pieces.append("\n")
     return "".join(pieces)
@@ -75,17 +76,43 @@ def _write(value, append, newline: str, texts: dict, layouts: dict) -> None:
     of each non-zero float written as a dict value (0.0 and -0.0 are equal
     keys with different spellings, so zeros are never served from it).
     ``layouts`` maps a dict's keys, in insertion order, and its ``newline`` to
-    the dict's layout, built when that shape is first met: the keys in sorted
-    order, each with its whole lead text (``{`` or ``,``, the line break and
-    indentation, the encoded key and ``": "``), the indentation of the
-    values, and the closing text. Keys match a layout by equality, so a key
-    that only equals a ``str`` (a ``str`` subclass, say) is written as that
-    ``str`` once a dict with equal keys has been; a shape first met with such
-    a key falls back. A dict's ``str`` values and non-zero floats are written
-    in its loop; every other value recurses.
+    the dict's layout (see ``_layout``). Keys match a layout by equality, so a
+    key that only equals a ``str`` (a ``str`` subclass, say) is written as
+    that ``str`` once a dict with equal keys has been; a shape first met with
+    such a key falls back. In a list, a dict item whose keys equal the
+    previous dict item's reuses that item's layout without a lookup, since a
+    list's items mostly share one; a key that equals a ``str`` but hashes
+    otherwise then raises KeyError, and falls back. Containers are tested
+    first: the scalars that reach here are a list's items or a bare value,
+    which are rare.
     """
     kind = type(value)
-    if kind is str:
+    if kind is dict:
+        if value:
+            _write_dict(value, _layout(tuple(value), newline, layouts), append, texts, layouts)
+        else:
+            append("{}")
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        lead, comma = inner, "," + inner
+        keys = None  # of the last dict item, whose layout is ``layout``
+        append("[")
+        for item in value:
+            append(lead)
+            lead = comma
+            if type(item) is dict and item:
+                item_keys = tuple(item)
+                if item_keys != keys:
+                    keys, layout = item_keys, _layout(item_keys, inner, layouts)
+                _write_dict(item, layout, append, texts, layouts)
+            else:
+                _write(item, append, inner, texts, layouts)
+        append(newline)
+        append("]")
+    elif kind is str:
         append(_encode_str(value))
     elif kind is float:
         append(_float_text(value))
@@ -95,52 +122,48 @@ def _write(value, append, newline: str, texts: dict, layouts: dict) -> None:
         append("true" if value else "false")
     elif value is None:
         append("null")
-    elif kind is dict:
-        if not value:
-            append("{}")
-            return
-        keys = tuple(value)
-        layout = layouts.get((keys, newline))
-        if layout is None:
-            inner = newline + "  "
-            lead, comma = "{" + inner, "," + inner
-            pairs = []
-            for key in sorted(keys):
-                if type(key) is not str:
-                    raise TypeError("only str keys are written here")
-                pairs.append((key, lead + _encode_str(key) + ": "))
-                lead = comma
-            layout = layouts[keys, newline] = (pairs, inner, newline + "}")
-        pairs, inner, close = layout
-        for key, lead in pairs:
-            append(lead)
-            item = value[key]
-            kind = type(item)
-            if kind is str:
-                append(_encode_str(item))
-            elif kind is float and item:
-                text = texts.get(item)
-                if text is None:
-                    text = texts[item] = _float_text(item)
-                append(text)
-            else:
-                _write(item, append, inner, texts, layouts)
-        append(close)
-    elif kind is list or kind is tuple:
-        if not value:
-            append("[]")
-            return
-        inner = newline + "  "
-        lead, comma = inner, "," + inner
-        append("[")
-        for item in value:
-            append(lead)
-            lead = comma
-            _write(item, append, inner, texts, layouts)
-        append(newline)
-        append("]")
     else:
         raise TypeError(f"{kind.__name__} is left to json.dumps")
+
+
+def _layout(keys: tuple, newline: str, layouts: dict) -> tuple:
+    """The layout of a dict with ``keys`` on a line that starts with
+    ``newline``, built when that shape is first met: the keys in sorted
+    order, each with its whole lead text (``{`` or ``,``, the line break and
+    indentation, the encoded key and ``": "``), the indentation of the
+    values, and the closing text."""
+    layout = layouts.get((keys, newline))
+    if layout is None:
+        inner = newline + "  "
+        lead, comma = "{" + inner, "," + inner
+        pairs = []
+        for key in sorted(keys):
+            if type(key) is not str:
+                raise TypeError("only str keys are written here")
+            pairs.append((key, lead + _encode_str(key) + ": "))
+            lead = comma
+        layout = layouts[keys, newline] = (pairs, inner, newline + "}")
+    return layout
+
+
+def _write_dict(value: dict, layout: tuple, append, texts: dict, layouts: dict) -> None:
+    """Append a non-empty dict's text by its layout. Its ``str`` values and
+    non-zero floats are written here; every other value recurses."""
+    pairs, inner, close = layout
+    for key, lead in pairs:
+        append(lead)
+        item = value[key]
+        kind = type(item)
+        if kind is str:
+            append(_encode_str(item))
+        elif kind is float and item:
+            text = texts.get(item)
+            if text is None:
+                text = texts[item] = _float_text(item)
+            append(text)
+        else:
+            _write(item, append, inner, texts, layouts)
+    append(close)
 
 
 def write_text(path, text: str) -> None:

@@ -157,7 +157,8 @@ class _Estimator:
             for producer, size in self._deps_into.get(task_id, ()):
                 leaves, r = self.end_of[producer], self._pool[self.placed[producer]]
                 inputs.append((leaves, r.site, r.bandwidth, r.latency, size))
-                latest = max(latest, leaves)
+                if leaves > latest:
+                    latest = leaves
             gathered = self._inputs[task_id] = (inputs, latest)
         return gathered
 
@@ -225,7 +226,7 @@ def map_workflow(
     tasks = {t.id: t for t in subwf.tasks}
     stage_ins = ((replica_host, size, consumer) for _, size, consumer in subwf.inputs)
     estimator = _Estimator(pool, stage_ins, subwf.data_deps, rates)
-    rng = random.Random(seed)
+    rng = random.Random(seed) if scheduler == "Random" else None
 
     avail = estimator.avail
     by_id = sorted((rid, pool[rid].cpu_rate) for rid in member_ids)  # MinEFT's walk, with each nominal rate
@@ -327,18 +328,22 @@ def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> Sub
     one transfer per dependency that crosses resources, which starts at its
     producer's end. They are sorted by (end, start, producer's plan position,
     dependency order), a stage-in counting as position -1 and its order
-    being its place in ``plan.transfers``.
+    being its place in ``plan.transfers``. That pair is unique, so the
+    transfers sort as plain ``(end, start, position, order, file, src, dst,
+    bytes)`` tuples, with no key function, and become records after sorting.
     """
     record = {r.task_id: (index, r.resource_id, r.end) for index, r in enumerate(plan.estimates)}
-    moves = [((-1, i), t.file, t.src_resource, t.dst_resource, t.size_bytes, 0.0) for i, t in enumerate(plan.transfers)]
+    transfers = []
+    for i, t in enumerate(plan.transfers):
+        src, dst, size = t.src_resource, t.dst_resource, t.size_bytes
+        end = 0.0 + transfer_time(size, pool[src], pool[dst])  # as start + time, so a -0.0 time ends at 0.0
+        transfers.append((end, 0.0, -1, i, t.file, src, dst, size))
     for i, (producer, consumer, size) in enumerate(plan.dependencies):
         position, src, leaves = record[producer]
         dst = record[consumer][1]
         if src != dst:
-            moves.append(((position, i), f"{producer}->{consumer}", src, dst, size, leaves))
-    transfers = []
-    for order, file, src, dst, size, start in moves:
-        end = start + transfer_time(size, pool[src], pool[dst])
-        transfers.append(((end, start) + order, TransferRecord(file, src, dst, size, start, end)))
-    transfers.sort(key=lambda item: item[0])
-    return SubWorkflowResult(plan, plan.estimates, tuple(r for _, r in transfers), plan.makespan_estimate)
+            end = leaves + transfer_time(size, pool[src], pool[dst])
+            transfers.append((end, leaves, position, i, f"{producer}->{consumer}", src, dst, size))
+    transfers.sort()
+    records = tuple(TransferRecord(file, src, dst, size, start, end) for end, start, _, _, file, src, dst, size in transfers)
+    return SubWorkflowResult(plan, plan.estimates, records, plan.makespan_estimate)

@@ -115,6 +115,11 @@ class AbstractSubWorkflow:
     def __post_init__(self):
         _check_subworkflow(self)
 
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        """The task ids in ``topological_order``, found once, by the check."""
+        return _kahn_order(self)
+
 
 def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
     """Return the node ids of one cycle: a depth-first search from each root
@@ -340,15 +345,24 @@ def _check_subworkflow(subwf: AbstractSubWorkflow) -> None:
             raise SchemaError(f"{path}.bytes", "bytes must be in [0, 1e15]")
         if not isinstance(consumer, str) or consumer not in seen:
             raise SchemaError(f"{path}.consumer", f"unknown task {consumer!r}")
-    topological_order(subwf)  # raises CycleError on a cyclic task DAG
+    subwf._order  # raises CycleError on a cyclic task DAG
 
 
 def topological_order(subwf: AbstractSubWorkflow) -> list[str]:
     """Order task ids so every producer precedes its consumers.
 
     Simultaneously-ready tasks are emitted in ascending id order, which makes
-    the order (and everything downstream of it) deterministic.
+    the order (and everything downstream of it) deterministic. A sub-workflow
+    finds its order once, when it checks itself (Kahn's algorithm over a heap
+    of ready ids), and keeps it; each call returns a fresh list copy, so a
+    caller's edit never reaches the kept order.
     """
+    return list(subwf._order)
+
+
+def _kahn_order(subwf: AbstractSubWorkflow) -> tuple[str, ...]:
+    """The order ``topological_order`` describes, or CycleError naming one
+    cycle among the tasks that cannot be placed."""
     indegree = {t.id: 0 for t in subwf.tasks}
     successors: dict[str, list[str]] = {t.id: [] for t in subwf.tasks}
     for producer, consumer, _ in subwf.data_deps:
@@ -367,8 +381,9 @@ def topological_order(subwf: AbstractSubWorkflow) -> list[str]:
                 heapq.heappush(ready, nxt)
 
     if len(order) != len(indegree):
-        remaining = {tid for tid, deg in indegree.items() if tid not in order}
+        placed = set(order)
+        remaining = {tid for tid in indegree if tid not in placed}
         adjacency = {tid: [s for s in successors[tid] if s in remaining] for tid in remaining}
         cycle = _find_cycle(adjacency)
         raise CycleError(cycle or sorted(remaining))
-    return order
+    return tuple(order)

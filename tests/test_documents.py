@@ -106,6 +106,65 @@ def test_repeated_layouts_equal_the_stdlib_encoder(records):
     assert outcome(dump_json, records) == outcome(stdlib_text, records)
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    pass
+
+
+class HashedLabel(str):
+    """Equal to the ``str`` it holds, with a hash of its own."""
+
+    def __hash__(self):
+        return 7
+
+
+@st.composite
+def consecutive_layouts(draw, depth: int = 1):
+    """A list whose dict items each repeat the previous dict item's keys,
+    repeat them in another insertion order, alternate with the dict item
+    before that, or take a new key set from ``LAYOUT_KEYS``; empty dicts and
+    scalars sit between them. At ``depth`` > 0 a value may be such a list one
+    level down, so one layout meets two depths."""
+    items, shapes = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        move = draw(st.sampled_from(("repeat", "reorder", "alternate", "new", "empty", "scalar")))
+        if move == "scalar":
+            items.append(draw(layout_values))
+            continue
+        if move == "empty":
+            items.append({})
+            continue
+        if move == "repeat" and shapes:
+            keys = shapes[-1]
+        elif move == "reorder" and shapes:
+            keys = draw(st.permutations(shapes[-1]))
+        elif move == "alternate" and len(shapes) > 1:
+            keys = shapes[-2]
+        else:
+            keys = draw(st.lists(st.sampled_from(LAYOUT_KEYS), min_size=1, max_size=4, unique=True))
+        shapes.append(keys)
+        nested = depth > 0 and draw(st.booleans())
+        items.append({key: draw(consecutive_layouts(depth - 1)) if nested else draw(layout_values) for key in keys})
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(consecutive_layouts())
+@example([{"k": 1, "j": 2}, {Label("k"): 1, "j": 2}])
+@example([{"k": 1, "j": 2}, {"j": 3, "k": 4}, {"j": 5, Label("k"): 6}])
+@example([{"k": 1}, {}, {Label("k"): 2}, {"k": 3}])
+@example([{Label("k"): 1}, {"k": 2}])
+@example([{"a": 1, "b": 2}, {"a": 3}, {"a": 4, "b": 5}, {"a": 6}])
+@example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+@example([{"a": [{"a": 1}, {"a": 2}]}, {"a": [{"a": 3}]}])
+def test_consecutive_dict_items_equal_the_stdlib_encoder(items):
+    assert outcome(dump_json, items) == outcome(stdlib_text, items)
+
+
 def finite_by_float(value) -> bool:
     """The finite-number rule as ``float()`` tells it: an int or a float that
     converts without overflow to a value ``v`` with ``v - v == 0``."""
@@ -136,15 +195,6 @@ def test_is_finite_number_agrees_with_float(value):
     assert documents.is_finite_number(value) is finite_by_float(value)
 
 
-class Level(enum.IntEnum):
-    LOW = 1
-    HIGH = 2
-
-
-class Label(str):
-    pass
-
-
 def self_containing_list():
     items = [1]
     items.append(items)
@@ -172,6 +222,7 @@ def self_containing_list():
         [{"1": "a"}, {1: "a"}],
         [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
         [{"k": "v"}, {"k": Label("v")}],
+        [{"k": 1}, {HashedLabel("k"): 2}],
     ],
     ids=[
         "int-keys",
@@ -192,6 +243,7 @@ def self_containing_list():
         "int-key-after-str-layout",
         "mixed-keys-after-str-layout",
         "str-subclass-value-in-a-known-layout",
+        "str-subclass-key-hashed-otherwise-after-a-list-layout",
     ],
 )
 def test_values_outside_plain_json_get_the_stdlib_outcome(obj):
@@ -206,7 +258,12 @@ def test_set_and_cycle_raise_the_stdlib_exceptions():
 
 
 def test_plain_values_never_reach_the_stdlib(monkeypatch):
-    tree = {"b": [1, 2.5, -0.0, None, True, ("t", float("nan"))], "a": {"k": "vé"}, "c": {}}
+    tree = {
+        "b": [1, 2.5, -0.0, None, True, ("t", float("nan"))],
+        "a": {"k": "vé"},
+        "c": {},
+        "d": [{"x": 1, "y": 2}, {"y": 3, "x": 4}, {"x": 5, "z": 6}, {}, {"x": 7}],
+    }
     expected = stdlib_text(tree)
 
     def refuse(*args, **kwargs):

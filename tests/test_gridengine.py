@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridwms import gridengine, simkernel
+from hybridwms import gridengine, simkernel, workflow
 from hybridwms.documents import dump_json, load_json
 from hybridwms.engine import record_document, run_workflow
 from hybridwms.errors import InfeasibleMapping, UnknownStrategy
@@ -492,6 +492,24 @@ def test_assignments_follow_topological_order():
     subwf = diamond_subwf()
     plan = map_workflow(subwf, quorum_of(pool, "r1", "r2", "r3"), pool)
     assert [p.task_id for p in plan.assignments] == topological_order(subwf)
+
+
+def test_the_kept_order_is_sorted_once_and_a_callers_edit_does_not_reach_it(monkeypatch):
+    sorts = []
+    kahn_order = workflow._kahn_order
+    monkeypatch.setattr(workflow, "_kahn_order", lambda subwf: sorts.append(subwf.id) or kahn_order(subwf))
+    pool = two_site_pool()
+    quorum = quorum_of(pool, "r1", "r2", "r3")
+    subwf = diamond_subwf()
+    order = topological_order(subwf)
+    assert order == ["a", "b", "c", "d"]
+    order.reverse()
+    order.append("ghost")
+    assert topological_order(subwf) == ["a", "b", "c", "d"]
+    first, second = (map_workflow(subwf, quorum, pool) for _ in range(2))
+    assert [p.task_id for p in first.assignments] == ["a", "b", "c", "d"]
+    assert second == first
+    assert sorts == ["diamond"]
 
 
 def test_plan_document_is_json_stable():

@@ -336,3 +336,12 @@ def test_topological_order_cycle_error_lists_cycle():
             (),
         )
     assert set(err.value.tasks) >= {"a", "b"}
+
+
+def test_a_long_chain_ending_in_a_cycle_names_that_cycle():
+    # the tasks left unplaced are found through a set: through the placed list, 20,000 tasks took seconds
+    ids = [f"t{i:05d}" for i in range(20_000)]
+    deps = tuple((a, b, 1.0) for a, b in zip(ids, ids[1:])) + ((ids[-1], ids[-3], 1.0),)
+    with pytest.raises(CycleError) as err:
+        AbstractSubWorkflow("chain", tuple(TaskSpec(t, 1.0, "tf") for t in ids), deps, ())
+    assert err.value.tasks == ids[-3:]
