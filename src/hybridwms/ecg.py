@@ -10,10 +10,12 @@ The measurement noise is CPython's ``random.gauss`` stream replayed in bulk:
 the same Mersenne Twister words, drawn by one ``getrandbits`` call, and the
 same Box–Muller pairs (Box & Muller 1958), so every sample is bit-identical to
 a per-sample ``gauss`` loop. numpy does only the steps IEEE 754 rounds exactly
-(shifts, integer-to-float, ``*``, ``-``, ``sqrt``); ``log``, ``cos`` and
-``sin`` stay on libm through ``math``, as ``gauss`` calls them. numpy picks a
-SIMD version of those per CPU, and its ``log`` differs from libm in the last
-bit for 0.35% of inputs on an AVX-512 machine.
+(shifts, integer-to-float, ``*``, ``+``, ``-``, ``sqrt``); ``log``, ``cos`` and
+``sin`` stay on libm, as ``gauss`` calls them: ``log`` through ``math``, and
+each angle's cos and sin from one ``cmath.exp`` call on ``0 + i·angle``, which
+CPython computes as ``exp(0)·cos`` and ``exp(0)·sin``, the same libm bits.
+numpy picks a SIMD version of those functions per CPU, and its ``log``
+differs from libm in the last bit for 0.35% of inputs on an AVX-512 machine.
 The spectral scan reads its grid off one real FFT of the folded signal: when
 the rate is N·FREQ_STEP Hz for an integer N ≥ 200, every grid frequency
 completes a whole number of cycles in N samples, so each step's sum is a bin
@@ -21,7 +23,8 @@ of the length-N DFT of the signal folded modulo N. At any other rate it steps
 a phasor along the grid (Goertzel 1958): one complex multiply per sample and
 step, not a cos/sin pair, in O(n) memory. Only the beat instants, one
 uniform draw each, come from a Python loop: adding the beats' Gaussians and
-finding each run's peak are whole-array passes.
+finding each run's peak are whole-array passes, and the baseline mask finds
+each sample's neighbouring beats by counting the beats before it.
 numpy is imported in the functions that compute on signals, so importing this
 module, and ``engine`` with it, loads no numpy.
 """
@@ -84,7 +87,8 @@ def synthesize_ecg(
     ``st_offset`` shifts the baseline between beats, ``noise`` is the sigma
     of additive Gaussian sample noise. The noise is bit-identical to one
     ``gauss(0.0, noise)`` call per sample, replayed in bulk by ``_gauss_noise``
-    (libm ``log``/``cos``/``sin``, numpy only for exactly rounded steps).
+    (libm ``log``, and each angle's ``cos`` and ``sin`` from one ``cmath.exp``
+    call; numpy only for exactly rounded steps).
     The beats' Gaussians are evaluated over all beat windows in one pass and
     added by ``np.add.at``, which adds in index order, so where windows overlap
     they add in beat order, bit for bit as a loop over beats would.
@@ -129,17 +133,25 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
     uniform from two 32-bit words as ``((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³``. One
     ``getrandbits`` call returns the same words, least significant first. An
     odd ``n`` leaves the last pair's second normal pending, as ``gauss`` does.
+    ``gauss`` calls ``math.cos`` and ``math.sin`` on each angle; one
+    ``cmath.exp(0 + i·angle)`` call gives both, as CPython computes its parts
+    as ``exp(0)·cos(angle)`` and ``exp(0)·sin(angle)``, and ``exp(0)`` is 1.
     """
+    import cmath  # here, not at module top: validate imports this module and draws no noise
+
     import numpy as np
 
     k = n + n % 2  # uniforms: two per pair of normals
-    words = np.frombuffer(stream.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4").astype(np.uint64)
-    u = ((words[0::2] >> 5) * 67108864 + (words[1::2] >> 6)).astype(np.float64) * 2.0**-53
-    x2pi = (u[0::2] * _TWOPI).tolist()
+    words = np.frombuffer(stream.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    # both terms are below 2⁵³, so float64 holds the 53-bit integer exactly
+    u = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
+    turn = np.zeros(k // 2, complex)
+    turn.imag = u[0::2] * _TWOPI
+    unit = np.fromiter(map(cmath.exp, turn.tolist()), complex, k // 2)  # cos + i·sin of each angle
     g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, k // 2))
     z = np.empty(k)
-    z[0::2] = np.fromiter(map(math.cos, x2pi), float, k // 2) * g2rad
-    z[1::2] = np.fromiter(map(math.sin, x2pi), float, k // 2) * g2rad
+    z[0::2] = unit.real * g2rad
+    z[1::2] = unit.imag * g2rad
     if n % 2:
         stream.gauss_next = float(z[-1])
     return 0.0 + z[:n] * sigma
@@ -207,7 +219,13 @@ def dominant_frequency(signal: EcgSignal) -> float:
 
 
 def extract_features(signal: EcgSignal) -> EcgFeatures:
-    """Recover rhythm and baseline features from a raw signal."""
+    """Recover rhythm and baseline features from a raw signal.
+
+    The baseline mask needs each sample's neighbouring beats. It counts them:
+    every beat adds one at the first sample after it (``bincount``), and a
+    running sum gives the number of beats before each sample, the index a
+    binary search of the beats would return, without one search per sample.
+    """
     import numpy as np
 
     beats = detect_beats(signal)
@@ -219,8 +237,9 @@ def extract_features(signal: EcgSignal) -> EcgFeatures:
     # are sorted, and no beat is nearer (even rounded) than the two around a sample.
     times = signal.times
     around = np.concatenate(([-np.inf], beats, [np.inf]))
-    after = np.searchsorted(beats, times) + 1
-    nearest = np.minimum(np.abs(times - around[after - 1]), np.abs(times - around[after]))
+    before = np.cumsum(np.bincount(np.searchsorted(times, beats, side="right"), minlength=len(times) + 1))[: len(times)]
+    # the beat before a sample is earlier and the next one is not: neither difference is negative
+    nearest = np.minimum(times - around[before], around[before + 1] - times)
     outside = nearest > 3 * BEAT_SIGMA
     st_dev = float(signal.values[outside].mean()) if outside.any() else 0.0
 

@@ -1,5 +1,6 @@
 """Signal synthesis, feature extraction, and diagnosis rule tests."""
 
+import cmath
 import importlib.resources
 import math
 import os
@@ -393,7 +394,7 @@ def test_detect_beats_matches_the_oracle_on_arbitrary_runs(values):
 @given(
     data=st.data(),
     n=st.integers(3, 2000),
-    rate=st.sampled_from([100.0, 250.0, 500.0]),
+    rate=st.floats(0.01, 2000.0) | st.just(100 / 3),  # synthesis rates and far lower recorded ones
     baseline=st.floats(-0.4, 0.4),
 )
 def test_st_deviation_matches_the_oracle_for_beats_anywhere(data, n, rate, baseline):
@@ -442,6 +443,20 @@ def test_noise_replays_the_gauss_loop_bit_for_bit(seed, draws, n, sigma):
     assert same_bits(_gauss_noise(replay, n, sigma), oracle_noise(oracle, n, sigma))
     assert replay.getstate() == oracle.getstate()  # the stream and a pending second normal
     assert replay.random() == oracle.random()
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(0.0, 2 * math.pi, exclude_max=True))
+@example(x=0.0)
+@example(x=5e-324)
+@example(x=math.pi / 2)
+@example(x=math.pi)
+@example(x=3 * math.pi / 2)
+@example(x=2 * math.pi * (1 - 2.0**-53))  # the largest angle gauss draws
+def test_one_complex_exp_gives_the_cos_and_sin_that_gauss_calls(x):
+    # the replay's premise: CPython computes exp(ix) as exp(0)·cos(x) + i·exp(0)·sin(x)
+    unit = cmath.exp(complex(0.0, x))
+    assert (bits(unit.real), bits(unit.imag)) == (bits(math.cos(x)), bits(math.sin(x)))
 
 
 def oracle_beat_stream(bpm, irregularity, duration, seed):
