@@ -33,7 +33,7 @@ from .policy import (
     DEFAULT_PROVENANCE,
     ConfigRegistry,
     Override,
-    PolicySet,
+    Policy,
     Sla,
     decide_policy,
     enforce,
@@ -375,34 +375,32 @@ def run_workflow(
     run_id = run_id or f"run-{config.seed}"
     try:
         return _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id)
-    except RunError:
-        raise
     except WmsError as exc:
         raise RunError(run_id, exc) from exc
 
 
 def enforce_run_policy(
     sla: Sla, repo: list, pool
-) -> tuple[Sla, PolicySet, ConfigRegistry, tuple[Override, ...], AllocationCostParams]:
+) -> tuple[Sla, tuple[Policy, ...], ConfigRegistry, tuple[Override, ...], AllocationCostParams]:
     """What a run takes from its SLA, repository and pool: the SLA with its
-    soft label expanded, the policy set decided for it on the pool's observed
-    properties, a fresh registry that set was enforced into, the overrides, and
+    soft label expanded, the policies decided for it on the pool's observed
+    properties, a fresh registry they were enforced into, the overrides, and
     the registry's allocation-cost weights. ``validate`` calls this too, so a
     repository that no run could use for the SLA and pool fails there."""
     expanded = expand_soft_label(sla) if sla.soft_label is not None else sla
-    policy_set = decide_policy(expanded, repo, pool)
+    policies = decide_policy(expanded, repo, pool)
     registry = ConfigRegistry()
-    overrides = enforce(policy_set, registry)
+    overrides = enforce(policies, registry)
     try:
         params = AllocationCostParams(registry.get("resource.alpha"), registry.get("resource.beta"))
     except ValueError as exc:
         raise InvalidConfigValue(f"config keys 'resource.alpha' and 'resource.beta': {exc}") from None
-    return expanded, policy_set, registry, overrides, params
+    return expanded, policies, registry, overrides, params
 
 
 def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRecord:
     check_workflow(graph, subworkflows)
-    expanded, policy_set, registry, overrides, params = enforce_run_policy(sla, repo, pool)
+    expanded, policies, registry, overrides, params = enforce_run_policy(sla, repo, pool)
     level = registry.get("resource.level")
     scheduler_seed = registry.get("scheduler.seed")
     if level == RANDOM_LEVEL:
@@ -448,7 +446,7 @@ def _run_workflow(graph, subworkflows, pool, repo, sla, config, run_id) -> RunRe
         seed=config.seed,
         sla=sla,
         expanded_sla=expanded,
-        policy_ids=policy_set.ids(),
+        policy_ids={p.kind.name.lower(): p.id for p in policies},
         config=registry.as_dict(),
         overrides=overrides,
         quorum=quorum,

@@ -45,11 +45,6 @@ class Catalogs:
 
     providers: dict[str, tuple[str, ...]]  # member ids by transformation
 
-    @property
-    def transformations(self) -> tuple[tuple[str, str], ...]:
-        """Every (transformation, resource id) pair, in catalog order."""
-        return tuple((name, rid) for name, rids in self.providers.items() for rid in rids)
-
     def resources_with(self, transformation: str) -> tuple[str, ...]:
         return self.providers.get(transformation, ())
 

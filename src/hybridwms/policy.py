@@ -85,9 +85,11 @@ def expand_soft_label(sla: Sla) -> Sla:
 
 
 class PolicyKind(str, Enum):
+    """The kinds of policy, declared in the order enforcement applies them."""
+
+    APP = "AppService"
     RESOURCE = "Resource"
     WORKFLOW = "LowLevelWorkflow"
-    APP = "AppService"
 
 
 #: The condition operators a repository may use, and what each computes.
@@ -112,22 +114,6 @@ class Policy:
     def __post_init__(self):
         if not self.actions:
             raise ValueError(f"policy {self.id!r} has no actions")
-
-
-@dataclass(frozen=True)
-class PolicySet:
-    app: Policy
-    resource: Policy
-    workflow: Policy
-
-    def __post_init__(self):
-        expected = ((self.app, PolicyKind.APP), (self.resource, PolicyKind.RESOURCE), (self.workflow, PolicyKind.WORKFLOW))
-        for policy, kind in expected:
-            if policy.kind is not kind:
-                raise ValueError(f"policy {policy.id!r} has kind {policy.kind.value}, expected {kind.value}")
-
-    def ids(self) -> dict[str, str]:
-        return {"app": self.app.id, "resource": self.resource.id, "workflow": self.workflow.id}
 
 
 # --------------------------------------------------------------------------
@@ -223,8 +209,9 @@ def policy_matches(policy: Policy, sla: Sla, pool) -> bool:
     return all(_predicate_holds(p, sla, pool) for p in policy.condition)
 
 
-def decide_policy(sla: Sla, repo: list[Policy], pool) -> PolicySet:
-    """Select the matching policy with maximal priority for each kind.
+def decide_policy(sla: Sla, repo: list[Policy], pool) -> tuple[Policy, ...]:
+    """Select the matching policy with maximal priority for each kind, and
+    return them in ``PolicyKind`` order.
 
     Ties break by ascending policy id. A property predicate observes its
     property from ``pool`` when it is checked, so a repository that names no
@@ -232,14 +219,13 @@ def decide_policy(sla: Sla, repo: list[Policy], pool) -> PolicySet:
     """
     if sla.soft_label is not None:
         raise ValueError("sla must be expanded before policy decision")
-    chosen: dict[PolicyKind, Policy] = {}
-    for kind in (PolicyKind.APP, PolicyKind.RESOURCE, PolicyKind.WORKFLOW):
+    chosen = []
+    for kind in PolicyKind:
         matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, pool)]
         if not matching:
             raise NoMatchingPolicy(kind.value)
-        matching.sort(key=lambda p: (-p.priority, p.id))
-        chosen[kind] = matching[0]
-    return PolicySet(app=chosen[PolicyKind.APP], resource=chosen[PolicyKind.RESOURCE], workflow=chosen[PolicyKind.WORKFLOW])
+        chosen.append(min(matching, key=lambda p: (-p.priority, p.id)))
+    return tuple(chosen)
 
 
 # --------------------------------------------------------------------------
@@ -255,16 +241,15 @@ class Override:
     new_value: object
 
 
-def enforce(policy_set: PolicySet, registry: ConfigRegistry) -> tuple[Override, ...]:
-    """Apply the decided actions to the registry.
+def enforce(policies: tuple[Policy, ...], registry: ConfigRegistry) -> tuple[Override, ...]:
+    """Apply the policies' actions to the registry, in the order given.
 
-    Actions apply in order app, resource, workflow; a later write to the same
-    key wins and is returned as an override. Enforcing the same set twice
-    leaves the registry unchanged.
+    A later write to the same key wins and is returned as an override.
+    Enforcing the same policies twice leaves the registry unchanged.
     """
     overrides = []
     written_by: dict[str, tuple[str, object]] = {}
-    for policy in (policy_set.app, policy_set.resource, policy_set.workflow):
+    for policy in policies:
         for key, value in policy.actions:
             if key in written_by:
                 loser, old_value = written_by[key]

@@ -31,6 +31,10 @@ SIGNAL_DOMAINS = {
     "rate": (lambda v: 0 < v <= 2000, "must be in (0, 2000]"),
 }
 
+#: The largest magnitude a recorded sample value may hold. The spectral scan squares
+#: sums of n values, and (n * 1e100) ** 2 stays finite for any n below 1e54.
+MAX_SAMPLE_MAGNITUDE = 1e100
+
 #: The domain of each diagnosis threshold; ``Thresholds`` refuses values outside it.
 THRESHOLD_DOMAINS = {
     "fibrillation_freq": (lambda v: v > 0, "must be positive"),
@@ -166,21 +170,27 @@ class RunConfig:
 
 def _recorded(signal):
     """Refuse a patient that is neither ``PatientParams`` nor an ``ecg.EcgSignal``
-    with a rate in its domain and values a non-empty 1-D float array of finite
-    numbers. Return it with its values copied into immutable bytes; a signal whose
-    values already live in bytes is returned as it is, so rebuilt configs share it."""
+    with a rate in its domain and at least the spectral scan's Nyquist rate, and
+    values a non-empty 1-D float array of finite numbers within
+    ``MAX_SAMPLE_MAGNITUDE``. Return it with its values copied into immutable
+    bytes; a signal whose values already live in bytes is returned as it is, so
+    rebuilt configs share it."""
     import numpy as np  # here, not at module top: only a recorded signal needs it
-    from .ecg import EcgSignal
+    from .ecg import FREQ_MAX, EcgSignal
 
     path = "run_config.patient"
     if not isinstance(signal, EcgSignal):
         raise doc.SchemaError(path, f"expected PatientParams or EcgSignal, got {type(signal).__name__}")
-    _number({"rate": signal.rate}, "rate", path, SIGNAL_DOMAINS)
+    rate = _number({"rate": signal.rate}, "rate", path, SIGNAL_DOMAINS)
+    if not rate >= 2 * FREQ_MAX:
+        raise doc.SchemaError(f"{path}.rate", f"must be >= {2 * FREQ_MAX:g}: the spectral scan's Nyquist rate")
     values = signal.values
     if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f" and values.size):
         raise doc.SchemaError(f"{path}.values", "expected a non-empty 1-D float array")
     if not np.isfinite(values).all():
         raise doc.SchemaError(f"{path}.values", "expected finite numbers")
+    if not (np.abs(values) <= MAX_SAMPLE_MAGNITUDE).all():
+        raise doc.SchemaError(f"{path}.values", f"expected magnitudes <= {MAX_SAMPLE_MAGNITUDE:g}")
     if isinstance(values.base, bytes):
         return signal
     return EcgSignal(np.frombuffer(values.tobytes(), values.dtype), signal.rate)

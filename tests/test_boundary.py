@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hybridwms import documents
@@ -474,6 +474,41 @@ def test_validate_refuses_a_candidate_the_sample_signal_cannot_hold(tmp_path, ra
     assert code == 2
     assert [line for line in out.splitlines() if "error:" in line] == [f"run-config: error: run_config.vhs_grid[0]: {message}"]
     assert "Traceback" not in err
+
+
+def refuse_constant(name):
+    raise AssertionError(f"run_record.json holds {name}")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rate=st.floats(0.0, 2000.0, exclude_min=True),
+    values=st.lists(st.floats(-1e308, 1e308) | st.sampled_from([1e308, -1e308]), min_size=1, max_size=40)
+    | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=400),
+)
+@example(rate=5e-324, values=[0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+@example(rate=1e-200, values=[0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+@example(rate=1e-300, values=[0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+@example(rate=19.99, values=[0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+@example(rate=250.0, values=[1e308, -1e308] * 3)
+@example(rate=20.0, values=[1e100, -1e100] * 3)
+def test_a_recorded_sample_validates_and_runs_to_finite_features_or_exits_2(rate, values):
+    # no vhs_grid, so no candidate check refuses the sample before its signal is
+    # checked, and the Low Cost SLA's EcgOnly runs no loop after the features
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_json(root / "sample.json", {"rate": rate, "values": values})
+        config = write_json(root / "run_config.json", {"seed": 1, "patient": {"file": "sample.json"}})
+        flags = ["--run-config", config, "--sla", str(data_path("slas/low_cost.json"))]
+        validated, _, err = quiet_main(["validate"] + flags)
+        assert validated in (0, 2)
+        assert "Traceback" not in err
+        ran, _, err = quiet_main(["run"] + flags + ["--out-dir", str(root / "out")])
+        assert ran in (0, 2)
+        assert "Traceback" not in err
+        record = root / "out" / "run_record.json"
+        if record.exists():
+            json.loads(record.read_text(), parse_constant=refuse_constant)
 
 
 WORKFLOW, RUN_CONFIG = "workflows/heart-disease.json", "run_config.json"

@@ -110,22 +110,9 @@ def random_pool(rng, n):
 # -- catalogs -----------------------------------------------------------------
 
 
-def test_catalogs_install_every_transformation_on_every_member():
-    pool = two_site_pool()
-    catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, "r1", "r3"))
-    assert catalogs.transformations == (
-        ("merge", "r1"),
-        ("merge", "r3"),
-        ("prep", "r1"),
-        ("prep", "r3"),
-        ("solve", "r1"),
-        ("solve", "r3"),
-    )
-
-
 def test_catalogs_list_providers_in_quorum_rank_order():
     pool = two_site_pool()
-    for members in (("r3", "r1", "r2"), ("r2", "r1")):
+    for members in (("r3", "r1", "r2"), ("r2", "r1"), ("r1", "r3")):
         catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, *members))
         for transformation in ("prep", "solve", "merge"):
             assert catalogs.resources_with(transformation) == members

@@ -261,6 +261,16 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
         "expected finite numbers",
     ),
     (
+        lambda c: replace(c, patient=EcgSignal(np.array([0.0, 1.0, 0.0, 1.0]), 19.99), candidates=()),
+        "run_config.patient.rate",
+        "must be >= 20: the spectral scan's Nyquist rate",
+    ),
+    (
+        lambda c: replace(c, patient=EcgSignal(np.array([0.0, 1.0, -1e101, 1.0]), 250.0), candidates=()),
+        "run_config.patient.values",
+        "expected magnitudes <= 1e+100",
+    ),
+    (
         lambda c: replace(c, patient=EcgSignal(np.array([0.0, 1.0]), "250"), candidates=()),
         "run_config.patient.rate",
         "expected finite number",
@@ -292,6 +302,8 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
         "sample-list",
         "sample-2d",
         "sample-nan",
+        "sample-below-nyquist",
+        "sample-huge-value",
         "sample-rate-text",
         "patient-type",
         "thresholds-type",

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridwms.errors import (
     InvalidConfigValue,
@@ -21,7 +23,6 @@ from hybridwms.policy import (
     Override,
     Policy,
     PolicyKind,
-    PolicySet,
     Predicate,
     Sla,
     decide_policy,
@@ -95,20 +96,32 @@ def expanded(level="L1", perf="Fast", service="EcgVhs"):
     return Sla(user_id="u", resource_level=level, performance=perf, service_level=service)
 
 
+def ids(chosen):
+    return [p.id for p in chosen]
+
+
 def test_decide_picks_highest_priority_per_kind():
-    chosen = decide_policy(expanded(), full_repo(), POOL)
-    assert chosen.ids() == {"app": "A1", "resource": "R1", "workflow": "W1"}
+    assert ids(decide_policy(expanded(), full_repo(), POOL)) == ["A1", "R1", "W1"]
 
 
 def test_decide_falls_back_to_catch_all():
-    chosen = decide_policy(expanded("L3", "Economy", "EcgOnly"), full_repo(), POOL)
-    assert chosen.ids() == {"app": "A2", "resource": "R2", "workflow": "W2"}
+    assert ids(decide_policy(expanded("L3", "Economy", "EcgOnly"), full_repo(), POOL)) == ["A2", "R2", "W2"]
 
 
 def test_decide_breaks_priority_ties_by_id():
     repo = full_repo() + [policy("A0", PolicyKind.APP, 10, [Predicate("service_level", "==", "EcgVhs")])]
-    chosen = decide_policy(expanded(), repo, POOL)
-    assert chosen.app.id == "A0"
+    assert ids(decide_policy(expanded(), repo, POOL)) == ["A0", "R1", "W1"]
+
+
+def test_decide_returns_one_policy_of_each_kind_in_kind_order():
+    rng = random.Random(29)
+    for _ in range(10):
+        repo = full_repo()
+        rng.shuffle(repo)
+        chosen = decide_policy(expanded(), repo, POOL)
+        assert [p.kind for p in chosen] == list(PolicyKind)
+    # the declaration is the enforcement order: a resource policy overrides an app policy
+    assert list(PolicyKind) == [PolicyKind.APP, PolicyKind.RESOURCE, PolicyKind.WORKFLOW]
 
 
 def test_decide_requires_every_kind():
@@ -127,8 +140,8 @@ def test_condition_reads_the_pool_load():
     repo = full_repo() + [
         policy("R9", PolicyKind.RESOURCE, 99, [Predicate("grid.load", ">=", 0.5)]),
     ]
-    assert decide_policy(expanded(), repo, loaded_pool(0.2, 0.6)).resource.id == "R1"
-    assert decide_policy(expanded(), repo, loaded_pool(0.4, 0.6)).resource.id == "R9"
+    assert ids(decide_policy(expanded(), repo, loaded_pool(0.2, 0.6))) == ["A1", "R1", "W1"]
+    assert ids(decide_policy(expanded(), repo, loaded_pool(0.4, 0.6))) == ["A1", "R9", "W1"]
 
 
 def test_numeric_predicates_and_operators():
@@ -161,15 +174,6 @@ def test_multi_predicate_condition_is_conjunction():
 def test_policy_requires_an_action():
     with pytest.raises(ValueError):
         Policy("x", PolicyKind.APP, 0, (), ())
-
-
-def test_policy_set_checks_kinds():
-    with pytest.raises(ValueError):
-        PolicySet(
-            app=policy("a", PolicyKind.APP),
-            resource=policy("b", PolicyKind.APP),
-            workflow=policy("c", PolicyKind.WORKFLOW),
-        )
 
 
 # -- registry and enforcement ----------------------------------------------------
@@ -212,12 +216,12 @@ def test_registry_validates_writes():
 
 def test_enforce_applies_in_kind_order_and_reports_overrides():
     registry = ConfigRegistry()
-    policy_set = PolicySet(
-        app=policy("A", PolicyKind.APP, actions=[("app.workflow", "EcgOnly"), ("vhs.max_iter", 2)]),
-        resource=policy("R", PolicyKind.RESOURCE, actions=[("resource.level", "L1"), ("vhs.max_iter", 9)]),
-        workflow=policy("W", PolicyKind.WORKFLOW, actions=[("scheduler.kind", "Random")]),
+    policies = (
+        policy("A", PolicyKind.APP, actions=[("app.workflow", "EcgOnly"), ("vhs.max_iter", 2)]),
+        policy("R", PolicyKind.RESOURCE, actions=[("resource.level", "L1"), ("vhs.max_iter", 9)]),
+        policy("W", PolicyKind.WORKFLOW, actions=[("scheduler.kind", "Random")]),
     )
-    overrides = enforce(policy_set, registry)
+    overrides = enforce(policies, registry)
     written = ("app.workflow", "resource.level", "scheduler.kind", "vhs.max_iter")
     assert [registry.entry(key).provenance for key in written] == ["A", "R", "W", "R"]
     assert registry.get("vhs.max_iter") == 9
@@ -227,26 +231,54 @@ def test_enforce_applies_in_kind_order_and_reports_overrides():
 
 def test_enforce_is_idempotent():
     registry = ConfigRegistry()
-    policy_set = PolicySet(
-        app=policy("A", PolicyKind.APP, actions=[("app.workflow", "EcgDetect")]),
-        resource=policy("R", PolicyKind.RESOURCE, actions=[("resource.level", "L2")]),
-        workflow=policy("W", PolicyKind.WORKFLOW, actions=[("scheduler.kind", "RoundRobin")]),
+    policies = (
+        policy("A", PolicyKind.APP, actions=[("app.workflow", "EcgDetect")]),
+        policy("R", PolicyKind.RESOURCE, actions=[("resource.level", "L2")]),
+        policy("W", PolicyKind.WORKFLOW, actions=[("scheduler.kind", "RoundRobin")]),
     )
-    enforce(policy_set, registry)
+    enforce(policies, registry)
     first = registry.as_dict()
-    enforce(policy_set, registry)
+    enforce(policies, registry)
     assert registry.as_dict() == first
 
 
 def test_enforce_rejects_unknown_action_key():
     registry = ConfigRegistry()
-    policy_set = PolicySet(
-        app=policy("A", PolicyKind.APP, actions=[("app.colour", "blue")]),
-        resource=policy("R", PolicyKind.RESOURCE),
-        workflow=policy("W", PolicyKind.WORKFLOW),
+    policies = (
+        policy("A", PolicyKind.APP, actions=[("app.colour", "blue")]),
+        policy("R", PolicyKind.RESOURCE),
+        policy("W", PolicyKind.WORKFLOW),
     )
     with pytest.raises(UnknownConfigKey):
-        enforce(policy_set, registry)
+        enforce(policies, registry)
+
+
+#: Values each drawn action may write, for a few keys of the schema.
+ACTION_VALUES = {
+    "scheduler.seed": st.integers(-5, 5),
+    "vhs.max_iter": st.integers(1, 5),
+    "resource.alpha": st.sampled_from([0.0, 0.5, 2.0]),
+    "app.workflow": st.sampled_from(["EcgOnly", "EcgVhs"]),
+}
+
+action = st.sampled_from(sorted(ACTION_VALUES)).flatmap(lambda key: st.tuples(st.just(key), ACTION_VALUES[key]))
+
+
+@given(order=st.permutations(list(PolicyKind)), drawn=st.lists(st.lists(action, min_size=1, max_size=5), min_size=3, max_size=3))
+def test_enforce_leaves_each_key_to_its_last_writer_and_lists_every_rewrite(order, drawn):
+    policies = tuple(policy(f"P{i}", kind, actions=acts) for i, (kind, acts) in enumerate(zip(order, drawn)))
+    last = {}  # key -> (writer id, value), the oracle
+    expected = []
+    for p in policies:
+        for key, value in p.actions:
+            if key in last:
+                expected.append(Override(key, last[key][0], p.id, last[key][1], value))
+            last[key] = (p.id, value)
+    registry = ConfigRegistry()
+    assert enforce(policies, registry) == tuple(expected)
+    for key, spec in CONFIG_SCHEMA.items():
+        writer, value = last.get(key, (DEFAULT_PROVENANCE, spec.default))
+        assert (registry.get(key), registry.entry(key).provenance) == (value, writer)
 
 
 def test_decide_enforce_reproducible_over_shuffled_repos():
