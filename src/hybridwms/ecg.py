@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoBeatsDetected
 from .runconfig import BEAT_SIGMA, SIGNAL_DOMAINS, Thresholds
@@ -61,15 +62,11 @@ class EcgSignal:
         return len(self.values) / self.rate
 
 
-@dataclass(frozen=True)
-class EcgFeatures:
+class EcgFeatures(NamedTuple):
     rr_mean: float
     rr_std: float
     dominant_freq: float
     st_deviation: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.rr_mean, self.rr_std, self.dominant_freq, self.st_deviation)
 
 
 def synthesize_ecg(
@@ -274,7 +271,7 @@ def feature_distance(candidate: EcgFeatures, reference: EcgFeatures) -> float:
     near-zero features cannot blow up the distance.
     """
     total = 0.0
-    for c, r in zip(candidate.as_tuple(), reference.as_tuple()):
+    for c, r in zip(candidate, reference):
         scale = max(abs(r), 0.1)
         total += ((c - r) / scale) ** 2
     return math.sqrt(total)

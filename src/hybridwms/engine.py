@@ -24,6 +24,7 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import documents as doc
 from .ecg import DISEASES, EcgFeatures, EcgSignal, estimate_disease, extract_features, feature_distance, synthesize_ecg
@@ -97,13 +98,7 @@ def _duration_and_rate(source: PatientParams | EcgSignal) -> tuple[float, float]
 # Run records
 
 
-def _fields(record) -> dict:
-    """A dataclass's fields by name, the values shared (``dataclasses.asdict`` deep-copies)."""
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-
-
-@dataclass(frozen=True)
-class DispatchRecord:
+class DispatchRecord(NamedTuple):
     index: int
     node_id: str
     start: float
@@ -115,8 +110,7 @@ class DispatchRecord:
         return self.result.makespan
 
 
-@dataclass(frozen=True)
-class VhsIteration:
+class VhsIteration(NamedTuple):
     index: int  # 1-based
     candidate: dict
     distance: float
@@ -124,8 +118,7 @@ class VhsIteration:
     makespan: float
 
 
-@dataclass(frozen=True)
-class LoopRecord:
+class LoopRecord(NamedTuple):
     node_id: str
     iterations: tuple[VhsIteration, ...]
     matched: bool
@@ -133,8 +126,7 @@ class LoopRecord:
     stop_reason: str  # "matched" or "exhausted"
 
 
-@dataclass(frozen=True)
-class NodeOutcome:
+class NodeOutcome(NamedTuple):
     node_id: str
     kind: str
     start: float  # simulated clock; local nodes take no simulated time
@@ -142,8 +134,7 @@ class NodeOutcome:
     detail: dict
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     run_id: str
     seed: int
     sla: Sla  # as submitted
@@ -189,9 +180,14 @@ def _input(ctx: _Context, key: str):
 
 def _fn_extract_features(ctx: _Context) -> dict:
     source = _input(ctx, "patient.ecg")  # a recorded signal is unhashable, and extracted at each run
-    features = extract_features(source) if isinstance(source, EcgSignal) else _signal_features(*_fields(source).values())
+    if isinstance(source, EcgSignal):
+        features = extract_features(source)
+    else:  # PatientParams, read field by field: dataclasses.astuple would deep-copy
+        features = _signal_features(
+            source.bpm, source.irregularity, source.st_offset, source.noise, source.duration, source.rate, source.seed
+        )
     ctx.workspace["features"] = features
-    return {"features": _fields(features)}
+    return {"features": features._asdict()}
 
 
 def _fn_longterm_analysis(ctx: _Context) -> dict:
@@ -468,11 +464,11 @@ def record_document(record: RunRecord) -> dict:
     return {
         "run_id": record.run_id,
         "seed": record.seed,
-        "sla": _fields(record.sla),
-        "expanded_sla": _fields(record.expanded_sla),
+        "sla": record.sla._asdict(),
+        "expanded_sla": record.expanded_sla._asdict(),
         "policies": dict(record.policy_ids),
         "config": record.config,
-        "overrides": [_fields(o) for o in record.overrides],
+        "overrides": [o._asdict() for o in record.overrides],
         "quorum": {"level": record.quorum.level, "members": list(record.quorum.members)},
         "nodes": [
             {"id": n.node_id, "kind": n.kind, "start": n.start, "end": n.end, "detail": n.detail}
@@ -499,9 +495,9 @@ def record_document(record: RunRecord) -> dict:
             "matched": record.vhs.matched,
             "best_index": record.vhs.best_index,
             "stop_reason": record.vhs.stop_reason,
-            "iterations": [_fields(it) for it in record.vhs.iterations],
+            "iterations": [it._asdict() for it in record.vhs.iterations],
         },
-        "features": None if record.features is None else _fields(record.features),
+        "features": None if record.features is None else record.features._asdict(),
         "diagnosis": record.diagnosis,
         "completion_time": record.completion_time,
     }

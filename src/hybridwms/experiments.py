@@ -10,6 +10,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import documents as doc
 from .engine import check_workflow, replace_seed, run_workflow
@@ -28,8 +29,7 @@ from .runconfig import RunConfig
 from .workflow import AbstractSubWorkflow, WorkflowGraph, parse_subworkflow, parse_workflow
 
 
-@dataclass(frozen=True)
-class WorkflowBundle:
+class WorkflowBundle(NamedTuple):
     """A workflow graph plus every sub-workflow its nodes reference."""
 
     graph: WorkflowGraph
@@ -54,8 +54,7 @@ def load_workflow_bundle(path) -> WorkflowBundle:
 # Experiment specification
 
 
-@dataclass(frozen=True)
-class PolicySetConfig:
+class PolicySetConfig(NamedTuple):
     name: str
     sla: Sla
     extra_policies: tuple[Policy, ...] = ()
@@ -109,8 +108,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
 # Allocation-cost study
 
 
-@dataclass(frozen=True)
-class CostStudy:
+class CostStudy(NamedTuple):
     table_csv: str  # hour x resource table, six top-ranked columns
     quorum_csv: str  # per-level quorum mean over the same grid
     level_means: tuple[tuple[str, float], ...]
@@ -143,16 +141,14 @@ def run_cost_study(
 # Policy-comparison study
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     config: str
     replicate: int
     seed: int
     completion: float  # seconds, already rounded to the CSV precision
 
 
-@dataclass(frozen=True)
-class ComparisonSummary:
+class ComparisonSummary(NamedTuple):
     config: str
     mean: float
     stddev: float
@@ -160,8 +156,7 @@ class ComparisonSummary:
     max: float
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     summaries: tuple[ComparisonSummary, ...]
 

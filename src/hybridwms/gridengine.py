@@ -19,7 +19,7 @@ exhaustive scan. Each task's inputs and their sources' links are gathered once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleMapping, UnknownStrategy
 from .resources import Quorum, ResourceDescriptor
@@ -39,8 +39,7 @@ SCHEDULER_KINDS = ("MinEFT", "RoundRobin", "Random")
 RateMemo = dict[tuple[str, float], float]  # effective rate by (resource id, start), for one pool
 
 
-@dataclass(frozen=True)
-class Catalogs:
+class Catalogs(NamedTuple):
     """The transformation catalog of a mapping round: which members provide what."""
 
     providers: dict[str, tuple[str, ...]]  # member ids by transformation
@@ -59,8 +58,7 @@ def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum) -> Catalogs:
     return Catalogs(dict.fromkeys(sorted({t.transformation for t in subwf.tasks}), quorum.members))
 
 
-@dataclass(frozen=True)
-class ConcretePlan:
+class ConcretePlan(NamedTuple):
     subworkflow_id: str
     scheduler: str
     quorum_level: str
@@ -274,8 +272,7 @@ def map_workflow(
     )
 
 
-@dataclass(frozen=True)
-class SubWorkflowResult:
+class SubWorkflowResult(NamedTuple):
     plan: ConcretePlan
     tasks: tuple[TaskRecord, ...]  # plan order
     transfers: tuple[TransferRecord, ...]  # by (end, start, producer plan position, dependency order)

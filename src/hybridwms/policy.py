@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import documents as doc
 from .errors import (
@@ -55,8 +56,7 @@ PROPERTIES = {"grid.load": lambda pool: grid_load(pool, 0.0)}
 APP_WORKFLOWS = SERVICE_LEVELS + ("EcgVhsAlways",)
 
 
-@dataclass(frozen=True)
-class Sla:
+class Sla(NamedTuple):
     user_id: str
     resource_level: str | None = None
     performance: str | None = None
@@ -96,8 +96,7 @@ class PolicyKind(str, Enum):
 _OPERATORS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     key: str
     op: str  # a key of _OPERATORS
     value: object
@@ -120,8 +119,7 @@ class Policy:
 # Configuration registry
 
 
-@dataclass(frozen=True)
-class ConfigKeySpec:
+class ConfigKeySpec(NamedTuple):
     type: type
     default: object
     domain: tuple | None = None  # closed value set, when applicable
@@ -142,8 +140,7 @@ CONFIG_SCHEMA = {
 DEFAULT_PROVENANCE = "default"
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     value: object
     provenance: str
 
@@ -232,8 +229,7 @@ def decide_policy(sla: Sla, repo: list[Policy], pool) -> tuple[Policy, ...]:
 # Enforcement
 
 
-@dataclass(frozen=True)
-class Override:
+class Override(NamedTuple):
     key: str
     overridden: str  # losing policy id
     overriding: str  # winning policy id

@@ -22,6 +22,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import documents as doc
 from .errors import EmptyPool
@@ -135,8 +136,7 @@ def rank_resources(pool, t: float, params: AllocationCostParams) -> list[tuple[s
     return sorted(costs, key=lambda pair: (pair[1], pair[0]))
 
 
-@dataclass(frozen=True)
-class Quorum:
+class Quorum(NamedTuple):
     level: str
     members: tuple[str, ...]  # ascending allocation cost at the instant it was formed
 
@@ -174,8 +174,7 @@ def random_quorum(pool, t: float, params: AllocationCostParams, seed: int) -> Qu
     return Quorum(RANDOM_LEVEL, tuple(ranked))
 
 
-@dataclass(frozen=True)
-class CostTable:
+class CostTable(NamedTuple):
     resource_ids: tuple[str, ...]  # rank order at t=0
     rows: tuple[tuple[float, ...], ...]  # one row per hour
 

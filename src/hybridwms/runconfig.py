@@ -16,6 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from . import documents as doc
+from .errors import NoBeatsDetected
 
 #: Width of one synthetic beat bump, seconds.
 BEAT_SIGMA = 0.02
@@ -172,11 +173,11 @@ def _recorded(signal):
     """Refuse a patient that is neither ``PatientParams`` nor an ``ecg.EcgSignal``
     with a rate in its domain and at least the spectral scan's Nyquist rate, and
     values a non-empty 1-D float array of finite numbers within
-    ``MAX_SAMPLE_MAGNITUDE``. Return it with its values copied into immutable
-    bytes; a signal whose values already live in bytes is returned as it is, so
-    rebuilt configs share it."""
+    ``MAX_SAMPLE_MAGNITUDE`` in which ``ecg.detect_beats`` finds two beats.
+    Return it with its values copied into immutable bytes; a signal whose values
+    already live in bytes is returned as it is, so rebuilt configs share it."""
     import numpy as np  # here, not at module top: only a recorded signal needs it
-    from .ecg import FREQ_MAX, EcgSignal
+    from .ecg import FREQ_MAX, EcgSignal, detect_beats
 
     path = "run_config.patient"
     if not isinstance(signal, EcgSignal):
@@ -191,6 +192,10 @@ def _recorded(signal):
         raise doc.SchemaError(f"{path}.values", "expected finite numbers")
     if not (np.abs(values) <= MAX_SAMPLE_MAGNITUDE).all():
         raise doc.SchemaError(f"{path}.values", f"expected magnitudes <= {MAX_SAMPLE_MAGNITUDE:g}")
+    try:
+        detect_beats(signal)
+    except NoBeatsDetected as exc:
+        raise doc.SchemaError(f"{path}.values", str(exc)) from None
     if isinstance(values.base, bytes):
         return signal
     return EcgSignal(np.frombuffer(values.tobytes(), values.dtype), signal.rate)

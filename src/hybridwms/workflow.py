@@ -11,10 +11,11 @@ graph's nodes hold read-only copies of their checked payloads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import documents as doc
 from .errors import CycleError, SchemaError
@@ -51,11 +52,10 @@ _PAYLOAD_SCHEMA = {
 }
 
 
-@dataclass(frozen=True, eq=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: NodeKind
-    payload: dict = field(default_factory=dict)
+    payload: dict = MappingProxyType({})  # shared by every node built without one, so read-only
 
     @property
     def min_service(self) -> str:
@@ -98,8 +98,7 @@ def _read_only(payload) -> MappingProxyType:
     return MappingProxyType({k: MappingProxyType(dict(v)) if k == "branches" else v for k, v in payload.items()})
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     id: str
     work: float
     transformation: str

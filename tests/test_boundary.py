@@ -460,6 +460,7 @@ def test_a_run_reads_no_document(tmp_path, monkeypatch):
 
 #: Recorded samples, as (rate, sample count, message), too short or too long for
 #: a candidate of bpm 60, which is synthesized at the sample's duration and rate.
+#: Each shows two beats, so the sample itself passes its own checks.
 SAMPLES_NO_CANDIDATE_FITS = [
     (250, 250, "with the patient signal's duration: 1 s holds fewer than two beats at bpm 60: needs at least 2.08 s"),
     (100, 360_001, "with the patient signal's duration: must be in (0, 3600]"),
@@ -468,7 +469,7 @@ SAMPLES_NO_CANDIDATE_FITS = [
 
 @pytest.mark.parametrize("rate, samples, message", SAMPLES_NO_CANDIDATE_FITS, ids=["1 s", "3600.01 s"])
 def test_validate_refuses_a_candidate_the_sample_signal_cannot_hold(tmp_path, rate, samples, message):
-    write_json(tmp_path / "sample.json", {"rate": rate, "values": [0.0] * samples})
+    write_json(tmp_path / "sample.json", {"rate": rate, "values": [1.0, 0.0, 1.0] + [0.0] * (samples - 3)})
     config = write_json(tmp_path / "run_config.json", {"seed": 1, "patient": {"file": "sample.json"}, "vhs_grid": [{"bpm": 60}]})
     code, out, err = quiet_main(["validate", "--run-config", config])
     assert code == 2
@@ -492,9 +493,11 @@ def refuse_constant(name):
 @example(rate=19.99, values=[0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
 @example(rate=250.0, values=[1e308, -1e308] * 3)
 @example(rate=20.0, values=[1e100, -1e100] * 3)
+@example(rate=250.0, values=[0.0] * 500 + [1.0] + [0.0] * 499)  # one beat
 def test_a_recorded_sample_validates_and_runs_to_finite_features_or_exits_2(rate, values):
     # no vhs_grid, so no candidate check refuses the sample before its signal is
-    # checked, and the Low Cost SLA's EcgOnly runs no loop after the features
+    # checked, and the Low Cost SLA's EcgOnly runs no loop after the features;
+    # run fails on the same documents exactly when validate does
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write_json(root / "sample.json", {"rate": rate, "values": values})
@@ -504,7 +507,7 @@ def test_a_recorded_sample_validates_and_runs_to_finite_features_or_exits_2(rate
         assert validated in (0, 2)
         assert "Traceback" not in err
         ran, _, err = quiet_main(["run"] + flags + ["--out-dir", str(root / "out")])
-        assert ran in (0, 2)
+        assert ran == validated
         assert "Traceback" not in err
         record = root / "out" / "run_record.json"
         if record.exists():

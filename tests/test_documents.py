@@ -15,7 +15,7 @@ from hybridwms.engine import record_document, run_workflow
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.gridengine import execute_plan
 from hybridwms.policy import parse_repository, parse_sla
-from hybridwms.resources import parse_pool
+from hybridwms.resources import Quorum, parse_pool
 from hybridwms.runconfig import parse_run_config
 from test_gridengine import PACKAGED_SLAS, seeded_plans
 
@@ -223,6 +223,7 @@ def self_containing_list():
         [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
         [{"k": "v"}, {"k": Label("v")}],
         [{"k": 1}, {HashedLabel("k"): 2}],
+        {"quorum": Quorum("L1", ("r1", "r2"))},
     ],
     ids=[
         "int-keys",
@@ -244,6 +245,7 @@ def self_containing_list():
         "mixed-keys-after-str-layout",
         "str-subclass-value-in-a-known-layout",
         "str-subclass-key-hashed-otherwise-after-a-list-layout",
+        "named-tuple-value",
     ],
 )
 def test_values_outside_plain_json_get_the_stdlib_outcome(obj):

@@ -99,11 +99,11 @@ def test_parse_run_config_synthetic_patient():
 
 
 def test_parse_run_config_sample_file_resolves_against_base_dir(tmp_path):
-    (tmp_path / "sample.json").write_text(json.dumps({"rate": 100, "values": [0.5, -1, 2.25]}))
+    (tmp_path / "sample.json").write_text(json.dumps({"rate": 100, "values": [0.25, -1, 1, 0, 1]}))
     config = parse_run_config({"seed": 1, "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
     assert isinstance(config.patient, EcgSignal)
     assert config.patient.rate == 100.0
-    assert config.patient.values.tolist() == [0.5, -1.0, 2.25]
+    assert config.patient.values.tolist() == [0.25, -1.0, 1.0, 0.0, 1.0]
 
 
 def test_parse_run_config_rejects_unknown_keys():
@@ -744,7 +744,7 @@ def edited_graph(graph, index, key, value):
         return replace(graph, **{key: value})
     nodes = list(graph.nodes)
     if key == "id":
-        nodes[index] = replace(nodes[index], id=value)
+        nodes[index] = nodes[index]._replace(id=value)
     else:
         payload = {k: v for k, v in nodes[index].payload.items() if k != key}
         if value is not DELETED:
@@ -798,7 +798,7 @@ CODE_BUILT_SUBWORKFLOW_FAULTS = [
         "unknown task 'ghost'",
     ),
     (
-        lambda s: replace(s, tasks=tuple(replace(t, work=-t.work) for t in s.tasks)),
+        lambda s: replace(s, tasks=tuple(t._replace(work=-t.work) for t in s.tasks)),
         "subworkflow.tasks[0].work",
         "work must be in (0, 1e12]",
     ),

@@ -1,11 +1,16 @@
-"""Every import in the package and its tests is used, and a command that
-computes no signal loads neither numpy nor ``cmath``.
+"""Every import in the package and its tests is used, every dataclass in the
+package checks itself or is listed, and a command that computes no signal loads
+neither numpy nor ``cmath``.
 
 No linter runs on this repository, so the first test is the check: it parses
 each module with ``ast`` and lists every imported name that the module never
 reads. A name counts as read when it appears as a name anywhere in the module or
 is listed in its ``__all__``. An import whose line carries ``# noqa: F401`` is
 kept on purpose (a name some other code patches, say).
+
+The second parses the package the same way. A record that checks nothing is a
+``typing.NamedTuple``; ``@dataclass`` is for a class with a ``__post_init__``
+and for the few listed in ``PLAIN_DATACLASSES``.
 
 The others import the package in a fresh interpreter and list the modules it
 loaded.
@@ -60,6 +65,47 @@ def test_no_module_in_src_or_tests_imports_a_name_it_never_reads(tmp_path):
     modules = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert len(modules) > 20
     assert [line for path in modules for line in unused_imports(path, ROOT)] == []
+
+
+#: The ``@dataclass`` classes in ``src/`` that define no ``__post_init__``, as ``module.Class``.
+PLAIN_DATACLASSES = [
+    "ecg.EcgSignal",  # test_hybrid asserts FrozenInstanceError when a checked config's signal is edited
+    "engine._Context",  # mutable: a run's walk advances its cursor and fills its workspace and dispatches
+]
+
+
+def plain_dataclasses(path: Path) -> list[str]:
+    """``module.Class`` for each class in ``path`` decorated ``@dataclass``, called
+    or not, plain or dotted, whose body defines no ``__post_init__``."""
+    plain = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets):
+            continue
+        if not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body):
+            plain.append(f"{path.stem}.{node.name}")
+    return plain
+
+
+def test_a_dataclass_in_src_checks_itself_or_is_listed(tmp_path):
+    # the scan itself: called, bare and dotted decorators, a checked class and a named tuple
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\nclass Called:\n    x: int\n"
+        "@dataclass\nclass Bare:\n    x: int\n"
+        "@dataclasses.dataclass\nclass Dotted:\n    x: int\n"
+        "@dataclass\nclass Checked:\n    x: int\n    def __post_init__(self):\n        pass\n"
+        "class Record(NamedTuple):\n    x: int\n"
+    )
+    assert plain_dataclasses(sample) == ["sample.Called", "sample.Bare", "sample.Dotted"]
+
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert sorted(name for path in modules for name in plain_dataclasses(path)) == PLAIN_DATACLASSES
 
 
 def loaded_modules(code: str) -> list[str]:
