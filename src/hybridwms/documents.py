@@ -1,5 +1,5 @@
 """Strict JSON document access helpers used by every parser in the package,
-and the canonical JSON writer.
+the canonical JSON writer, and the writer of every CSV output.
 
 All shipped documents reject unknown keys so that typos surface as
 ``SchemaError`` with a path instead of being silently ignored.
@@ -166,6 +166,13 @@ def _write_dict(value: dict, layout: tuple, append, texts: dict, layouts: dict) 
     append(close)
 
 
+def csv_text(header, rows) -> str:
+    """The text of every CSV output: the header, then one line per row, cells joined by
+    commas, floats as ``:.6f``, LF line ends. Names passed ``get_name``, so none is quoted."""
+    lines = (",".join(f"{c:.6f}" if isinstance(c, float) else str(c) for c in row) for row in (header, *rows))
+    return "".join(line + "\n" for line in lines)
+
+
 def write_text(path, text: str) -> None:
     """Write text with LF endings regardless of platform."""
     Path(path).write_bytes(text.encode("utf-8"))
@@ -185,9 +192,9 @@ def require_list(value, path: str) -> list:
 
 
 def reject_unknown(mapping: dict, allowed, path: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = set(mapping).difference(allowed)
     if unknown:
-        raise SchemaError(f"{path}.{unknown[0]}", "unknown key")
+        raise SchemaError(f"{path}.{min(unknown)}", "unknown key")
 
 
 def get_required(mapping: dict, key: str, path: str):

@@ -11,7 +11,8 @@ what its own nodes computed: a data-retrieval node reads its registered source
 when it runs, and a user-input node requires its key in the run configuration
 and records it, but no engine function reads the value. The run configuration
 checked itself when it was built (``runconfig``), so every signal a run
-synthesizes is in domain. Every run is a pure function of its documents and
+synthesizes is in domain, and ``runconfig.candidate_signal`` gives each VHS
+candidate's synthesis arguments. Every run is a pure function of its documents and
 seed, so one features memo serves every run in the process: each distinct
 synthesized signal, a patient's or a VHS candidate's, is made and extracted
 once. Features are kept, never signals.
@@ -48,7 +49,7 @@ from .resources import (
     generate_arq,
     random_quorum,
 )
-from .runconfig import CANDIDATE_DEFAULTS, PatientParams, RunConfig
+from .runconfig import PatientParams, RunConfig, candidate_signal
 from .runconfig import parse_run_config  # noqa: F401 -- kept at this name; bench/workloads.py calls it through engine
 from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, service_rank
 
@@ -88,12 +89,6 @@ def _signal_features(bpm, irregularity, st_offset, noise, duration, rate, seed) 
     return extract_features(synthesize_ecg(bpm, irregularity, st_offset, noise, duration, rate, seed))
 
 
-def _duration_and_rate(source: PatientParams | EcgSignal) -> tuple[float, float]:
-    """The patient signal's ``(duration, rate)``, bit for bit as its ``EcgSignal`` has them, without synthesizing it."""
-    rate = float(source.rate)
-    return source.duration if isinstance(source, EcgSignal) else int(round(source.duration * rate)) / rate, rate
-
-
 # --------------------------------------------------------------------------
 # Run records
 
@@ -104,10 +99,6 @@ class DispatchRecord(NamedTuple):
     start: float
     end: float
     result: SubWorkflowResult  # its plan names the sub-workflow, scheduler and quorum level
-
-    @property
-    def makespan(self) -> float:
-        return self.result.makespan
 
 
 class VhsIteration(NamedTuple):
@@ -275,15 +266,14 @@ def _run_vhs_loop(ctx: _Context, node: Node) -> dict:
     if not candidates:
         raise EmptyParameterGrid("no candidate parameter sets configured")
     patient_features = _input(ctx, "features")
-    duration, rate = _duration_and_rate(_input(ctx, "patient.ecg"))  # every candidate is synthesized at these
+    patient = _input(ctx, "patient.ecg")  # every candidate is synthesized at its signal's duration and rate
 
     iterations = []
     matched = False
     for i in range(min(max_iter, len(candidates))):
         candidate = candidates[i]
         result = _dispatch_grid(ctx, node.id, payload["subworkflow"])
-        c = {**CANDIDATE_DEFAULTS, **candidate}
-        features = _signal_features(c["bpm"], c["irregularity"], c["st_offset"], 0.0, duration, rate, c["seed"])
+        features = _signal_features(*candidate_signal(candidate, patient))
         distance = feature_distance(features, patient_features)
         matched = distance <= tolerance
         iterations.append(VhsIteration(i + 1, dict(candidate), distance, matched, result.makespan))
@@ -483,7 +473,7 @@ def record_document(record: RunRecord) -> dict:
                 "quorum_level": d.result.plan.quorum_level,
                 "start": d.start,
                 "end": d.end,
-                "makespan": d.makespan,
+                "makespan": d.result.makespan,
                 "result": d.result.as_document(),
             }
             for d in record.dispatches
@@ -505,10 +495,7 @@ def record_document(record: RunRecord) -> dict:
 
 def node_timings_csv(record: RunRecord) -> str:
     """Per-node simulated start/end times, one row per visited node."""
-    lines = ["node,kind,start,end"]
-    for n in record.nodes:
-        lines.append(f"{n.node_id},{n.kind},{n.start:.6f},{n.end:.6f}")
-    return "\n".join(lines) + "\n"
+    return doc.csv_text(("node", "kind", "start", "end"), ((n.node_id, n.kind, n.start, n.end) for n in record.nodes))
 
 
 def replace_seed(config: RunConfig, seed: int) -> RunConfig:

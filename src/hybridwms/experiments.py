@@ -131,10 +131,7 @@ def run_cost_study(
     quorums = [generate_arq(pool, level, 0.0, params) for level in LEVELS]
     table = average_cost_table(grid, quorums[-1].members[:6], samples_per_hour)
     means = [(quorum.level, quorum_grid_mean(grid, quorum)) for quorum in quorums]
-    lines = ["level,mean_ac"]
-    for level, mean in means:
-        lines.append(f"{level},{mean:.6f}")
-    return CostStudy(cost_table_csv(table), "\n".join(lines) + "\n", tuple(means))
+    return CostStudy(cost_table_csv(table), doc.csv_text(("level", "mean_ac"), means), tuple(means))
 
 
 # --------------------------------------------------------------------------
@@ -210,14 +207,8 @@ def run_policy_comparison(
 
 
 def comparison_csv(result: ComparisonResult) -> str:
-    lines = ["config,replicate,seed,completion_s"]
-    for row in result.rows:
-        lines.append(f"{row.config},{row.replicate},{row.seed},{row.completion:.6f}")
-    return "\n".join(lines) + "\n"
+    return doc.csv_text(("config", "replicate", "seed", "completion_s"), result.rows)
 
 
 def summary_csv(result: ComparisonResult) -> str:
-    lines = ["config,mean,stddev,min,max"]
-    for s in result.summaries:
-        lines.append(f"{s.config},{s.mean:.6f},{s.stddev:.6f},{s.min:.6f},{s.max:.6f}")
-    return "\n".join(lines) + "\n"
+    return doc.csv_text(("config", "mean", "stddev", "min", "max"), result.summaries)

@@ -256,10 +256,7 @@ def average_cost_table(grid: dict[str, list[float]], resource_ids, samples_per_h
 
 
 def cost_table_csv(table: CostTable) -> str:
-    lines = ["hour," + ",".join(table.resource_ids)]
-    for hour, row in enumerate(table.rows):
-        lines.append(f"{hour}," + ",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"
+    return doc.csv_text(("hour", *table.resource_ids), ((hour, *row) for hour, row in enumerate(table.rows)))
 
 
 def quorum_grid_mean(grid: dict[str, list[float]], quorum: Quorum) -> float:

@@ -6,7 +6,9 @@ Each record checks its rules when it is built, parsed or in code, and raises
 integers, values in their domains, signals able to show two beats. A checked
 ``RunConfig`` holds read-only candidates and user inputs, a ``Thresholds``, and
 a patient: ``PatientParams``, or a checked, read-only copy of an ``EcgSignal``.
-numpy is imported only to load or check a recorded sample.
+``candidate_signal``, which the candidate check and the engine's loop call,
+alone decides how a VHS candidate is synthesized. numpy is imported only to
+load or check a recorded sample.
 """
 
 from __future__ import annotations
@@ -121,15 +123,25 @@ class PatientParams:
             raise doc.SchemaError(f"{path}.{problem[0]}", problem[1])
 
 
-def _candidate(record, index: int, duration: float, rate: float) -> MappingProxyType:
+def candidate_signal(candidate, patient) -> tuple:
+    """``synthesize_ecg``'s arguments for a VHS candidate: its fields over ``CANDIDATE_DEFAULTS``,
+    no noise, and the patient signal's duration and rate, bit for bit as its ``EcgSignal`` has them."""
+    c, rate = {**CANDIDATE_DEFAULTS, **candidate}, float(patient.rate)
+    duration = round(patient.duration * rate) / rate if isinstance(patient, PatientParams) else patient.duration
+    return c["bpm"], c["irregularity"], c["st_offset"], 0.0, duration, rate, c["seed"]
+
+
+def _candidate(record, index: int, patient) -> MappingProxyType:
     """A read-only copy of a checked VHS candidate: known keys, a ``bpm``, each
-    field in its domain, and two beats in its noiseless signal at the patient
-    signal's duration and rate, which it is synthesized at."""
+    field in its domain, and a noiseless signal (``candidate_signal``) whose
+    duration is in its domain and which shows two beats."""
     path = f"run_config.vhs_grid[{index}]"
     doc.reject_unknown(doc.require_mapping(record, path), {"bpm", *CANDIDATE_DEFAULTS}, path)
     checked = _signal_fields({"bpm": doc.get_required(record, "bpm", path), **record}, path)
-    synthesis = {**CANDIDATE_DEFAULTS, **checked}
-    problem = detectability_problem(synthesis["bpm"], synthesis["irregularity"], synthesis["st_offset"], duration, rate)
+    bpm, irregularity, st_offset, _, duration, rate, _ = candidate_signal(checked, patient)
+    problem = detectability_problem(bpm, irregularity, st_offset, duration, rate)
+    if not (problem or SIGNAL_DOMAINS["duration"][0](duration)):  # the rate was checked with the patient
+        problem = "duration", SIGNAL_DOMAINS["duration"][1]
     if problem:
         name, message = problem
         if name in ("duration", "rate"):
@@ -155,11 +167,7 @@ class RunConfig:
         doc.get_int({"seed": self.seed}, "seed", "run_config")
         if not isinstance(self.patient, PatientParams):
             object.__setattr__(self, "patient", _recorded(self.patient))
-        duration, rate = self.patient.duration, self.patient.rate  # every candidate is synthesized at these
-        in_domain, message = SIGNAL_DOMAINS["duration"]
-        if self.candidates and not in_domain(duration):  # a recorded signal may be longer than synthesis accepts
-            raise doc.SchemaError("run_config.vhs_grid[0]", f"with the patient signal's duration: {message}")
-        candidates = _Checked([_candidate(c, i, duration, rate) for i, c in enumerate(self.candidates)])
+        candidates = _Checked([_candidate(c, i, self.patient) for i, c in enumerate(self.candidates)])
         if type(self.candidates) is not _Checked:
             object.__setattr__(self, "candidates", candidates)
         if not isinstance(self.thresholds, Thresholds):

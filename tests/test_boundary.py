@@ -477,6 +477,20 @@ def test_validate_refuses_a_candidate_the_sample_signal_cannot_hold(tmp_path, ra
     assert "Traceback" not in err
 
 
+def test_a_patient_signal_past_3600_s_is_refused_before_any_synthesis(tmp_path):
+    # 3600 s at 100.00015 Hz is 360,001 samples, 3600.0046 s: every candidate would be synthesized past 3600 s
+    patient = {**PACKAGED["run_config.json"]["patient"], "duration": 3600, "rate": 100.00015}
+    config = write_json(tmp_path / "run_config.json", {**PACKAGED["run_config.json"], "patient": patient})
+    message = "run_config.vhs_grid[0]: with the patient signal's duration: must be in (0, 3600]"
+    code, out, err = quiet_main(["validate", "--run-config", config])
+    assert (code, "Traceback" in err) == (2, False)
+    assert [line for line in out.splitlines() if "error:" in line] == [f"run-config: error: {message}"]
+    code, _, err = quiet_main(["run", "--run-config", config, "--out-dir", str(tmp_path / "out")])
+    assert (code, "Traceback" in err) == (2, False)
+    assert f"error: {message}" in err
+    assert not (tmp_path / "out" / "run_record.json").exists()
+
+
 def refuse_constant(name):
     raise AssertionError(f"run_record.json holds {name}")
 

@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from hybridwms import engine
@@ -33,7 +33,7 @@ from hybridwms.errors import (
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.policy import Policy, PolicyKind, Predicate, parse_repository, parse_sla
 from hybridwms.resources import parse_pool, quorum_size
-from hybridwms.runconfig import PatientParams, RunConfig, Thresholds, parse_run_config
+from hybridwms.runconfig import PatientParams, RunConfig, Thresholds, candidate_signal, parse_run_config
 from hybridwms.workflow import Node, NodeKind, WorkflowGraph
 
 
@@ -285,6 +285,11 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
         "run_config.thresholds",
         "expected Thresholds, got NoneType",
     ),
+    (  # 360,001 samples: the candidate would be synthesized at 3600.0046 s
+        lambda c: RunConfig(1, PatientParams(bpm=70, duration=3600, rate=100.00015), ({"bpm": 60},)),
+        "run_config.vhs_grid[0]",
+        "with the patient signal's duration: must be in (0, 3600]",
+    ),
 ]
 
 
@@ -307,6 +312,7 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
         "sample-rate-text",
         "patient-type",
         "thresholds-type",
+        "candidate-past-3600-s",
     ],
 )
 def test_a_code_built_run_config_that_breaks_a_rule_cannot_be_built(build, path, message):
@@ -314,6 +320,63 @@ def test_a_code_built_run_config_that_breaks_a_rule_cannot_be_built(build, path,
     with pytest.raises(SchemaError) as err:
         build(config)
     assert (err.value.path, err.value.message) == (path, message)
+
+
+@st.composite
+def patients_near_the_synthesis_bound(draw):
+    """A patient: synthesis parameters (a dict), or the sample count and rate of
+    a recorded signal (a tuple). Durations reach 3600 s, and past it once
+    rounded to whole samples; rates need not be multiples of 0.1 Hz."""
+    rate = draw(st.sampled_from([100.0, 100.00015, 2000.0]) | st.floats(100.0, 2000.0))
+    if draw(st.booleans()):
+        duration = draw(st.sampled_from([3600, 3600.0]) | st.floats(3599.0, 3600.0) | st.floats(0.5, 3600.0))
+        return {"bpm": draw(st.floats(30.0, 300.0)), "duration": duration, "rate": rate}
+    rate = 100.0 + rate / 200.0  # at most 110 Hz, so 3600 s stays under 400,000 samples
+    n = draw(st.integers(3, 5_000) | st.integers(-2, 2).map(lambda k: round(3600 * rate) + k))
+    return n, rate
+
+
+def candidate_records():
+    """VHS candidate records, some outside their own domains."""
+    fields = {"irregularity": st.floats(0.0, 1.0), "st_offset": st.floats(-0.5, 0.5), "seed": st.integers(0, 99)}
+    return st.fixed_dictionaries({"bpm": st.floats(1.0, 1100.0)}, optional=fields)
+
+
+def first_refused_candidate(patient, candidates):
+    """The index of the first candidate whose noiseless signal, at the patient
+    signal's sample-exact duration ``round(D * r) / r`` and rate, leaves a
+    restated signal domain or cannot show two beats; None when none does."""
+    n, rate = (round(patient["duration"] * patient["rate"]), patient["rate"]) if isinstance(patient, dict) else patient
+    duration = n / rate
+    for i, candidate in enumerate(candidates):
+        record = {"irregularity": 0.0, "st_offset": 0.0, **candidate, "duration": duration, "rate": rate}
+        record.pop("seed", None)
+        if not (all(SIGNAL_DOMAINS[k](v) for k, v in record.items()) and shows_two_beats(**record)):
+            return i
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(patient=patients_near_the_synthesis_bound(), candidates=st.lists(candidate_records(), min_size=1, max_size=3))
+@example(patient={"bpm": 70, "duration": 3600, "rate": 100.00015}, candidates=[{"bpm": 60}])
+def test_a_run_config_builds_exactly_when_every_candidate_signal_is_in_domain_and_shows_two_beats(patient, candidates):
+    # nothing is synthesized: a recorded patient is two unit spikes and zeros
+    if isinstance(patient, dict):
+        try:
+            built = PatientParams(**patient)
+        except SchemaError:
+            reject()  # the patient's own signal cannot show two beats
+    else:
+        values = np.zeros(patient[0])
+        values[[0, 2]] = 1.0
+        built = EcgSignal(values, patient[1])
+    refused = first_refused_candidate(patient, candidates)
+    try:
+        RunConfig(1, built, tuple(candidates))
+    except SchemaError as err:
+        assert refused is not None and err.path.split(".")[1] == f"vhs_grid[{refused}]"
+    else:
+        assert refused is None
 
 
 def test_a_checked_run_config_cannot_be_edited_past_its_check():
@@ -381,7 +444,7 @@ def test_high_performance_run_matches_simulation_to_a_planted_candidate():
 
     # one analysis dispatch plus one per loop iteration
     assert len(record.dispatches) == 1 + len(record.vhs.iterations)
-    assert record.completion_time == pytest.approx(sum(d.makespan for d in record.dispatches))
+    assert record.completion_time == pytest.approx(sum(d.result.makespan for d in record.dispatches))
     assert [d.index for d in record.dispatches] == list(range(len(record.dispatches)))
 
 
@@ -646,8 +709,8 @@ def test_the_features_memo_equals_a_fresh_extraction_cold_and_warm(pair):
     for key in (args, twin):  # the cold call, then a warm one through the twin's equal key
         signal = synthesize_ecg(*key)
         assert features_or_error(lambda: _signal_features(*key)) == features_or_error(lambda: extract_features(signal))
-        # the loop derives the patient signal's duration and rate without synthesizing it
-        derived = engine._duration_and_rate(PatientParams(*key))
+        # a candidate is synthesized at the patient signal's duration and rate, derived without synthesizing it
+        derived = candidate_signal({"bpm": 60}, PatientParams(*key))[4:6]
         assert [v.hex() for v in derived] == [signal.duration.hex(), signal.rate.hex()]
     info = _signal_features.cache_info()
     assert info.hits == info.currsize  # one hit when the features are kept; a failure is never kept
