@@ -9,13 +9,15 @@ signal parameter and the diagnosis thresholds belong to ``runconfig``.
 The measurement noise is CPython's ``random.gauss`` stream replayed in bulk:
 the same Mersenne Twister words, drawn by one ``getrandbits`` call, and the
 same Box–Muller pairs (Box & Muller 1958), so every sample is bit-identical to
-a per-sample ``gauss`` loop. numpy does only the steps IEEE 754 rounds exactly
-(shifts, integer-to-float, ``*``, ``+``, ``-``, ``sqrt``); ``log``, ``cos`` and
-``sin`` stay on libm, as ``gauss`` calls them: ``log`` through ``math``, and
-each angle's cos and sin from one ``cmath.exp`` call on ``0 + i·angle``, which
-CPython computes as ``exp(0)·cos`` and ``exp(0)·sin``, the same libm bits.
-numpy picks a SIMD version of those functions per CPU, and its ``log``
-differs from libm in the last bit for 0.35% of inputs on an AVX-512 machine.
+a per-sample ``gauss`` loop. No numpy step of it depends on the CPU: the
+arithmetic (shifts, integer-to-float, ``*``, ``+``, ``-``, ``sqrt``) is rounded
+exactly by IEEE 754 in every SIMD version, and ``cos`` and ``sin`` come from one
+complex ``np.exp`` of ``0 + i·angle`` per array, which has no SIMD loop: numpy
+calls the C library's ``cexp``, whose parts are ``exp(0)·cos`` and ``exp(0)·sin``
+from libm, the bits of ``math.cos`` and ``math.sin``. ``log`` stays on libm
+through ``math``, as numpy's real ``log`` differs from libm in the last bit for
+0.35% of inputs on an AVX-512 machine; the beat bumps' real ``np.exp`` is such
+a per-CPU call too.
 The spectral scan reads its grid off one real FFT of the folded signal: when
 the rate is N·FREQ_STEP Hz for an integer N ≥ 200, every grid frequency
 completes a whole number of cycles in N samples, so each step's sum is a bin
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import NoBeatsDetected
@@ -84,8 +87,8 @@ def synthesize_ecg(
     ``st_offset`` shifts the baseline between beats, ``noise`` is the sigma
     of additive Gaussian sample noise. The noise is bit-identical to one
     ``gauss(0.0, noise)`` call per sample, replayed in bulk by ``_gauss_noise``
-    (libm ``log``, and each angle's ``cos`` and ``sin`` from one ``cmath.exp``
-    call; numpy only for exactly rounded steps).
+    on libm and exactly rounded numpy steps; the bumps' real ``np.exp`` is
+    numpy's per-CPU SIMD version, not libm's.
     The beats' Gaussians are evaluated over all beat windows in one pass and
     added by ``np.add.at``, which adds in index order, so where windows overlap
     they add in beat order, bit for bit as a loop over beats would.
@@ -130,12 +133,11 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
     uniform from two 32-bit words as ``((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³``. One
     ``getrandbits`` call returns the same words, least significant first. An
     odd ``n`` leaves the last pair's second normal pending, as ``gauss`` does.
-    ``gauss`` calls ``math.cos`` and ``math.sin`` on each angle; one
-    ``cmath.exp(0 + i·angle)`` call gives both, as CPython computes its parts
-    as ``exp(0)·cos(angle)`` and ``exp(0)·sin(angle)``, and ``exp(0)`` is 1.
+    ``gauss`` calls ``math.cos`` and ``math.sin`` on each angle: the parts of
+    numpy's complex ``exp`` of ``0 + i·angle``, ``exp(0)·cos`` and ``exp(0)·sin``
+    through ``cexp``. ``starmap`` over ``zip``'s reused 1-tuples calls
+    ``math.log`` without building an argument tuple per call.
     """
-    import cmath  # here, not at module top: validate imports this module and draws no noise
-
     import numpy as np
 
     k = n + n % 2  # uniforms: two per pair of normals
@@ -144,8 +146,8 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
     u = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
     turn = np.zeros(k // 2, complex)
     turn.imag = u[0::2] * _TWOPI
-    unit = np.fromiter(map(cmath.exp, turn.tolist()), complex, k // 2)  # cos + i·sin of each angle
-    g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, k // 2))
+    unit = np.exp(turn)  # cos + i·sin of each angle
+    g2rad = np.sqrt(-2.0 * np.fromiter(starmap(math.log, zip((1.0 - u[1::2]).tolist())), float, k // 2))
     z = np.empty(k)
     z[0::2] = unit.real * g2rad
     z[1::2] = unit.imag * g2rad

@@ -9,10 +9,12 @@ means are reductions over that grid.
 ``cost_grid`` evaluates each trace over all instants in one batch that is bit
 for bit ``metric_at`` at every instant: the instants' angles and packed noise
 ticks are computed once per grid, one ``blake2b`` primed with the trace's seed
-is copied per tick, ``sin``/``log``/``cos`` stay on libm through ``math``, and
-numpy does only the steps IEEE 754 rounds exactly (``+ - * /``, ``sqrt``,
-uint64 to float, and the clamp). ``metric_at`` stays the scalar definition
-that ranking and the grid engine call; numpy is imported only by the grid.
+is copied per tick, ``log`` stays on libm through ``math``, ``sin`` and ``cos``
+are the parts of numpy's complex ``exp`` of ``0 + i·angle``, which has no SIMD
+loop and calls libm through the C library's ``cexp``, and otherwise numpy does
+only the steps IEEE 754 rounds exactly (``+ - * /``, ``sqrt``, uint64 to float,
+and the clamp), so no step depends on the CPU. ``metric_at`` stays the scalar
+definition that ranking and the grid engine call; numpy is imported only by the grid.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from itertools import starmap
 from typing import NamedTuple
 
 from . import documents as doc
@@ -204,11 +207,13 @@ def cost_grid(pool, horizon: int, samples_per_hour: int, params: AllocationCostP
 
 def _metric_batch(trace: MetricTrace, angles, ticks: list[bytes]):
     """``[metric_at(trace, t) for t in instants]`` bit for bit, as a float64
-    array, from the instants' angles ``2.0 * math.pi * t`` and packed noise ticks."""
+    array, from the instants' angles ``2.0 * math.pi * t`` and packed noise ticks.
+    Each ``math.sin(x)`` is ``.imag`` of numpy's complex ``exp`` of ``0 + i·x``."""
     import numpy as np
 
-    x = (angles / float(trace.period) + float(trace.phase)).tolist()
-    value = float(trace.base) + float(trace.amplitude) * np.fromiter(map(math.sin, x), float, len(x))
+    x = np.zeros(len(angles), complex)
+    x.imag = angles / float(trace.period) + float(trace.phase)
+    value = float(trace.base) + float(trace.amplitude) * np.exp(x).imag
     if trace.noise_sigma > 0:
         value = value + _unit_normals(trace.seed, ticks) * float(trace.noise_sigma)
     value = np.where(value > 0.0, value, 0.0)  # max(0.0, value): 0.0 unless value > 0.0
@@ -217,7 +222,9 @@ def _metric_batch(trace: MetricTrace, angles, ticks: list[bytes]):
 
 def _unit_normals(seed: int, ticks: list[bytes]):
     """``_unit_normal(seed, t)`` at every packed tick: ``blake2b(seed || tick)``
-    is the seed-primed hash, copied and fed the tick."""
+    is the seed-primed hash, copied and fed the tick. Each ``math.cos(x)`` is
+    ``.real`` of numpy's complex ``exp`` of ``0 + i·x``; ``starmap`` over ``zip``'s
+    reused 1-tuples calls ``math.log`` without building an argument tuple per call."""
     import numpy as np
 
     primed = hashlib.blake2b(struct.pack("<Q", seed & _MASK64), digest_size=16)
@@ -228,10 +235,10 @@ def _unit_normals(seed: int, ticks: list[bytes]):
         digests.append(h.digest())
     words = np.frombuffer(b"".join(digests), dtype="<u8")
     n = len(ticks)
-    log_u1 = np.fromiter(map(math.log, _u1(words[0::2]).tolist()), float, n)
-    u2 = words[1::2].astype(np.float64) / 2.0**64
-    cos_u2 = np.fromiter(map(math.cos, (_TWOPI * u2).tolist()), float, n)
-    return np.sqrt(-2.0 * log_u1) * cos_u2
+    log_u1 = np.fromiter(starmap(math.log, zip(_u1(words[0::2]).tolist())), float, n)
+    angle = np.zeros(n, complex)
+    angle.imag = _TWOPI * (words[1::2].astype(np.float64) / 2.0**64)
+    return np.sqrt(-2.0 * log_u1) * np.exp(angle).real
 
 
 def _u1(a):

@@ -1,6 +1,5 @@
 """Signal synthesis, feature extraction, and diagnosis rule tests."""
 
-import cmath
 import importlib.resources
 import math
 import os
@@ -445,6 +444,17 @@ def test_noise_replays_the_gauss_loop_bit_for_bit(seed, draws, n, sigma):
     assert replay.random() == oracle.random()
 
 
+def cis(angles):
+    """numpy's complex ``exp`` of ``0 + i·angle`` per angle, as the noise replay
+    and the cost grid call it."""
+    z = np.zeros(len(angles), complex)
+    z.imag = angles
+    return np.exp(z)
+
+
+# The premise of the noise replay and of the cost grid: numpy's complex exp calls
+# the C library's cexp, which computes exp(ix) as exp(0)·cos(x) + i·exp(0)·sin(x)
+# from libm's own cos and sin.
 @settings(max_examples=500, deadline=None)
 @given(x=st.floats(0.0, 2 * math.pi, exclude_max=True))
 @example(x=0.0)
@@ -453,10 +463,36 @@ def test_noise_replays_the_gauss_loop_bit_for_bit(seed, draws, n, sigma):
 @example(x=math.pi)
 @example(x=3 * math.pi / 2)
 @example(x=2 * math.pi * (1 - 2.0**-53))  # the largest angle gauss draws
-def test_one_complex_exp_gives_the_cos_and_sin_that_gauss_calls(x):
-    # the replay's premise: CPython computes exp(ix) as exp(0)·cos(x) + i·exp(0)·sin(x)
-    unit = cmath.exp(complex(0.0, x))
-    assert (bits(unit.real), bits(unit.imag)) == (bits(math.cos(x)), bits(math.sin(x)))
+def test_numpy_complex_exp_gives_the_cos_and_sin_that_gauss_calls(x):
+    unit = cis([x])
+    assert (bits(unit.real[0]), bits(unit.imag[0])) == (bits(math.cos(x)), bits(math.sin(x)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(-1e300, 1e300))
+@example(x=-0.0)
+@example(x=-5e-324)
+@example(x=2.0**-1022)  # the smallest normal
+@example(x=1e300)
+@example(x=-1e300)
+@example(x=2 * math.pi * 86400 / 1e-3)  # 2π·t / period at t = 24 h and the shortest period
+def test_numpy_complex_exp_gives_libm_cos_and_sin_on_the_cost_grids_angles(x):
+    unit = cis([x])
+    assert (bits(unit.real[0]), bits(unit.imag[0])) == (bits(math.cos(x)), bits(math.sin(x)))
+
+
+def test_numpy_complex_exp_gives_libm_cos_and_sin_over_a_long_array():
+    # long enough for a vectorized main loop, should a numpy version add one
+    rng = np.random.default_rng(32)
+    angles = np.concatenate(
+        (
+            rng.uniform(0.0, 2 * math.pi, 100_000),
+            rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-320.0, 300.0, 20_000),
+        )
+    )
+    unit = cis(angles)
+    assert same_bits(unit.real, np.array([math.cos(x) for x in angles.tolist()]))
+    assert same_bits(unit.imag, np.array([math.sin(x) for x in angles.tolist()]))
 
 
 def oracle_beat_stream(bpm, irregularity, duration, seed):

@@ -143,10 +143,19 @@ def shows_two_beats(bpm, irregularity=0.0, st_offset=0.0, duration=30.0, rate=25
     return abs(st_offset) <= 0.35 and rate >= 100 and rr * (1 - irregularity) >= 0.08 and duration >= rr * (2 + irregularity) + 0.08
 
 
+def is_finite_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def signal_records(document):
-    """The patient record, then each candidate's at the patient's duration and rate."""
+    """The patient record, then each candidate's at the patient signal's duration
+    and rate. That duration is the sample-exact ``round(D·r)/r`` whenever ``D``,
+    ``r`` and ``D·r`` are finite numbers (and ``r`` is not 0), else ``D``."""
     patient = document["patient"]
-    shape = {"duration": patient["duration"], "rate": patient["rate"]}
+    duration, rate = patient["duration"], patient["rate"]
+    if is_finite_number(duration) and is_finite_number(rate) and rate and is_finite_number(duration * rate):
+        duration = round(duration * rate) / rate
+    shape = {"duration": duration, "rate": rate}
     yield patient
     for candidate in document["vhs_grid"]:
         yield {**{k: v for k, v in candidate.items() if k != "seed"}, **shape}
@@ -157,6 +166,8 @@ def signal_records(document):
     field=st.sampled_from(SIGNAL_FIELDS),
     value=st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans(), st.none(), st.text(max_size=3)),
 )
+# 520 samples at 250 Hz, 2.08 s: just what the candidate of bpm 60 needs, though the requested 2.0799 s is not
+@example(field=(None, "duration"), value=2.0799)
 def test_run_config_signal_fields_parse_cleanly_or_raise_schema_error(field, value):
     index, key = field
     document = copy.deepcopy(PACKAGED_RUN_CONFIG)

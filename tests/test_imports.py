@@ -1,6 +1,8 @@
 """Every import in the package and its tests is used, every dataclass in the
 package checks itself or is listed, and a command that computes no signal loads
-neither numpy nor ``cmath``.
+neither numpy nor ``cmath``. No package module imports ``cmath``: the noise
+replay and the cost grid take their ``cos`` and ``sin`` from numpy's complex
+``exp``.
 
 No linter runs on this repository, so the first test is the check: it parses
 each module with ``ast`` and lists every imported name that the module never
@@ -111,7 +113,7 @@ def test_a_dataclass_in_src_checks_itself_or_is_listed(tmp_path):
 def loaded_modules(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter on this checkout's ``src``, then
     return the sorted names in its ``sys.modules`` that are numpy's, the
-    package's or ``cmath``, which the noise replay loads."""
+    package's or ``cmath``, which no package module imports."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'hybridwms', 'cmath'))))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=ROOT)
