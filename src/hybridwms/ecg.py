@@ -25,8 +25,8 @@ of the length-N DFT of the signal folded modulo N. At any other rate it steps
 a phasor along the grid (Goertzel 1958): one complex multiply per sample and
 step, not a cos/sin pair, in O(n) memory. Only the beat instants, one
 uniform draw each, come from a Python loop: adding the beats' Gaussians and
-finding each run's peak are whole-array passes, and the baseline mask finds
-each sample's neighbouring beats by counting the beats before it.
+finding each run's peak are whole-array passes, and the baseline mask tests
+only the samples of each beat's own window, not every sample.
 numpy is imported in the functions that compute on signals, so importing this
 module, and ``engine`` with it, loads no numpy.
 """
@@ -136,7 +136,9 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
     ``gauss`` calls ``math.cos`` and ``math.sin`` on each angle: the parts of
     numpy's complex ``exp`` of ``0 + i·angle``, ``exp(0)·cos`` and ``exp(0)·sin``
     through ``cexp``. ``starmap`` over ``zip``'s reused 1-tuples calls
-    ``math.log`` without building an argument tuple per call.
+    ``math.log`` without building an argument tuple per call. The radii scale
+    the complex array's parts in place, and its own float64 view is then the
+    normals in draw order, which sigma scales in place.
     """
     import numpy as np
 
@@ -146,14 +148,19 @@ def _gauss_noise(stream: random.Random, n: int, sigma: float) -> np.ndarray:
     u = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
     turn = np.zeros(k // 2, complex)
     turn.imag = u[0::2] * _TWOPI
-    unit = np.exp(turn)  # cos + i·sin of each angle
-    g2rad = np.sqrt(-2.0 * np.fromiter(starmap(math.log, zip((1.0 - u[1::2]).tolist())), float, k // 2))
-    z = np.empty(k)
-    z[0::2] = unit.real * g2rad
-    z[1::2] = unit.imag * g2rad
+    np.exp(turn, out=turn)  # cos + i·sin of each angle
+    g2rad = np.fromiter(starmap(math.log, zip((1.0 - u[1::2]).tolist())), float, k // 2)
+    g2rad *= -2.0
+    np.sqrt(g2rad, out=g2rad)
+    cos, sin = turn.real, turn.imag  # views: scaled in place, not set back
+    cos *= g2rad
+    sin *= g2rad
+    z = turn.view(np.float64)  # the normals in gauss's order: each pair's cos·g2rad, then sin·g2rad
     if n % 2:
         stream.gauss_next = float(z[-1])
-    return 0.0 + z[:n] * sigma
+    z *= sigma
+    z += 0.0  # gauss returns mu + z·sigma, with mu 0.0: -0.0 becomes 0.0
+    return z[:n]
 
 
 def detect_beats(signal: EcgSignal) -> np.ndarray:
@@ -220,10 +227,17 @@ def dominant_frequency(signal: EcgSignal) -> float:
 def extract_features(signal: EcgSignal) -> EcgFeatures:
     """Recover rhythm and baseline features from a raw signal.
 
-    The baseline mask needs each sample's neighbouring beats. It counts them:
-    every beat adds one at the first sample after it (``bincount``), and a
-    running sum gives the number of beats before each sample, the index a
-    binary search of the beats would return, without one search per sample.
+    The baseline is the mean of the samples further than 3σ from every beat.
+    Each beat marks the samples i of its own window that pass
+    ``|i / rate − beat| ≤ 3σ``: the ``int(6σ·rate) + 3`` samples from
+    ``trunc((beat − 3σ)·rate)``. That start is the floor of the exact bound, or
+    before the signal, and the window ends at or past ``(beat + 3σ)·rate``, also
+    where 3σ·rate is a whole k and 6σ·rate rounds to just under 2k (433⅓ Hz).
+    The marks go into an array padded by one window on each side, so no index
+    is clipped or wraps, and the work is beats × window, not passes over every
+    sample. They are the marks of a test against each sample's two neighbouring
+    beats: rounded subtraction is monotone, so no beat is nearer to a sample,
+    even rounded, than the two around it.
     """
     import numpy as np
 
@@ -232,14 +246,16 @@ def extract_features(signal: EcgSignal) -> EcgFeatures:
     rr_mean = float(rr.mean())
     rr_std = float(rr.std())  # population spread
 
-    # Baseline deviation: everything further than 3 sigma from any beat. Beats
-    # are sorted, and no beat is nearer (even rounded) than the two around a sample.
-    times = signal.times
-    around = np.concatenate(([-np.inf], beats, [np.inf]))
-    before = np.cumsum(np.bincount(np.searchsorted(times, beats, side="right"), minlength=len(times) + 1))[: len(times)]
-    # the beat before a sample is earlier and the next one is not: neither difference is negative
-    nearest = np.minimum(times - around[before], around[before + 1] - times)
-    outside = nearest > 3 * BEAT_SIGMA
+    reach = 3 * BEAT_SIGMA
+    rate, n = signal.rate, len(signal.values)
+    width = int(2 * reach * rate) + 3
+    # astype truncates toward zero, as int() does
+    index = ((beats - reach) * rate).astype(np.int64)[:, None] + np.arange(width)
+    gap = index / rate
+    gap -= beats[:, None]
+    near = np.zeros(n + 2 * width, bool)  # sample i at near[i + width]
+    near[index[np.abs(gap, out=gap) <= reach] + width] = True
+    outside = np.logical_not(near[width : width + n])
     st_dev = float(signal.values[outside].mean()) if outside.any() else 0.0
 
     return EcgFeatures(

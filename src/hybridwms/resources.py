@@ -4,8 +4,11 @@ ranking, and resource quorum generation.
 Every metric evaluation is a pure function of (trace fields, t); noise is
 counter-based (hash of seed and quantized t), so evaluation order can never
 change a result. The cost study evaluates each resource's cost once per
-instant of its hour grid (``cost_grid``); the hourly table and the quorum
-means are reductions over that grid.
+instant of its hour grid (``cost_grid``, a float64 array per resource); the
+hourly table and the quorum means are reductions over that grid, each one
+``np.add.accumulate`` that adds the costs one after another in a fixed order.
+That is builtin ``sum`` up to Python 3.11, bit for bit; from 3.12 ``sum``
+compensates, and its bits would depend on the Python.
 ``cost_grid`` evaluates each trace over all instants in one batch that is bit
 for bit ``metric_at`` at every instant: the instants' angles and packed noise
 ticks are computed once per grid, one ``blake2b`` primed with the trace's seed
@@ -187,8 +190,9 @@ def hour_instants(hour: int, samples_per_hour: int) -> list[float]:
     return [hour * 3600.0 + k * step for k in range(samples_per_hour)]
 
 
-def cost_grid(pool, horizon: int, samples_per_hour: int, params: AllocationCostParams) -> dict[str, list[float]]:
-    """Each resource's allocation cost at every instant of hours 0..horizon-1, hour-major."""
+def cost_grid(pool, horizon: int, samples_per_hour: int, params: AllocationCostParams) -> dict[str, np.ndarray]:
+    """Each resource's allocation cost at every instant of hours 0..horizon-1,
+    hour-major, as a float64 array."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1 hour")
     if samples_per_hour < 1:
@@ -200,7 +204,7 @@ def cost_grid(pool, horizon: int, samples_per_hour: int, params: AllocationCostP
     ticks = [struct.pack("<Q", round(t * _NOISE_TICKS_PER_SECOND) & _MASK64) for t in instants]
     alpha, beta = float(params.alpha), float(params.beta)
     return {
-        res.id: (alpha * _metric_batch(res.net_trace, angles, ticks) + beta * _metric_batch(res.sys_trace, angles, ticks)).tolist()
+        res.id: alpha * _metric_batch(res.net_trace, angles, ticks) + beta * _metric_batch(res.sys_trace, angles, ticks)
         for res in pool
     }
 
@@ -254,26 +258,35 @@ def _u1(a):
     return np.where(succ == np.uint64(0), 2.0**64, succ.astype(np.float64)) / 2.0**64
 
 
-def average_cost_table(grid: dict[str, list[float]], resource_ids, samples_per_hour: int) -> CostTable:
-    """Mean allocation cost per hour of each listed resource, from its grid costs."""
-    s = samples_per_hour
-    horizon = len(grid[resource_ids[0]]) // s
-    rows = tuple(tuple(sum(grid[rid][h * s : (h + 1) * s]) / s for rid in resource_ids) for h in range(horizon))
-    return CostTable(tuple(resource_ids), rows)
+def average_cost_table(grid: dict[str, np.ndarray], resource_ids, samples_per_hour: int) -> CostTable:
+    """Mean allocation cost per hour of each listed resource, from its grid costs.
+
+    An hour's costs are added one after another in time order, by one
+    ``np.add.accumulate`` over a copy of the listed rows, in place.
+    """
+    import numpy as np
+
+    sums = np.array([grid[rid] for rid in resource_ids]).reshape(len(resource_ids), -1, samples_per_hour)
+    np.add.accumulate(sums, axis=2, out=sums)
+    rows = (sums[:, :, -1].T / samples_per_hour).tolist()  # hour-major
+    return CostTable(tuple(resource_ids), tuple(map(tuple, rows)))
 
 
 def cost_table_csv(table: CostTable) -> str:
     return doc.csv_text(("hour", *table.resource_ids), ((hour, *row) for hour, row in enumerate(table.rows)))
 
 
-def quorum_grid_mean(grid: dict[str, list[float]], quorum: Quorum) -> float:
-    """Mean allocation cost of a quorum's members over the full cost grid."""
-    columns = [grid[rid] for rid in quorum.members]
-    total = 0.0
-    for costs in zip(*columns):  # instant-major, members in quorum order: fixes the float addition order
-        for cost in costs:
-            total += cost
-    return total / (len(columns) * len(columns[0]))
+def quorum_grid_mean(grid: dict[str, np.ndarray], quorum: Quorum) -> float:
+    """Mean allocation cost of a quorum's members over the full cost grid.
+
+    The costs are added one after another, instant-major with members in
+    quorum order, by one ``np.add.accumulate`` over a copy, in place.
+    """
+    import numpy as np
+
+    costs = np.column_stack([grid[rid] for rid in quorum.members]).ravel()  # instant-major
+    np.add.accumulate(costs, out=costs)
+    return float(costs[-1]) / len(costs)
 
 
 def parse_trace(raw: dict, path: str) -> MetricTrace:

@@ -307,9 +307,26 @@ synthetic_ecgs = st.builds(
 )
 
 
+def spikes(n, rate, positions):
+    """Unit spikes at ``positions`` on a sub-threshold baseline that varies, so
+    that a sample taken into or out of the baseline mean changes its bits."""
+    values = 0.1 + 0.05 * np.sin(np.arange(n))
+    values[positions] = 1.0
+    return EcgSignal(values=values, rate=rate)
+
+
 @settings(max_examples=40, deadline=None)
 @given(signal=synthetic_ecgs)
 @example(signal=synthesize_ecg(bpm=60, duration=4.0, rate=100.0))
+# baseline windows: samples exactly 3σ from a beat where 3σ·rate is whole (6 and 15), a
+# sample exactly 3σ after a beat where 6σ·rate rounds to just under 52 (433⅓ Hz), beats on
+# the first and the last sample, windows that overlap, and the lowest recorded rate
+@example(signal=spikes(40, 100.0, [6, 30]))
+@example(signal=spikes(100, 250.0, [15, 60]))
+@example(signal=spikes(187, 1300 / 3, [127, 186]))
+@example(signal=spikes(50, 100.0, [0, 49]))
+@example(signal=spikes(50, 100.0, [10, 15, 40]))
+@example(signal=spikes(60, 20.0, [3, 30]))
 @example(signal=synthesize_ecg(bpm=200, irregularity=0.3, noise=0.3, duration=90.0, rate=500.0, seed=9))
 @example(signal=synthesize_ecg(bpm=75, irregularity=0.1, noise=0.1, duration=20.0, rate=250.0, seed=3))  # fold path
 @example(signal=synthesize_ecg(bpm=75, irregularity=0.1, noise=0.1, duration=20.0, rate=257.35, seed=3))  # phasor path

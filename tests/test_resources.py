@@ -18,6 +18,7 @@ from hybridwms.resources import (
     AllocationCostParams,
     CostTable,
     MetricTrace,
+    Quorum,
     ResourceDescriptor,
     allocation_cost,
     average_cost_table,
@@ -235,7 +236,8 @@ def study_table(pool, horizon, samples_per_hour, params=PARAMS):
 
 
 def oracle_cost_table(pool, horizon, samples_per_hour, params):
-    """Loop version of the study's table: every cell evaluates its own instants."""
+    """Loop version of the study's table: every cell evaluates its own instants
+    and adds their costs in time order."""
     ranking = rank_resources(pool, 0.0, params)
     ids = [rid for rid, _ in ranking[:6]] if len(ranking) > 6 else [rid for rid, _ in ranking]
     by_id = {res.id: res for res in pool}
@@ -244,8 +246,10 @@ def oracle_cost_table(pool, horizon, samples_per_hour, params):
         instants = hour_instants(hour, samples_per_hour)
         row = []
         for rid in ids:
-            res = by_id[rid]
-            row.append(sum(allocation_cost(res, t, params) for t in instants) / len(instants))
+            total = 0.0
+            for t in instants:  # one after another: builtin sum compensates from Python 3.12
+                total += allocation_cost(by_id[rid], t, params)
+            row.append(total / len(instants))
         rows.append(tuple(row))
     return CostTable(tuple(ids), tuple(rows))
 
@@ -323,6 +327,28 @@ def test_cost_table_csv_layout():
             assert len(frac) == 6
     assert text.endswith("\n")
     assert "\r" not in text
+
+
+def test_grid_costs_are_added_one_after_another_in_grid_order():
+    # 1 + 2**-53 rounds back to 1, so where a 1.0 falls in the order decides each sum;
+    # a compensated sum (math.fsum, or builtin sum from Python 3.12) and numpy's
+    # pairwise sum, over more than 8 costs, give other bits
+    tiny = 2.0**-53
+    grid = {"a": np.array([1.0] + [tiny] * 30 + [1.0]), "b": np.array([tiny] * 8 + [1.0] + [tiny] * 23)}
+
+    def in_order(costs):
+        total = 0.0
+        for cost in costs:
+            total += cost
+        return total
+
+    hours = [[grid[rid][16 * h : 16 * h + 16] for rid in ("a", "b")] for h in range(2)]
+    assert average_cost_table(grid, ("a", "b"), 16).rows == tuple(tuple(in_order(c) / 16 for c in hour) for hour in hours)
+    assert in_order(hours[0][0]) not in (math.fsum(hours[0][0]), np.sum(hours[0][0]))
+    # instant-major, members in quorum order
+    costs = [cost for pair in zip(grid["b"].tolist(), grid["a"].tolist()) for cost in pair]
+    assert quorum_grid_mean(grid, Quorum("L1", ("b", "a"))) == in_order(costs) / 64
+    assert in_order(costs) not in (math.fsum(costs), np.sum(costs), in_order(grid["b"].tolist() + grid["a"].tolist()))
 
 
 def test_quorum_grid_mean_is_member_average():
