@@ -7,7 +7,7 @@ sorted before writing so replicate execution order never shows in output.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -158,6 +158,35 @@ class ComparisonResult(NamedTuple):
     summaries: tuple[ComparisonSummary, ...]
 
 
+def _pstdev(values: list[float]) -> float:
+    """The population standard deviation, correctly rounded from the exact
+    variance, as ``statistics.pstdev`` defines it from Python 3.11 (3.10
+    rounds the variance to a float first, so its last bit differs).
+
+    Every float is a whole multiple of ``1/scale``, the largest denominator,
+    which is a power of two, so the variance is ``(n·Σm² − (Σm)²) / (n·scale)²``
+    in integers ``m``. Scaled by a power of four to ``2·53 + 3`` bits or more,
+    its integer square root is rounded to odd, then once to a float.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    total = squares = 0
+    for num, den in ratios:
+        m = num * (scale // den)
+        total += m
+        squares += m * m
+    n = len(values)
+    num, den = n * squares - total * total, (n * scale) ** 2
+    shift = (num.bit_length() - den.bit_length() - 109) // 2  # num/den >= 2**108 once scaled
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: a sticky bit if inexact
+    return root * 2.0**shift if shift >= 0 else root / (1 << -shift)
+
+
 def _summarize(rows: list[ComparisonRow]) -> tuple[ComparisonSummary, ...]:
     summaries = []
     for name in sorted({row.config for row in rows}):
@@ -165,8 +194,8 @@ def _summarize(rows: list[ComparisonRow]) -> tuple[ComparisonSummary, ...]:
         summaries.append(
             ComparisonSummary(
                 config=name,
-                mean=statistics.fmean(values),
-                stddev=statistics.pstdev(values),
+                mean=math.fsum(values) / len(values),
+                stddev=_pstdev(values),
                 min=min(values),
                 max=max(values),
             )

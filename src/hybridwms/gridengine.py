@@ -3,17 +3,15 @@
 An abstract sub-workflow (tasks, data edges, input files) is mapped onto the
 members of a resource quorum by a pluggable scheduler, producing a concrete
 plan with per-task time estimates and the transfers needed to stage data.
-Every quorum member provides every transformation. Mapping runs one
-recurrence in one pass over the tasks in plan order. Plans are topologically
-ordered and every resource serves its tasks in plan order, so a task's
-estimate is its execution: estimates are exact for every scheduler, and
-executing a plan reads its records instead of running the recurrence again.
-``MinEFT`` is HEFT's earliest-finish-time placement without the upward-rank
-ordering (Topcuoglu, Hariri & Wu, IEEE TPDS 2002). It times a member only if
-the member's end floor, the later of its last task's end and the task's latest
-producer end plus the work at nominal speed, is below the best end so far: no
-member at or above it can end strictly earlier, so every plan is that of the
-exhaustive scan. Each task's inputs and their sources' links are gathered once.
+Every quorum member provides every transformation. ``map_workflow`` runs the
+whole timing recurrence in one pass over the tasks in plan order, gathering
+each task's inputs once. Plans are topologically ordered and every resource
+serves its tasks in plan order, so a task's estimate is its execution:
+estimates are exact for every scheduler, and executing a plan reads its
+records instead of running the recurrence again. ``MinEFT`` is HEFT's
+earliest-finish-time placement without the upward-rank ordering (Topcuoglu,
+Hariri & Wu, IEEE TPDS 2002); an exact end floor lets it skip members that
+cannot win, so every plan is that of the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -94,93 +92,31 @@ class ConcretePlan(NamedTuple):
         }
 
 
-class _Estimator:
-    """The timing recurrence of mapping, whose records are also the execution's.
+def _finish_time(inputs, resource: ResourceDescriptor, avail_end: float, work: float, rates: RateMemo) -> tuple[float, float, float]:
+    """``(ready, start, end)`` of a task placed on ``resource``, whose last
+    task ends at ``avail_end``.
 
-    Tasks are committed in plan order to single-slot resources. A task is
-    ready when its last input arrives: a stage-in starts at time zero, and a
-    producer's output leaves at the producer's end, crossing resources by a
-    transfer. It starts once it is ready and its resource has finished every
-    task committed to it before, and runs for ``exec_time`` at its start:
-    its work divided by its resource's ``effective_rate`` then. Stage-ins are
-    ``(source resource, bytes, consumer)`` and dependencies ``(producer,
-    consumer, bytes)``. ``rates`` memoizes each rate by ``(resource id,
-    start)``, so it is evaluated once per pair; estimators over the same pool
-    may share it, and ``None`` gives this estimator its own.
-
-    A task's inputs, with their sources' site, bandwidth and latency, are
-    gathered at its first ``finish_time`` or ``producers_end``, once its
-    producers are committed. ``finish_time`` reads ``avail`` on every call.
-
-    A task's end on a resource is at least its end floor: ``max(avail,
-    producers_end) + work / cpu_rate``, where ``avail`` is the end of the last
-    task committed to the resource. Transfers take no negative time, so the
-    task starts no earlier than ``max(avail, producers_end)``, and the rate is
-    at most ``cpu_rate`` (see ``effective_rate``); IEEE ``+`` and ``/`` round
-    monotonically, so the floor holds for the rounded values too. ``MinEFT``
-    skips a member whose floor is not below the best end so far, and only a
-    member it times reads a rate. Its records, in commit order, become the
-    plan's estimates, and ``execute_plan`` reads them: no second estimator
-    times a plan.
+    ``inputs`` are ``(leaves, site, bandwidth, latency, bytes)``: when each
+    input leaves its source, and the source's link. One from another site
+    arrives after ``transfer_time``, computed inline with its ``min`` and
+    ``max`` as comparisons. The task is ready when its last input arrives,
+    starts once it is ready and the resource is free, and runs for
+    ``exec_time`` at its start. ``rates`` memoizes the rate by ``(resource id,
+    start)``, so each pair reads its load once.
     """
-
-    def __init__(self, pool: dict[str, ResourceDescriptor], stage_ins, dependencies, rates: RateMemo | None):
-        self._pool = pool
-        self._rates = {} if rates is None else rates
-        self.avail: dict[str, float] = {}  # end of the last task committed to each resource
-        self.end_of: dict[str, float] = {}
-        self.placed: dict[str, str] = {}
-        self.records: list[TaskRecord] = []  # commit order
-        self._inputs: dict[str, tuple[list, float]] = {}  # by task id, see _gathered
-        self._stage_ins = {}
-        for src, size, consumer in stage_ins:
-            self._stage_ins.setdefault(consumer, []).append((src, size))
-        self._deps_into = {}
-        for producer, consumer, size in dependencies:
-            self._deps_into.setdefault(consumer, []).append((producer, size))
-
-    def _gathered(self, task_id: str) -> tuple[list, float]:
-        """``([(leaves, site, bandwidth, latency, bytes) of each input], latest producer end)``."""
-        gathered = self._inputs.get(task_id)
-        if gathered is None:
-            inputs, latest = [], 0.0
-            for src, size in self._stage_ins.get(task_id, ()):
-                r = self._pool[src]
-                inputs.append((0.0, r.site, r.bandwidth, r.latency, size))
-            for producer, size in self._deps_into.get(task_id, ()):
-                leaves, r = self.end_of[producer], self._pool[self.placed[producer]]
-                inputs.append((leaves, r.site, r.bandwidth, r.latency, size))
-                if leaves > latest:
-                    latest = leaves
-            gathered = self._inputs[task_id] = (inputs, latest)
-        return gathered
-
-    def producers_end(self, task_id: str) -> float:
-        """The latest end of the task's producers, or 0.0 without any."""
-        return self._gathered(task_id)[1]
-
-    def finish_time(self, task_id: str, work: float, resource_id: str) -> tuple[float, float, float]:
-        r = self._pool[resource_id]
-        site, bandwidth, latency = r.site, r.bandwidth, r.latency
-        ready = 0.0
-        for leaves, src_site, src_bandwidth, src_latency, size in self._gathered(task_id)[0]:
-            if src_site != site:  # transfer_time inline, its min and max as comparisons
-                slowest = src_bandwidth if src_bandwidth <= bandwidth else bandwidth
-                leaves += size / slowest + (src_latency if src_latency >= latency else latency)
-            if leaves > ready:
-                ready = leaves
-        avail = self.avail.get(resource_id, 0.0)
-        start = avail if avail > ready else ready
-        rate = self._rates.get((resource_id, start))
-        if rate is None:
-            rate = self._rates[resource_id, start] = effective_rate(r, start)
-        return ready, start, start + work / rate
-
-    def commit(self, task_id: str, resource_id: str, ready: float, start: float, end: float) -> None:
-        self.placed[task_id] = resource_id
-        self.end_of[task_id] = end
-        self.avail[resource_id] = end
-        self.records.append(TaskRecord(task_id, resource_id, ready, start, end))
+    site, bandwidth, latency = resource.site, resource.bandwidth, resource.latency
+    ready = 0.0
+    for leaves, src_site, src_bandwidth, src_latency, size in inputs:
+        if src_site != site:
+            slowest = src_bandwidth if src_bandwidth <= bandwidth else bandwidth
+            leaves += size / slowest + (src_latency if src_latency >= latency else latency)
+        if leaves > ready:
+            ready = leaves
+    start = avail_end if avail_end > ready else ready
+    rate = rates.get((resource.id, start))
+    if rate is None:
+        rate = rates[resource.id, start] = effective_rate(resource, start)
+    return ready, start, start + work / rate
 
 
 def map_workflow(
@@ -193,16 +129,24 @@ def map_workflow(
 ) -> ConcretePlan:
     """Assign every task of the sub-workflow to a quorum member.
 
-    ``MinEFT`` greedily minimizes each task's estimated finish time (ties go
-    to the lowest resource id). It walks the members in id order and skips one
-    whose end floor (see ``_Estimator``) is at or above the best end so far:
-    that member cannot end strictly earlier, so the plan is the exhaustive
-    scan's, and a skipped member reads no load. ``RoundRobin`` cycles through
-    the quorum in rank order, and ``Random`` draws uniformly from the quorum
-    using the given seed. ``rates`` is the estimator's rate memo; calls over
-    the same pool may share one (the engine shares one per run). A quorum
-    without members, or with a member absent from ``pool``, raises
-    ``InfeasibleMapping``.
+    Tasks are committed in topological order to single-slot resources, and
+    each is timed by ``_finish_time``. A stage-in leaves the replica host at
+    0.0, and a producer's output leaves at the producer's end. The records, in
+    commit order, are the plan's estimates. ``rates`` is the rate memo; calls
+    over the same pool may share one (the engine shares one per run).
+
+    ``MinEFT`` greedily minimizes each task's end (ties go to the lowest
+    resource id). It walks the members in id order and skips one whose end
+    floor, ``max(avail, producers_end) + work / cpu_rate``, is at or above the
+    best end so far, so a skipped member reads no load. The floor is exact:
+    transfers take no negative time, so the task starts no earlier than the
+    later of the member's last end and its latest producer's end; the rate
+    never exceeds ``cpu_rate`` (see ``effective_rate``); and IEEE ``+`` and
+    ``/`` round monotonically. So no skipped member ends strictly earlier,
+    and the plan is the exhaustive scan's. ``RoundRobin`` cycles through the
+    quorum in rank order, and ``Random`` draws uniformly from the quorum using
+    the given seed. A quorum without members, or with a member absent from
+    ``pool``, raises ``InfeasibleMapping``.
     """
     if scheduler not in SCHEDULER_KINDS:
         raise UnknownStrategy(f"unknown scheduler {scheduler!r}")
@@ -217,29 +161,44 @@ def map_workflow(
 
     order = topological_order(subwf)
     tasks = {t.id: t for t in subwf.tasks}
-    stage_ins = ((replica_host, size, consumer) for _, size, consumer in subwf.inputs)
-    estimator = _Estimator(pool, stage_ins, subwf.data_deps, rates)
+    host = pool[replica_host]
+    stage_ins = {}  # by consumer: the inputs it reads from the replica host
+    for _, size, consumer in subwf.inputs:
+        stage_ins.setdefault(consumer, []).append((0.0, host.site, host.bandwidth, host.latency, size))
+    deps_into = {}
+    for producer, consumer, size in subwf.data_deps:
+        deps_into.setdefault(consumer, []).append((producer, size))
+    rates = {} if rates is None else rates
     rng = random.Random(seed) if scheduler == "Random" else None
 
-    avail = estimator.avail
-    by_id = sorted((rid, pool[rid].cpu_rate) for rid in member_ids)  # MinEFT's walk, with each nominal rate
-    assignments = []
+    avail = {}  # end of the last task on each resource
+    done = {}  # (resource id, end) of each committed task
+    by_id = sorted((rid, pool[rid].cpu_rate, pool[rid]) for rid in member_ids)  # MinEFT's walk
+    assignments, estimates = [], []
     for index, task_id in enumerate(order):
         task = tasks[task_id]
         # every member, in rank order; kept as a call, since bench/tracing.py counts calls through it
         eligible = catalogs.resources_with(task.transformation)
         work = task.work
+        inputs = stage_ins.pop(task_id, [])  # then each producer's output, as it leaves
+        producers_end = 0.0
+        for producer, size in deps_into.get(task_id, ()):
+            src, leaves = done[producer]  # committed: the order is topological
+            r = pool[src]
+            inputs.append((leaves, r.site, r.bandwidth, r.latency, size))
+            if leaves > producers_end:
+                producers_end = leaves
         if scheduler == "MinEFT":
-            producers_end = estimator.producers_end(task_id)
             best = None
-            for rid, cpu_rate in by_id:
+            for rid, cpu_rate, resource in by_id:
+                avail_end = avail.get(rid, 0.0)
                 if best is not None:
-                    floor = avail.get(rid, 0.0)
+                    floor = avail_end
                     if floor < producers_end:
                         floor = producers_end
                     if floor + work / cpu_rate >= best[3]:
                         continue  # the end floor: this member cannot end strictly earlier
-                ready, start, end = estimator.finish_time(task_id, work, rid)
+                ready, start, end = _finish_time(inputs, resource, avail_end, work, rates)
                 if best is None or end < best[3]:
                     best = (rid, ready, start, end)
             rid, ready, start, end = best
@@ -248,17 +207,17 @@ def map_workflow(
                 rid = member_ids[index % len(member_ids)]
             else:
                 rid = eligible[rng.randrange(len(eligible))]
-            ready, start, end = estimator.finish_time(task_id, work, rid)
-        estimator.commit(task_id, rid, ready, start, end)
+            ready, start, end = _finish_time(inputs, pool[rid], avail.get(rid, 0.0), work, rates)
+        avail[rid] = end
+        done[task_id] = (rid, end)
+        estimates.append(TaskRecord(task_id, rid, ready, start, end))
         assignments.append(PlannedTask(task_id, work, rid))
 
-    placed = estimator.placed
     transfers = tuple(
-        PlannedTransfer(file, replica_host, placed[consumer], size, consumer)
+        PlannedTransfer(file, replica_host, done[consumer][0], size, consumer)
         for file, size, consumer in subwf.inputs
-        if placed[consumer] != replica_host
+        if done[consumer][0] != replica_host
     )
-    estimates = tuple(estimator.records)
     makespan = max((e.end for e in estimates), default=0.0)
     return ConcretePlan(
         subworkflow_id=subwf.id,
@@ -267,7 +226,7 @@ def map_workflow(
         assignments=tuple(assignments),
         dependencies=tuple(subwf.data_deps),
         transfers=transfers,
-        estimates=estimates,
+        estimates=tuple(estimates),
         makespan_estimate=makespan,
     )
 

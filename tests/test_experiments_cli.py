@@ -11,15 +11,20 @@ import random
 import statistics
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hybridwms import cli, engine
+from hybridwms import cli, engine, experiments
 from hybridwms.cli import main
 from hybridwms.documents import load_json
 from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError
 from hybridwms.experiments import (
+    ComparisonRow,
     comparison_csv,
     load_workflow_bundle,
     parse_experiment_spec,
@@ -286,6 +291,37 @@ def test_summary_reconstructs_from_rows():
         assert summary.stddev == statistics.pstdev(values)
         assert summary.min == min(values)
         assert summary.max == max(values)
+
+
+def exact_pstdev(values):
+    """The population standard deviation as an 80-digit square root of the
+    exact variance, rounded once to a float."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact, Fraction(0)) / len(exact)
+    variance = sum(((v - mean) ** 2 for v in exact), Fraction(0)) / len(exact)
+    with localcontext() as context:
+        context.prec = 80
+        return float((Decimal(variance.numerator) / variance.denominator).sqrt())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(0.0, 1e4).map(lambda v: round(v, 6)) | st.floats(-1e12, 1e12, allow_subnormal=False),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(values=[35.66, 351.1])  # Python 3.10's pstdev gives 0x1.3b70a3d70a3d7p+7, one ulp low
+@example(values=[180.533, 41.86])  # and 0x1.15589374bc6a7p+6 here
+@example(values=[745.101231] * 3)
+def test_the_study_stddev_is_the_correctly_rounded_root_of_the_exact_variance(values):
+    rows = [ComparisonRow("c", i, i, v) for i, v in enumerate(values, 1)]
+    (summary,) = experiments._summarize(rows)
+    assert summary.stddev == exact_pstdev(values)
+    assert summary.mean == statistics.fmean(values)  # math.fsum / n, on every supported Python
+    if sys.version_info >= (3, 11):
+        assert summary.stddev == statistics.pstdev(values)
 
 
 def test_a_failing_comparison_run_raises_its_run_error():

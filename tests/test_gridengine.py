@@ -28,7 +28,7 @@ from hybridwms.resources import (
     parse_pool,
 )
 from hybridwms.runconfig import parse_run_config
-from hybridwms.simkernel import PlannedTransfer, TaskRecord, TransferRecord, exec_time, transfer_time
+from hybridwms.simkernel import PlannedTransfer, TaskRecord, TransferRecord, effective_rate, exec_time, transfer_time
 from hybridwms.workflow import AbstractSubWorkflow, TaskSpec, topological_order
 
 PARAMS = AllocationCostParams()
@@ -299,31 +299,33 @@ def test_execution_reads_the_plans_records_and_no_load(monkeypatch):
 
 
 def test_each_load_is_read_once_per_resource_and_start(monkeypatch):
-    # An estimator times many candidate placements that start on the same
-    # resource at the same instant; it reads that load once.
-    finish_time, metric_at = gridengine._Estimator.finish_time, simkernel.metric_at
-    timing = []  # (estimator, resource id) of the finish_time running now
-    placements = []  # (estimator, resource id, start) of every finish_time
-    reads = []  # (estimator, resource id, t) of every metric_at call
+    # A mapping times many candidate placements that start on the same
+    # resource at the same instant; through its rate memo it reads that load once.
+    finish_time, metric_at = gridengine._finish_time, simkernel.metric_at
+    memos = {}  # every rate memo by id, kept alive so that no two share an id
+    timing = []  # (memo id, resource id) of the _finish_time running now
+    placements = []  # (memo id, resource id, start) of every _finish_time
+    reads = []  # (memo id, resource id, t) of every metric_at call
 
-    def observed_finish_time(estimator, task_id, work, resource_id):
-        timing.append((estimator, resource_id))
+    def observed_finish_time(inputs, resource, avail_end, work, rates):
+        memos[id(rates)] = rates
+        timing.append((id(rates), resource.id))
         try:
-            ready, start, end = finish_time(estimator, task_id, work, resource_id)
+            ready, start, end = finish_time(inputs, resource, avail_end, work, rates)
         finally:
             timing.pop()
-        placements.append((estimator, resource_id, start))
+        placements.append((id(rates), resource.id, start))
         return ready, start, end
 
     def counted_metric_at(trace, t):
         reads.append((*timing[-1], t))
         return metric_at(trace, t)
 
-    monkeypatch.setattr(gridengine._Estimator, "finish_time", observed_finish_time)
+    monkeypatch.setattr(gridengine, "_finish_time", observed_finish_time)
     monkeypatch.setattr(simkernel, "metric_at", counted_metric_at)
     for plan, pool, _, _ in seeded_plans():  # maps each plan, then executes it
         execute_plan(plan, pool)
-    assert len(reads) == len(set(reads))  # no estimator reads a (resource, start) twice
+    assert len(reads) == len(set(reads))  # no memo reads a (resource, start) twice
     assert set(reads) == set(placements)  # and each one it timed was read
     assert len(reads) < len(placements)  # the seeded mappings do repeat placements
 
@@ -347,37 +349,37 @@ def estimator_inputs(draw):
     return pool, producers, draw(st.lists(st.tuples(ids, sizes), max_size=3))
 
 
+def leaving(leaves, source, size):
+    """A task input as ``_finish_time`` takes it: ``(leaves, site, bandwidth, latency, bytes)``."""
+    return (leaves, source.site, source.bandwidth, source.latency, size)
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=estimator_inputs(), producers_end_first=st.booleans())
-def test_a_task_is_ready_when_its_last_input_arrives_after_transfer_time(case, producers_end_first):
-    # finish_time computes transfer_time inline; this ties its copy to the
+@given(case=estimator_inputs())
+def test_a_task_is_ready_when_its_last_input_arrives_after_transfer_time(case):
+    # _finish_time computes transfer_time inline; this ties its copy to the
     # definition that bench checks and the oracles use.
     pool, producers, stage_ins = case
-    deps = [(f"p{i}", "x", size) for i, (_, _, size) in enumerate(producers)]
-    estimator = gridengine._Estimator(pool, [(src, size, "x") for src, size in stage_ins], deps, None)
     inputs = [(0.0, src, size) for src, size in stage_ins]  # (leaves, source id, bytes)
-    for i, (rid, end, size) in enumerate(producers):
-        estimator.commit(f"p{i}", rid, 0.0, 0.0, end)
+    avail = {}  # each producer ends its resource's last task
+    for rid, end, size in producers:
+        avail[rid] = end
         inputs.append((end, rid, size))
-    producers_end = max([0.0] + [end for _, end, _ in producers])
-    if producers_end_first:
-        assert estimator.producers_end("x") == producers_end
+    gathered = [leaving(leaves, pool[src], size) for leaves, src, size in inputs]
     for r in pool:
         arrivals = [leaves + (transfer_time(size, pool[src], pool[r]) if src != r else 0.0) for leaves, src, size in inputs]
-        ready, start, _ = estimator.finish_time("x", 100.0, r)
+        ready, start, _ = gridengine._finish_time(gathered, pool[r], avail.get(r, 0.0), 100.0, {})
         assert ready == max([0.0] + arrivals)
-        assert start == max(ready, estimator.avail.get(r, 0.0))
-    assert estimator.producers_end("x") == producers_end
+        assert start == max(ready, avail.get(r, 0.0))
 
 
 def test_a_task_timed_again_starts_after_a_task_committed_in_between():
-    # The estimator keeps a task's inputs between calls, never a resource's end.
+    # The same inputs on a resource whose last task now ends later.
     pool = two_site_pool()  # r1 and r2 at alpha; r3 at beta, 1 MB/s, 0.2 s
-    estimator = gridengine._Estimator(pool, [("r3", 4e6, "x")], [("p", "x", 1e6)], None)
-    estimator.commit("p", "r1", 0.0, 0.0, 10.0)
-    assert estimator.finish_time("x", 100.0, "r2") == (10.0, 10.0, 11.0)  # stage-in lands at 4.2
-    estimator.commit("y", "r2", 0.0, 11.0, 50.0)
-    assert estimator.finish_time("x", 100.0, "r2") == (10.0, 50.0, 51.0)
+    inputs = [leaving(0.0, pool["r3"], 4e6), leaving(10.0, pool["r1"], 1e6)]
+    rates = {}
+    assert gridengine._finish_time(inputs, pool["r2"], 0.0, 100.0, rates) == (10.0, 10.0, 11.0)  # stage-in lands at 4.2
+    assert gridengine._finish_time(inputs, pool["r2"], 50.0, 100.0, rates) == (10.0, 50.0, 51.0)
 
 
 def tied_plans():
@@ -731,24 +733,58 @@ def bench_sized_cases():
 
 
 def exhaustive_min_eft(subwf, quorum, pool):
-    """``MinEFT`` without a floor: time the task on every member with the
-    estimator and keep the first of the earliest ends, in id order."""
-    host = quorum.members[0]
-    stage_ins = [(host, size, consumer) for _, size, consumer in subwf.inputs]
-    estimator = gridengine._Estimator(pool, stage_ins, subwf.data_deps, None)
-    work = {t.id: t.work for t in subwf.tasks}
-    for task_id in topological_order(subwf):
-        timed = [(estimator.finish_time(task_id, work[task_id], rid), rid) for rid in sorted(quorum.members)]
-        (ready, start, end), rid = min(timed, key=lambda item: item[0][2])  # min keeps the first of equal ends
-        estimator.commit(task_id, rid, ready, start, end)
-    return estimator.records
+    """``MinEFT`` without a floor, from its definition and sharing no code
+    with the mapper: time the task on every member and keep the first of the
+    earliest ends, in id order. Stage-ins leave the first member at 0.0 and a
+    producer's output leaves at its end; each arrives ``transfer_time`` later.
+    The task starts when its last input has arrived and its member is free,
+    and runs ``work / effective_rate`` at its start."""
+    host = pool[quorum.members[0]]
+    stage_ins = {t.id: [] for t in subwf.tasks}  # bytes of each
+    deps_into = {t.id: [] for t in subwf.tasks}  # (producer, bytes) of each
+    for _, size, consumer in subwf.inputs:
+        stage_ins[consumer].append(size)
+    for producer, consumer, size in subwf.data_deps:
+        deps_into[consumer].append((producer, size))
+    free, done, records = {}, {}, []  # free: each member's last end; done: each task's record
+    tasks = {t.id: t for t in subwf.tasks}
+    for task in map(tasks.get, topological_order(subwf)):
+        best = None
+        for rid in sorted(quorum.members):
+            r = pool[rid]
+            arrivals = [transfer_time(size, host, r) for size in stage_ins[task.id]]
+            arrivals += [done[p].end + transfer_time(size, pool[done[p].resource_id], r) for p, size in deps_into[task.id]]
+            ready = max([0.0] + arrivals)
+            start = max(ready, free.get(rid, 0.0))
+            end = start + task.work / effective_rate(r, start)
+            if best is None or end < best.end:
+                best = TaskRecord(task.id, rid, ready, start, end)
+        free[best.resource_id] = best.end
+        done[task.id] = best
+        records.append(best)
+    return records
+
+
+def tied_min_eft_case():
+    """``(subwf, quorum, pool)`` where two members end a task at the same
+    instant: ``a`` and ``b`` are identical and share a site, and the task's
+    stage-in crosses from the replica host ``host``, which ranks first but is
+    too slow to win. The transfer keeps ``b``'s end floor below ``a``'s end,
+    so ``b`` is timed, and it ties."""
+    pool = {
+        "a": make_resource("a", "near", cpu_rate=100.0),
+        "b": make_resource("b", "near", cpu_rate=100.0),
+        "host": make_resource("host", "far", cpu_rate=10.0),
+    }
+    subwf = AbstractSubWorkflow("tied", (TaskSpec("t", 100.0, "tf"),), (), (("in", 1e6, "t"),))
+    return subwf, Quorum("L1", ("host", "a", "b")), pool
 
 
 def test_min_eft_with_its_end_floor_equals_an_exhaustive_scan_at_bench_size():
     # Close finish times on 32 noisy members: a floor that is too high, or
     # that uses the rate at some instant instead of the nominal rate, skips
-    # a member that would have won.
-    for subwf, quorum, pool in bench_sized_cases():
+    # a member that would have won. The tied case holds ties to the lowest id.
+    for subwf, quorum, pool in [tied_min_eft_case(), *bench_sized_cases()]:
         plan = map_workflow(subwf, quorum, pool, scheduler="MinEFT")
         expected = exhaustive_min_eft(subwf, quorum, pool)
         assert [(p.task_id, p.resource_id) for p in plan.assignments] == [(r.task_id, r.resource_id) for r in expected]
@@ -757,13 +793,13 @@ def test_min_eft_with_its_end_floor_equals_an_exhaustive_scan_at_bench_size():
 
 def test_min_eft_times_fewer_than_half_of_all_placements_on_a_large_quorum(monkeypatch):
     calls = []
-    finish_time = gridengine._Estimator.finish_time
+    finish_time = gridengine._finish_time
 
-    def counted_finish_time(estimator, task_id, work, resource_id):
-        calls.append(resource_id)
-        return finish_time(estimator, task_id, work, resource_id)
+    def counted_finish_time(inputs, resource, avail_end, work, rates):
+        calls.append(resource.id)
+        return finish_time(inputs, resource, avail_end, work, rates)
 
-    monkeypatch.setattr(gridengine._Estimator, "finish_time", counted_finish_time)
+    monkeypatch.setattr(gridengine, "_finish_time", counted_finish_time)
     rng = random.Random(2203)
     pool = bench_sized_pool(rng)
     quorum = generate_arq(list(pool.values()), "L3", 0.0, PARAMS)

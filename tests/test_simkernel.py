@@ -12,6 +12,7 @@ from hybridwms.resources import MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
     PlannedTask,
     PlannedTransfer,
+    TaskRecord,
     effective_rate,
     exec_time,
     transfer_time,
@@ -106,15 +107,19 @@ def task(result, task_id):
 
 def run(plan, deps=(), transfers=(), resources=()):
     """Execute a hand-built plan whose estimates are the mapping recurrence's
-    records: the estimator times and commits each task in plan order, as
-    ``map_workflow`` does."""
+    records: ``gridengine._finish_time`` times each task in plan order, on
+    its planned resource, as ``map_workflow`` does."""
     pool = {r.id: r for r in resources}
-    stage_ins = [(t.src_resource, t.size_bytes, t.consumer) for t in transfers]
-    estimator = gridengine._Estimator(pool, stage_ins, deps, None)
+    avail, done, rates, estimates = {}, {}, {}, []  # done: (resource id, end) of each task
     for planned in plan:
-        times = estimator.finish_time(planned.task_id, planned.work, planned.resource_id)
-        estimator.commit(planned.task_id, planned.resource_id, *times)
-    estimates = tuple(estimator.records)
+        rid = planned.resource_id
+        inputs = [(0.0, pool[t.src_resource], t.size_bytes) for t in transfers if t.consumer == planned.task_id]
+        inputs += [(done[p][1], pool[done[p][0]], size) for p, c, size in deps if c == planned.task_id]
+        gathered = [(leaves, r.site, r.bandwidth, r.latency, size) for leaves, r, size in inputs]
+        ready, start, end = gridengine._finish_time(gathered, pool[rid], avail.get(rid, 0.0), planned.work, rates)
+        avail[rid], done[planned.task_id] = end, (rid, end)
+        estimates.append(TaskRecord(planned.task_id, rid, ready, start, end))
+    estimates = tuple(estimates)
     makespan = max((r.end for r in estimates), default=0.0)
     concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), estimates, makespan)
     return execute_plan(concrete, pool)
