@@ -2,7 +2,10 @@
 the canonical JSON writer, and the writer of every CSV output.
 
 All shipped documents reject unknown keys so that typos surface as
-``SchemaError`` with a path instead of being silently ignored.
+``SchemaError`` with a path instead of being silently ignored. Each field
+reader looks its key up once and formats a field path only for the fault it
+reports; ``reject_unknown`` tests a record's keys against a set its parser
+builds once, and gathers the unknown keys only when there is one.
 
 ``dump_json`` writes its text in one recursive pass over plain JSON values,
 laying out each dict shape once per call: the sorted keys, each with its
@@ -191,16 +194,21 @@ def require_list(value, path: str) -> list:
     return value
 
 
-def reject_unknown(mapping: dict, allowed, path: str) -> None:
-    unknown = set(mapping).difference(allowed)
-    if unknown:
-        raise SchemaError(f"{path}.{min(unknown)}", "unknown key")
+def reject_unknown(mapping: dict, allowed: frozenset, path: str) -> None:
+    """Refuse a key of ``mapping`` that is not in ``allowed``, a set, at the least such key."""
+    if not allowed.issuperset(mapping):
+        raise SchemaError(f"{path}.{min(set(mapping).difference(allowed))}", "unknown key")
 
 
 def get_required(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    return mapping[key]
+    try:
+        return mapping[key]
+    except KeyError:
+        raise _missing(key, path) from None
+
+
+def _missing(key: str, path: str) -> SchemaError:
+    return SchemaError(f"{path}.{key}", "missing required field")
 
 
 def get_str(mapping: dict, key: str, path: str) -> str:
@@ -213,7 +221,7 @@ def get_str(mapping: dict, key: str, path: str) -> str:
 def get_name(mapping: dict, key: str, path: str) -> str:
     """A non-empty string that the CSV outputs write as one unquoted field."""
     value = get_str(mapping, key, path)
-    if any(c in value for c in ',"\r\n'):
+    if "," in value or '"' in value or "\r" in value or "\n" in value:
         raise SchemaError(f"{path}.{key}", "must not contain a comma, a double quote, CR or LF")
     return value
 
@@ -230,8 +238,15 @@ def is_finite_number(value) -> bool:
 
 
 def get_number(mapping: dict, key: str, path: str) -> float:
-    """A finite number; ``json`` reads ``NaN``, ``Infinity`` and integers past float range, no document may hold them."""
-    value = get_required(mapping, key, path)
+    """A finite number; ``json`` reads ``NaN``, ``Infinity`` and integers past float range, no document may hold them.
+    A finite float, what a document mostly holds, is returned as it is, without a
+    call; every other value takes ``is_finite_number``'s test."""
+    try:
+        value = mapping[key]
+    except KeyError:
+        raise _missing(key, path) from None
+    if type(value) is float and value - value == 0.0:  # x - x is 0.0 for a finite x, NaN otherwise
+        return value
     if not is_finite_number(value):
         raise SchemaError(f"{path}.{key}", "expected finite number")
     return float(value)

@@ -73,6 +73,10 @@ class ExperimentSpec:
             raise ValueError("policy comparison needs at least two configurations")
 
 
+_SPEC_KEYS = frozenset({"kind", "replicates", "base_seed", "configs"})
+_CONFIG_KEYS = frozenset({"name", "sla", "extra_policies"})
+
+
 def parse_experiment_spec(document) -> ExperimentSpec:
     """Parse a policy-comparison spec, the only kind of experiment document;
     the cost study reads nothing but the pool. ``ExperimentSpec`` holds the
@@ -81,7 +85,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
     kind = doc.get_str(root, "kind", "experiment")
     if kind != "policy_comparison":
         raise doc.SchemaError("experiment.kind", f"expected 'policy_comparison', got {kind!r}")
-    doc.reject_unknown(root, {"kind", "replicates", "base_seed", "configs"}, "experiment")
+    doc.reject_unknown(root, _SPEC_KEYS, "experiment")
     fields = {key: doc.get_int(root, key, "experiment") for key in ("replicates", "base_seed") if key in root}
 
     configs = []
@@ -89,7 +93,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
     for i, raw in enumerate(doc.require_list(root.get("configs", []), "experiment.configs")):
         path = f"experiment.configs[{i}]"
         record = doc.require_mapping(raw, path)
-        doc.reject_unknown(record, {"name", "sla", "extra_policies"}, path)
+        doc.reject_unknown(record, _CONFIG_KEYS, path)
         name = doc.get_name(record, "name", path)
         if name in seen:
             raise doc.SchemaError(f"{path}.name", f"duplicate configuration name {name!r}")

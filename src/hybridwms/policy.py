@@ -259,9 +259,15 @@ def enforce(policies: tuple[Policy, ...], registry: ConfigRegistry) -> tuple[Ove
 # Document parsing
 
 
+_SLA_KEYS = frozenset({"user_id", "soft_label", *SLA_DOMAINS})
+_POLICY_KEYS = frozenset({"id", "kind", "priority", "condition", "actions"})
+_PREDICATE_KEYS = frozenset({"key", "op", "value"})
+_ACTION_KEYS = frozenset({"key", "value"})
+
+
 def parse_sla(document: dict) -> Sla:
     root = doc.require_mapping(document, "sla")
-    doc.reject_unknown(root, {"user_id", "soft_label", "resource_level", "performance", "service_level"}, "sla")
+    doc.reject_unknown(root, _SLA_KEYS, "sla")
     user_id = doc.get_str(root, "user_id", "sla")
     soft = root.get("soft_label")
     fields = {}
@@ -287,7 +293,7 @@ def parse_repository(document) -> list[Policy]:
     for i, raw in enumerate(raw_repo):
         path = f"policies[{i}]"
         record = doc.require_mapping(raw, path)
-        doc.reject_unknown(record, {"id", "kind", "priority", "condition", "actions"}, path)
+        doc.reject_unknown(record, _POLICY_KEYS, path)
         pid = doc.get_str(record, "id", path)
         if pid in seen:
             raise doc.SchemaError(f"{path}.id", f"duplicate policy id {pid!r}")
@@ -303,7 +309,7 @@ def parse_repository(document) -> list[Policy]:
         for j, raw_pred in enumerate(doc.require_list(record.get("condition", []), f"{path}.condition")):
             pred_path = f"{path}.condition[{j}]"
             pred = doc.require_mapping(raw_pred, pred_path)
-            doc.reject_unknown(pred, {"key", "op", "value"}, pred_path)
+            doc.reject_unknown(pred, _PREDICATE_KEYS, pred_path)
             key = doc.get_str(pred, "key", pred_path)
             if key not in SLA_FIELDS and key not in PROPERTIES:
                 raise doc.SchemaError(f"{pred_path}.key", f"{key!r} is neither an SLA field nor a declared property")
@@ -323,7 +329,7 @@ def parse_repository(document) -> list[Policy]:
         for j, raw_action in enumerate(doc.require_list(doc.get_required(record, "actions", path), f"{path}.actions")):
             action_path = f"{path}.actions[{j}]"
             action = doc.require_mapping(raw_action, action_path)
-            doc.reject_unknown(action, {"key", "value"}, action_path)
+            doc.reject_unknown(action, _ACTION_KEYS, action_path)
             key, value = doc.get_str(action, "key", action_path), doc.get_required(action, "value", action_path)
             try:
                 scratch.set(key, value, pid)

@@ -75,6 +75,10 @@ class MetricTrace:
             raise ValueError("period must be >= 0.001")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        isfinite = math.isfinite  # after the range checks: a value that fails one keeps its message
+        if not (isfinite(self.amplitude) and isfinite(self.period) and isfinite(self.phase) and isfinite(self.noise_sigma)):
+            name = next(name for name in ("amplitude", "period", "phase", "noise_sigma") if not isfinite(getattr(self, name)))
+            raise ValueError(f"{name} must be finite")
 
 
 def metric_at(trace: MetricTrace, t: float) -> float:
@@ -289,13 +293,23 @@ def quorum_grid_mean(grid: dict[str, np.ndarray], quorum: Quorum) -> float:
     return float(costs[-1]) / len(costs)
 
 
-def parse_trace(raw: dict, path: str) -> MetricTrace:
-    """A load trace: ``base`` is required, ``seed`` an integer, the rest numbers;
-    ``MetricTrace`` holds the value of each key left out."""
-    doc.reject_unknown(raw, {"base", "amplitude", "period", "phase", "noise_sigma", "seed"}, path)
+_TRACE_KEYS = frozenset({"base", "amplitude", "period", "phase", "noise_sigma", "seed"})
+_RESOURCE_KEYS = frozenset({"id", "site", "cpu_rate", "bandwidth", "latency", "net_trace", "sys_trace"})
+
+
+def parse_trace(record: dict, key: str, resource_path: str) -> MetricTrace:
+    """The load trace a resource record holds at ``key``: ``base`` is required
+    and checked first, then the other keys in the order listed, ``seed`` an
+    integer and the rest numbers; ``MetricTrace`` holds the value of each key left out."""
+    path = f"{resource_path}.{key}"
+    raw = doc.require_mapping(doc.get_required(record, key, resource_path), path)
+    doc.reject_unknown(raw, _TRACE_KEYS, path)
     fields = {"base": doc.get_number(raw, "base", path)}
-    for key in raw:
-        fields[key] = doc.get_int(raw, key, path) if key == "seed" else doc.get_number(raw, key, path)
+    for name in raw:
+        if name == "seed":
+            fields[name] = doc.get_int(raw, name, path)
+        elif name != "base":
+            fields[name] = doc.get_number(raw, name, path)
     try:
         return MetricTrace(**fields)
     except ValueError as exc:
@@ -312,7 +326,7 @@ def parse_pool(document) -> list[ResourceDescriptor]:
     for i, raw in enumerate(raw_pool):
         path = f"pool[{i}]"
         record = doc.require_mapping(raw, path)
-        doc.reject_unknown(record, {"id", "site", "cpu_rate", "bandwidth", "latency", "net_trace", "sys_trace"}, path)
+        doc.reject_unknown(record, _RESOURCE_KEYS, path)
         rid = doc.get_name(record, "id", path)
         if rid in seen:
             raise doc.SchemaError(f"{path}.id", f"duplicate resource id {rid!r}")
@@ -323,8 +337,8 @@ def parse_pool(document) -> list[ResourceDescriptor]:
                     id=rid,
                     site=doc.get_str(record, "site", path),
                     cpu_rate=doc.get_number(record, "cpu_rate", path),
-                    net_trace=parse_trace(doc.require_mapping(doc.get_required(record, "net_trace", path), f"{path}.net_trace"), f"{path}.net_trace"),
-                    sys_trace=parse_trace(doc.require_mapping(doc.get_required(record, "sys_trace", path), f"{path}.sys_trace"), f"{path}.sys_trace"),
+                    net_trace=parse_trace(record, "net_trace", path),
+                    sys_trace=parse_trace(record, "sys_trace", path),
                     bandwidth=doc.get_number(record, "bandwidth", path),
                     latency=doc.get_number(record, "latency", path),
                 )

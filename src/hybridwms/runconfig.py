@@ -81,14 +81,10 @@ def detectability_problem(bpm, irregularity, st_offset, duration, rate) -> tuple
 def _number(record, key: str, path: str, domains: dict) -> float:
     """``record[key]`` as a finite float, inside its domain when ``domains`` states one."""
     value = doc.get_number(record, key, path)
-    if key in domains and not domains[key][0](value):
-        raise doc.SchemaError(f"{path}.{key}", domains[key][1])
+    domain = domains.get(key)
+    if domain is not None and not domain[0](value):
+        raise doc.SchemaError(f"{path}.{key}", domain[1])
     return value
-
-
-def _signal_fields(record, path: str) -> dict:
-    """A patient's or candidate's fields, checked: ``seed`` an integer, the rest in ``SIGNAL_DOMAINS``."""
-    return {k: doc.get_int(record, k, path) if k == "seed" else _number(record, k, path, SIGNAL_DOMAINS) for k in record}
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,9 @@ class Thresholds:
     arrhythmia_rr: float = 0.12
 
     def __post_init__(self):
+        fields = self.__dict__  # written directly: each check may turn an int into a float
         for key in THRESHOLD_DOMAINS:
-            value = _number({key: getattr(self, key)}, key, "run_config.thresholds", THRESHOLD_DOMAINS)
-            object.__setattr__(self, key, value)
+            fields[key] = _number(fields, key, "run_config.thresholds", THRESHOLD_DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,20 @@ class PatientParams:
 
     def __post_init__(self):
         path = "run_config.patient"
-        given = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "seed" or self.seed is not None}
-        for key, value in _signal_fields(given, path).items():
-            object.__setattr__(self, key, value)
+        fields = self.__dict__  # written directly: each check may turn an int into a float
+        for key in _PATIENT_NUMBERS:
+            fields[key] = _number(fields, key, path, SIGNAL_DOMAINS)
+        if self.seed is not None:
+            doc.get_int(fields, "seed", path)
         problem = detectability_problem(self.bpm, self.irregularity, self.st_offset, self.duration, self.rate)
         if problem:
             raise doc.SchemaError(f"{path}.{problem[0]}", problem[1])
+
+
+#: The number fields of a patient, in the order they are checked; ``seed`` is checked last.
+_PATIENT_NUMBERS = tuple(key for key in PatientParams.__dataclass_fields__ if key != "seed")
+_PATIENT_KEYS = frozenset(PatientParams.__dataclass_fields__)
+_CANDIDATE_KEYS = frozenset({"bpm", *CANDIDATE_DEFAULTS})
 
 
 def candidate_signal(candidate, patient) -> tuple:
@@ -136,8 +140,13 @@ def _candidate(record, index: int, patient) -> MappingProxyType:
     field in its domain, and a noiseless signal (``candidate_signal``) whose
     duration is in its domain and which shows two beats."""
     path = f"run_config.vhs_grid[{index}]"
-    doc.reject_unknown(doc.require_mapping(record, path), {"bpm", *CANDIDATE_DEFAULTS}, path)
-    checked = _signal_fields({"bpm": doc.get_required(record, "bpm", path), **record}, path)
+    doc.reject_unknown(doc.require_mapping(record, path), _CANDIDATE_KEYS, path)
+    checked = {"bpm": _number(record, "bpm", path, SIGNAL_DOMAINS)}  # then the rest, as listed
+    for key in record:
+        if key == "seed":
+            checked[key] = doc.get_int(record, key, path)
+        elif key != "bpm":
+            checked[key] = _number(record, key, path, SIGNAL_DOMAINS)
     bpm, irregularity, st_offset, _, duration, rate, _ = candidate_signal(checked, patient)
     problem = detectability_problem(bpm, irregularity, st_offset, duration, rate)
     if not (problem or SIGNAL_DOMAINS["duration"][0](duration)):  # the rate was checked with the patient
@@ -164,7 +173,7 @@ class RunConfig:
     user_inputs: dict = field(default_factory=dict)  # read-only once checked
 
     def __post_init__(self):
-        doc.get_int({"seed": self.seed}, "seed", "run_config")
+        doc.get_int(self.__dict__, "seed", "run_config")
         if not isinstance(self.patient, PatientParams):
             object.__setattr__(self, "patient", _recorded(self.patient))
         candidates = _Checked([_candidate(c, i, self.patient) for i, c in enumerate(self.candidates)])
@@ -216,7 +225,7 @@ def _load_sample(file: str):
     from .ecg import EcgSignal
 
     root = doc.require_mapping(doc.load_json(file), "patient_sample")
-    doc.reject_unknown(root, {"rate", "values"}, "patient_sample")
+    doc.reject_unknown(root, _SAMPLE_KEYS, "patient_sample")
     rate = _number(root, "rate", "patient_sample", SIGNAL_DOMAINS)
     values = doc.require_list(doc.get_required(root, "values", "patient_sample"), "patient_sample.values")
     if not values:
@@ -227,21 +236,27 @@ def _load_sample(file: str):
     return EcgSignal(values=np.asarray(values, dtype=float), rate=rate)
 
 
+_SAMPLE_KEYS = frozenset({"rate", "values"})
+_RUN_CONFIG_KEYS = frozenset({"seed", "patient", "user_inputs", "vhs_grid", "thresholds"})
+_FILE_KEYS = frozenset({"file"})
+_THRESHOLD_KEYS = frozenset(THRESHOLD_DOMAINS)
+
+
 def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     """Decode a run configuration document into records that check their own
     values. A relative sample-file path is read from ``base_dir``, by default
     the working directory."""
     root = doc.require_mapping(document, "run_config")
-    doc.reject_unknown(root, {"seed", "patient", "user_inputs", "vhs_grid", "thresholds"}, "run_config")
+    doc.reject_unknown(root, _RUN_CONFIG_KEYS, "run_config")
     seed = doc.get_required(root, "seed", "run_config")
 
     raw_patient = doc.require_mapping(doc.get_required(root, "patient", "run_config"), "run_config.patient")
     if "file" in raw_patient:
-        doc.reject_unknown(raw_patient, {"file"}, "run_config.patient")
+        doc.reject_unknown(raw_patient, _FILE_KEYS, "run_config.patient")
         file = doc.get_str(raw_patient, "file", "run_config.patient")
         patient = _load_sample(str(Path(base_dir or ".") / file))
     else:
-        doc.reject_unknown(raw_patient, PatientParams.__dataclass_fields__, "run_config.patient")
+        doc.reject_unknown(raw_patient, _PATIENT_KEYS, "run_config.patient")
         doc.get_required(raw_patient, "bpm", "run_config.patient")
         if "seed" in raw_patient:  # a document's null is a value, not the default that falls back to the run seed
             doc.get_int(raw_patient, "seed", "run_config.patient")
@@ -251,6 +266,6 @@ def parse_run_config(document, base_dir: str | None = None) -> RunConfig:
     thresholds = RunConfig.thresholds  # the default, built and checked once
     if "thresholds" in root:
         raw_thresholds = doc.require_mapping(root["thresholds"], "run_config.thresholds")
-        doc.reject_unknown(raw_thresholds, THRESHOLD_DOMAINS, "run_config.thresholds")
+        doc.reject_unknown(raw_thresholds, _THRESHOLD_KEYS, "run_config.thresholds")
         thresholds = Thresholds(**raw_thresholds)
     return RunConfig(seed, patient, candidates, thresholds, root.get("user_inputs", {}))

@@ -50,6 +50,7 @@ _PAYLOAD_SCHEMA = {
     NodeKind.USER_INPUT: ({"key"}, set()),
     NodeKind.TERMINAL: (set(), set()),
 }
+_PAYLOAD_KEYS = {kind: frozenset({*required, *optional, "min_service"}) for kind, (required, optional) in _PAYLOAD_SCHEMA.items()}
 
 
 class Node(NamedTuple):
@@ -146,20 +147,24 @@ def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
     return None
 
 
+_WORKFLOW_KEYS = frozenset({"id", "entry", "nodes", "edges"})
+_NODE_KEYS = frozenset({"id", "kind", "payload"})
+
+
 def parse_workflow(document: dict) -> WorkflowGraph:
     """Decode a workflow document into a graph, which checks itself.
 
     Raises SchemaError naming the offending field.
     """
     root = doc.require_mapping(document, "workflow")
-    doc.reject_unknown(root, {"id", "entry", "nodes", "edges"}, "workflow")
+    doc.reject_unknown(root, _WORKFLOW_KEYS, "workflow")
     graph_id, entry = doc.get_required(root, "id", "workflow"), doc.get_required(root, "entry", "workflow")
 
     nodes = []
     for i, raw in enumerate(doc.require_list(doc.get_required(root, "nodes", "workflow"), "workflow.nodes")):
         path = f"workflow.nodes[{i}]"
         node = doc.require_mapping(raw, path)
-        doc.reject_unknown(node, {"id", "kind", "payload"}, path)
+        doc.reject_unknown(node, _NODE_KEYS, path)
         node_id, kind = doc.get_required(node, "id", path), doc.get_required(node, "kind", path)
         kind = next((k for k in NodeKind if k.value == kind), kind)  # the graph refuses any other value
         nodes.append(Node(node_id, kind, node.get("payload", {})))
@@ -254,7 +259,7 @@ def _check_graph(graph: WorkflowGraph) -> None:
 def _parse_payload(kind: NodeKind, payload: dict, path: str) -> None:
     """Refuse a payload that breaks its node kind's schema."""
     required, optional = _PAYLOAD_SCHEMA[kind]
-    doc.reject_unknown(payload, required | optional | {"min_service"}, path)
+    doc.reject_unknown(payload, _PAYLOAD_KEYS[kind], path)
     for key in sorted(required):
         if key not in payload:
             raise SchemaError(f"{path}.{key}", f"required for kind {kind.value}")
@@ -278,26 +283,30 @@ def _parse_payload(kind: NodeKind, payload: dict, path: str) -> None:
                 raise SchemaError(f"{path}.branches.{label}", "expected node id string")
 
 
+_SUBWORKFLOW_KEYS = frozenset({"id", "tasks", "data_deps", "inputs"})
+_TASK_KEYS = frozenset({"id", "work", "transformation"})
+_INPUT_KEYS = frozenset({"file", "bytes", "consumer"})
+
+
 def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
     """Decode a sub-workflow document, ``work`` and bytes as floats, into a
     sub-workflow, which checks itself. Raises SchemaError or CycleError."""
     root = doc.require_mapping(document, "subworkflow")
-    doc.reject_unknown(root, {"id", "tasks", "data_deps", "inputs"}, "subworkflow")
+    doc.reject_unknown(root, _SUBWORKFLOW_KEYS, "subworkflow")
     sub_id = doc.get_str(root, "id", "subworkflow")
 
     tasks = []
     for i, raw in enumerate(doc.require_list(doc.get_required(root, "tasks", "subworkflow"), "subworkflow.tasks")):
         path = f"subworkflow.tasks[{i}]"
         task = doc.require_mapping(raw, path)
-        doc.reject_unknown(task, {"id", "work", "transformation"}, path)
-        task_id, work = doc.get_str(task, "id", path), doc.get_number(task, "work", path)
-        tasks.append(TaskSpec(task_id, work, doc.get_str(task, "transformation", path)))
+        doc.reject_unknown(task, _TASK_KEYS, path)
+        tasks.append(TaskSpec(doc.get_str(task, "id", path), doc.get_number(task, "work", path), doc.get_str(task, "transformation", path)))
 
     deps = []
-    for i, raw in enumerate(doc.require_list(root.get("data_deps", []), "subworkflow.data_deps")):
-        path = f"subworkflow.data_deps[{i}]"
-        triple = doc.require_list(raw, path)
-        if len(triple) != 3:
+    for i, triple in enumerate(doc.require_list(root.get("data_deps", []), "subworkflow.data_deps")):
+        if not isinstance(triple, list) or len(triple) != 3:
+            path = f"subworkflow.data_deps[{i}]"
+            doc.require_list(triple, path)
             raise SchemaError(path, "expected [producer, consumer, bytes]")
         producer, consumer, size = triple
         deps.append((producer, consumer, float(size) if _is_bytes(size) else size))  # the check refuses the rest
@@ -306,9 +315,8 @@ def parse_subworkflow(document: dict) -> AbstractSubWorkflow:
     for i, raw in enumerate(doc.require_list(root.get("inputs", []), "subworkflow.inputs")):
         path = f"subworkflow.inputs[{i}]"
         entry = doc.require_mapping(raw, path)
-        doc.reject_unknown(entry, {"file", "bytes", "consumer"}, path)
-        file_id, size = doc.get_str(entry, "file", path), doc.get_number(entry, "bytes", path)
-        inputs.append((file_id, size, doc.get_str(entry, "consumer", path)))
+        doc.reject_unknown(entry, _INPUT_KEYS, path)
+        inputs.append((doc.get_str(entry, "file", path), doc.get_number(entry, "bytes", path), doc.get_str(entry, "consumer", path)))
 
     return AbstractSubWorkflow(sub_id, tuple(tasks), tuple(deps), tuple(inputs))
 
@@ -322,28 +330,27 @@ def _check_subworkflow(subwf: AbstractSubWorkflow) -> None:
     sub-workflow rule: unique task ids, ``work`` in (0, 1e12] (with the bounds
     on resources, this keeps simulated time finite), dependencies and inputs
     between known tasks, bytes in [0, 1e15], and an acyclic task DAG. Raises
-    SchemaError at the field's path, or CycleError."""
+    SchemaError at the field's path, or CycleError. A path is formatted only
+    for the fault it names."""
     seen = set()
     for i, task in enumerate(subwf.tasks):
-        path = f"subworkflow.tasks[{i}]"
         if task.id in seen:
-            raise SchemaError(f"{path}.id", f"duplicate task id {task.id!r}")
+            raise SchemaError(f"subworkflow.tasks[{i}].id", f"duplicate task id {task.id!r}")
         seen.add(task.id)
-        if isinstance(task.work, bool) or not isinstance(task.work, (int, float)) or not 0 < task.work <= 1e12:
-            raise SchemaError(f"{path}.work", "work must be in (0, 1e12]")
+        work = task.work
+        if isinstance(work, bool) or not isinstance(work, (int, float)) or not 0 < work <= 1e12:
+            raise SchemaError(f"subworkflow.tasks[{i}].work", "work must be in (0, 1e12]")
     for i, (producer, consumer, size) in enumerate(subwf.data_deps):
-        path = f"subworkflow.data_deps[{i}]"
         for end in (producer, consumer):
             if not isinstance(end, str) or end not in seen:
-                raise SchemaError(path, f"unknown task {end!r}")
+                raise SchemaError(f"subworkflow.data_deps[{i}]", f"unknown task {end!r}")
         if not _is_bytes(size):
-            raise SchemaError(f"{path}[2]", "bytes must be a number in [0, 1e15]")
+            raise SchemaError(f"subworkflow.data_deps[{i}][2]", "bytes must be a number in [0, 1e15]")
     for i, (_, size, consumer) in enumerate(subwf.inputs):
-        path = f"subworkflow.inputs[{i}]"
         if not _is_bytes(size):
-            raise SchemaError(f"{path}.bytes", "bytes must be in [0, 1e15]")
+            raise SchemaError(f"subworkflow.inputs[{i}].bytes", "bytes must be in [0, 1e15]")
         if not isinstance(consumer, str) or consumer not in seen:
-            raise SchemaError(f"{path}.consumer", f"unknown task {consumer!r}")
+            raise SchemaError(f"subworkflow.inputs[{i}].consumer", f"unknown task {consumer!r}")
     subwf._order  # raises CycleError on a cyclic task DAG
 
 

@@ -24,12 +24,14 @@ from hybridwms.errors import (
     NoMatchingPolicy,
     NodeError,
     RunError,
+    SchemaError,
     WmsError,
 )
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.policy import parse_repository, parse_sla
 from hybridwms.resources import parse_pool
 from hybridwms.runconfig import parse_run_config
+from hybridwms.workflow import parse_subworkflow
 
 
 def data_path(rel):
@@ -287,6 +289,118 @@ def test_validate_refuses_an_integer_past_float_range_with_its_path(tmp_path, re
     assert code == 2
     assert [line.split("error: ")[1].split(":")[0] for line in out.splitlines() if "error:" in line] == [field]
     assert "Traceback" not in err
+
+
+#: Marks a field that ``listed_first`` removes.
+DROP = object()
+
+
+def listed_first(record: dict, **fields) -> dict:
+    """A copy of ``record`` with ``fields`` set and listed first, in the order
+    given; a field given as ``DROP`` is removed."""
+    rest = {key: value for key, value in record.items() if key not in fields}
+    return {**{key: value for key, value in fields.items() if value is not DROP}, **rest}
+
+
+def edit_item(key, index, **fields):
+    def edit(document):
+        items = document if key is None else document[key]
+        items[index] = listed_first(items[index], **fields)
+
+    return edit
+
+
+def edit_trace(index, trace, **fields):
+    def edit(document):
+        document[index][trace] = listed_first(document[index][trace], **fields)
+
+    return edit
+
+
+def edit_root(**fields):
+    def edit(document):
+        fresh = listed_first(document, **fields)
+        document.clear()
+        document.update(fresh)
+
+    return edit
+
+
+#: The parser of each packaged file that ``FIRST_FAULTS`` edits.
+PARSERS = {
+    "pool.json": parse_pool,
+    "slas/high_performance.json": parse_sla,
+    "run_config.json": parse_run_config,
+    "policies.json": parse_repository,
+    "workflows/vhs-simulation.json": parse_subworkflow,
+}
+SUB = "workflows/vhs-simulation.json"
+
+#: (test id, packaged file, an edit that puts two or more faults in one record,
+#: the path and message of the fault its parser reports). Which fault comes
+#: first is part of each parser's contract: a record's keys are checked in a
+#: fixed order, and some rules only after every field is read.
+FIRST_FAULTS = [
+    ("pool-unknown-keys", "pool.json", edit_item(None, 0, colour=1, alpha=2, id=""), "pool[0].alpha", "unknown key"),
+    ("pool-unknown-key-in-place-of-a-known-one", "pool.json", edit_item(None, 0, colour=1, latency=DROP), "pool[0].colour", "unknown key"),
+    ("trace-unknown-key-in-place-of-a-known-one", "pool.json", edit_trace(0, "sys_trace", wobble=1, seed=DROP, base="x"),
+     "pool[0].sys_trace.wobble", "unknown key"),
+    ("pool-site-before-cpu-rate", "pool.json", edit_item(None, 0, cpu_rate="fast", site=""), "pool[0].site", "expected non-empty string"),
+    ("pool-duplicate-id", "pool.json", edit_item(None, 1, bandwidth="fast", id="daegu-01"), "pool[1].id", "duplicate resource id 'daegu-01'"),
+    ("pool-trace-before-bandwidth", "pool.json", edit_item(None, 0, bandwidth=-1, latency="x", sys_trace={"base": "x"}),
+     "pool[0].sys_trace.base", "expected finite number"),
+    ("pool-range-after-types", "pool.json", edit_item(None, 0, bandwidth=-1, latency=-1), "pool[0]", "bandwidth must be >= 0.001"),
+    ("trace-base-first", "pool.json", edit_trace(0, "net_trace", amplitude="x", base="y"), "pool[0].net_trace.base", "expected finite number"),
+    ("trace-base-missing", "pool.json", edit_trace(0, "net_trace", amplitude=-1, base=DROP), "pool[0].net_trace.base", "missing required field"),
+    ("trace-document-order", "pool.json", edit_trace(0, "sys_trace", phase="x", noise_sigma="y"), "pool[0].sys_trace.phase", "expected finite number"),
+    ("trace-seed-before-range", "pool.json", edit_trace(0, "sys_trace", seed=1.5, amplitude=-1), "pool[0].sys_trace.seed", "expected integer"),
+    ("trace-types-before-range", "pool.json", edit_trace(0, "net_trace", base=2.0, period=True), "pool[0].net_trace.period", "expected finite number"),
+    ("trace-range-order", "pool.json", edit_trace(0, "net_trace", noise_sigma=-1, amplitude=-1), "pool[0].net_trace", "amplitude must be >= 0"),
+    ("sla-field-before-label", "slas/high_performance.json", edit_root(soft_label="Best Effort", performance="Slow"),
+     "sla.performance", "expected one of ['Fast', 'Standard', 'Economy']"),
+    ("sla-user-id-first", "slas/high_performance.json", edit_root(service_level="x", resource_level="L9", user_id=DROP),
+     "sla.user_id", "missing required field"),
+    ("sla-domain-order", "slas/high_performance.json", edit_root(service_level="x", resource_level="L9"),
+     "sla.resource_level", "expected one of ['L1', 'L2', 'L3']"),
+    ("run-config-patient-before-seed", "run_config.json", edit_root(seed="x", patient={"bpm": "fast"}),
+     "run_config.patient.bpm", "expected finite number"),
+    ("run-config-seed-before-candidates", "run_config.json", edit_root(seed="x", vhs_grid=[{"bpm": "fast"}]), "run_config.seed", "expected integer"),
+    ("run-config-thresholds-before-candidates", "run_config.json", edit_root(thresholds={"ischemia_st": -1}, vhs_grid=[{"bpm": "fast"}]),
+     "run_config.thresholds.ischemia_st", "must be non-negative"),
+    ("patient-field-order", "run_config.json", edit_item(None, "patient", rate="x", noise=50), "run_config.patient.noise", "must be in [0, 10]"),
+    ("patient-seed-before-bpm", "run_config.json", edit_item(None, "patient", bpm="fast", seed="x"), "run_config.patient.seed", "expected integer"),
+    ("patient-unknown-before-missing", "run_config.json", edit_item(None, "patient", colour=1, bpm=DROP), "run_config.patient.colour", "unknown key"),
+    ("patient-domain-before-beats", "run_config.json", edit_item(None, "patient", duration=0.001, bpm=1001),
+     "run_config.patient.bpm", "must be in (0, 1000]"),
+    ("candidate-bpm-first", "run_config.json", edit_item("vhs_grid", 2, seed="x", bpm="y"), "run_config.vhs_grid[2].bpm", "expected finite number"),
+    ("candidate-document-order", "run_config.json", edit_item("vhs_grid", 2, st_offset="x", irregularity=5),
+     "run_config.vhs_grid[2].st_offset", "expected finite number"),
+    ("candidate-unknown-before-missing", "run_config.json", edit_item("vhs_grid", 0, colour=1, bpm=DROP), "run_config.vhs_grid[0].colour", "unknown key"),
+    ("candidate-offset-before-bpm", "run_config.json", edit_item("vhs_grid", 1, st_offset=1, bpm=1000),
+     "run_config.vhs_grid[1].st_offset", "must be in [-0.35, 0.35]"),
+    ("task-parse-before-check", SUB, edit_item("tasks", 1, work=1e20, transformation=DROP), "subworkflow.tasks[1].transformation", "missing required field"),
+    ("task-duplicate-before-work", SUB, edit_item("tasks", 1, work=1e20, id="mesh-partition"),
+     "subworkflow.tasks[1].id", "duplicate task id 'mesh-partition'"),
+    ("task-types-before-duplicates", SUB, lambda d: (edit_item("tasks", 1, id="mesh-partition")(d), edit_item("tasks", 2, work="x")(d)),
+     "subworkflow.tasks[2].work", "expected finite number"),
+    ("dependency-producer-first", SUB, lambda d: d["data_deps"].__setitem__(0, ["ghost", "x", -1]), "subworkflow.data_deps[0]", "unknown task 'ghost'"),
+    ("dependency-ends-before-bytes", SUB, lambda d: d["data_deps"].__setitem__(1, ["heart-solver", "ghost", "x"]),
+     "subworkflow.data_deps[1]", "unknown task 'ghost'"),
+    ("dependency-after-tasks", SUB, lambda d: (d["data_deps"][1].pop(), edit_item("tasks", 0, work="x")(d)),
+     "subworkflow.tasks[0].work", "expected finite number"),
+    ("input-bytes-before-consumer", SUB, edit_item("inputs", 0, consumer="ghost", bytes=2e15), "subworkflow.inputs[0].bytes", "bytes must be in [0, 1e15]"),
+    ("input-file-first", SUB, edit_item("inputs", 0, bytes="x", file=""), "subworkflow.inputs[0].file", "expected non-empty string"),
+    ("dependency-before-input", SUB, lambda d: (edit_item("inputs", 0, consumer="ghost")(d), d["data_deps"][0].__setitem__(2, -1)),
+     "subworkflow.data_deps[0][2]", "bytes must be a number in [0, 1e15]"),
+    ("policy-kind-before-priority", "policies.json", edit_item(None, 0, priority="x", kind="Nope"), "policies[0].kind", "unknown policy kind 'Nope'"),
+]
+
+
+@pytest.mark.parametrize("rel, edit, path, message", [fault[1:] for fault in FIRST_FAULTS], ids=[fault[0] for fault in FIRST_FAULTS])
+def test_a_record_with_several_faults_reports_the_first_in_check_order(rel, edit, path, message):
+    with pytest.raises(SchemaError) as err:
+        PARSERS[rel](mutated(rel, edit))
+    assert (err.value.path, err.value.message) == (path, message)
 
 
 #: More ids than Python's default recursion limit of 1,000 frames.

@@ -4,6 +4,7 @@ finite-number test against ``float()``."""
 import enum
 import importlib.resources
 import json
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hybridwms import documents
 from hybridwms.documents import dump_json, load_json
 from hybridwms.engine import record_document, run_workflow
+from hybridwms.errors import SchemaError
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.gridengine import execute_plan
 from hybridwms.policy import parse_repository, parse_sla
@@ -191,8 +193,19 @@ HUGE_INTS = st.integers(FLOAT_EDGE - 2**971, FLOAT_EDGE + 2**971) | st.integers(
 @example(float("-inf"))
 @example(True)
 @example("1.0")
+@example(-0.0)
+@example(2**53 + 1)
+@example(None)
 def test_is_finite_number_agrees_with_float(value):
     assert documents.is_finite_number(value) is finite_by_float(value)
+    # get_number returns float(value) bit for bit, -0.0 with its sign, or refuses the value at its path
+    if finite_by_float(value):
+        assert struct.pack("<d", documents.get_number({"k": value}, "k", "p")) == struct.pack("<d", float(value))
+    else:
+        with pytest.raises(SchemaError, match=r"^p\.k: expected finite number$"):
+            documents.get_number({"k": value}, "k", "p")
+    with pytest.raises(SchemaError, match=r"^p\.k: missing required field$"):
+        documents.get_number({"j": value}, "k", "p")
 
 
 def self_containing_list():

@@ -288,20 +288,43 @@ def test_summary_reconstructs_from_rows():
     for summary in result.summaries:
         values = [r.completion for r in result.rows if r.config == summary.config]
         assert summary.mean == statistics.fmean(values)
-        assert summary.stddev == statistics.pstdev(values)
+        assert summary.stddev == exact_pstdev(values)  # 3.10's pstdev rounds the variance first
         assert summary.min == min(values)
         assert summary.max == max(values)
 
 
 def exact_pstdev(values):
-    """The population standard deviation as an 80-digit square root of the
-    exact variance, rounded once to a float."""
+    """The population standard deviation: the float nearest the square root of
+    the exact variance, ties to even.
+
+    An 80-digit square root lands within an ulp of it, and comparisons in
+    fractions settle the rest: the root is below the midpoint of two
+    neighbouring floats exactly when the variance is below that midpoint
+    squared. Two values can put the root on such a midpoint (the variance of
+    ``[1024.682972, 7349.398438]`` is one squared), where the 80-digit root
+    alone may round the wrong way."""
     exact = [Fraction(v) for v in values]
     mean = sum(exact, Fraction(0)) / len(exact)
     variance = sum(((v - mean) ** 2 for v in exact), Fraction(0)) / len(exact)
     with localcontext() as context:
         context.prec = 80
-        return float((Decimal(variance.numerator) / variance.denominator).sqrt())
+        root = float((Decimal(variance.numerator) / variance.denominator).sqrt())
+
+    def midpoint_squared(a, b):
+        return ((Fraction(a) + Fraction(b)) / 2) ** 2
+
+    below = math.nextafter(root, 0.0)
+    while root > 0.0 and variance < midpoint_squared(below, root):
+        root, below = below, math.nextafter(below, 0.0)
+    above = math.nextafter(root, math.inf)
+    while variance > midpoint_squared(root, above):
+        root, above = above, math.nextafter(above, math.inf)
+    odd = Fraction(root) / Fraction(math.ulp(root)) % 2 == 1  # the last bit of its significand
+    if odd and variance == midpoint_squared(math.nextafter(root, 0.0), root):
+        return math.nextafter(root, 0.0)
+    if odd and variance == midpoint_squared(root, math.nextafter(root, math.inf)):
+        return math.nextafter(root, math.inf)
+    return root
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,6 +338,7 @@ def exact_pstdev(values):
 @example(values=[35.66, 351.1])  # Python 3.10's pstdev gives 0x1.3b70a3d70a3d7p+7, one ulp low
 @example(values=[180.533, 41.86])  # and 0x1.15589374bc6a7p+6 here
 @example(values=[745.101231] * 3)
+@example(values=[1024.682972, 7349.398438])  # the root lies on a midpoint; ties go to the even float
 def test_the_study_stddev_is_the_correctly_rounded_root_of_the_exact_variance(values):
     rows = [ComparisonRow("c", i, i, v) for i, v in enumerate(values, 1)]
     (summary,) = experiments._summarize(rows)

@@ -102,6 +102,40 @@ def test_trace_validation():
         MetricTrace(base=0.5, noise_sigma=-0.1)
 
 
+#: (field, a non-finite value, the message a code-built trace refuses it with):
+#: a check that held before finiteness was checked keeps its message.
+NON_FINITE_TRACE_FIELDS = [
+    ("amplitude", math.inf, "amplitude must be finite"),
+    ("amplitude", math.nan, "amplitude must be finite"),
+    ("amplitude", -math.inf, "amplitude must be >= 0"),
+    ("period", math.inf, "period must be finite"),
+    ("period", math.nan, "period must be >= 0.001"),
+    ("period", -math.inf, "period must be >= 0.001"),
+    ("phase", math.inf, "phase must be finite"),
+    ("phase", math.nan, "phase must be finite"),
+    ("phase", -math.inf, "phase must be finite"),
+    ("noise_sigma", math.inf, "noise_sigma must be finite"),
+    ("noise_sigma", math.nan, "noise_sigma must be finite"),
+    ("noise_sigma", -math.inf, "noise_sigma must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", NON_FINITE_TRACE_FIELDS)
+def test_a_code_built_trace_refuses_a_non_finite_field(field, value, message):
+    # such a trace would make metric_at raise a bare math domain error, read a
+    # load of 0.0 at every instant, or drop its noise
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MetricTrace(base=0.5, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["amplitude", "period", "phase", "noise_sigma"])
+def test_a_document_trace_refuses_a_non_finite_field_at_its_key(field):
+    document = pool_doc()
+    document[0]["sys_trace"][field] = math.inf
+    with pytest.raises(SchemaError, match=rf"^pool\[0\]\.sys_trace\.{field}: expected finite number$"):
+        parse_pool(document)
+
+
 # -- allocation cost and ranking --------------------------------------------
 
 
