@@ -4,8 +4,8 @@ the canonical JSON writer, and the writer of every CSV output.
 All shipped documents reject unknown keys so that typos surface as
 ``SchemaError`` with a path instead of being silently ignored. Each field
 reader looks its key up once and formats a field path only for the fault it
-reports; ``reject_unknown`` tests a record's keys against a set its parser
-builds once, and gathers the unknown keys only when there is one.
+reports; ``reject_unknown`` tests a record's keys against a set built once,
+mostly of its type's fields, and gathers unknown keys only when there is one.
 
 ``dump_json`` writes its text in one recursive pass over plain JSON values,
 laying out each dict shape once per call: the sorted keys, each with its
@@ -195,9 +195,9 @@ def require_list(value, path: str) -> list:
 
 
 def reject_unknown(mapping: dict, allowed: frozenset, path: str) -> None:
-    """Refuse a key of ``mapping`` that is not in ``allowed``, a set, at the least such key."""
+    """Refuse a key of ``mapping`` not in ``allowed``, a set, at the least such key by its text."""
     if not allowed.issuperset(mapping):
-        raise SchemaError(f"{path}.{min(set(mapping).difference(allowed))}", "unknown key")
+        raise SchemaError(f"{path}.{min(set(mapping).difference(allowed), key=str)}", "unknown key")
 
 
 def get_required(mapping: dict, key: str, path: str):

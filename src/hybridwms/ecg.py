@@ -172,7 +172,7 @@ def detect_beats(signal: EcgSignal) -> np.ndarray:
     import numpy as np
 
     values = signal.values
-    peak = float(values.max(initial=0.0)) if len(values) else 0.0
+    peak = float(values.max(initial=0.0))
     if peak <= 0:
         raise NoBeatsDetected("signal has no positive excursion")
     above = np.flatnonzero(values >= 0.5 * peak)

@@ -74,7 +74,7 @@ class ExperimentSpec:
 
 
 _SPEC_KEYS = frozenset({"kind", "replicates", "base_seed", "configs"})
-_CONFIG_KEYS = frozenset({"name", "sla", "extra_policies"})
+_CONFIG_KEYS = frozenset(PolicySetConfig._fields)
 
 
 def parse_experiment_spec(document) -> ExperimentSpec:

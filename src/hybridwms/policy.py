@@ -259,9 +259,9 @@ def enforce(policies: tuple[Policy, ...], registry: ConfigRegistry) -> tuple[Ove
 # Document parsing
 
 
-_SLA_KEYS = frozenset({"user_id", "soft_label", *SLA_DOMAINS})
-_POLICY_KEYS = frozenset({"id", "kind", "priority", "condition", "actions"})
-_PREDICATE_KEYS = frozenset({"key", "op", "value"})
+_SLA_KEYS = frozenset(Sla._fields)
+_POLICY_KEYS = frozenset(Policy.__dataclass_fields__)
+_PREDICATE_KEYS = frozenset(Predicate._fields)
 _ACTION_KEYS = frozenset({"key", "value"})
 
 

@@ -293,8 +293,8 @@ def quorum_grid_mean(grid: dict[str, np.ndarray], quorum: Quorum) -> float:
     return float(costs[-1]) / len(costs)
 
 
-_TRACE_KEYS = frozenset({"base", "amplitude", "period", "phase", "noise_sigma", "seed"})
-_RESOURCE_KEYS = frozenset({"id", "site", "cpu_rate", "bandwidth", "latency", "net_trace", "sys_trace"})
+_TRACE_KEYS = frozenset(MetricTrace.__dataclass_fields__)
+_RESOURCE_KEYS = frozenset(ResourceDescriptor.__dataclass_fields__)
 
 
 def parse_trace(record: dict, key: str, resource_path: str) -> MetricTrace:

@@ -239,7 +239,7 @@ def _load_sample(file: str):
 _SAMPLE_KEYS = frozenset({"rate", "values"})
 _RUN_CONFIG_KEYS = frozenset({"seed", "patient", "user_inputs", "vhs_grid", "thresholds"})
 _FILE_KEYS = frozenset({"file"})
-_THRESHOLD_KEYS = frozenset(THRESHOLD_DOMAINS)
+_THRESHOLD_KEYS = frozenset(Thresholds.__dataclass_fields__)
 
 
 def parse_run_config(document, base_dir: str | None = None) -> RunConfig:

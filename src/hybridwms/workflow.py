@@ -147,8 +147,8 @@ def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
     return None
 
 
-_WORKFLOW_KEYS = frozenset({"id", "entry", "nodes", "edges"})
-_NODE_KEYS = frozenset({"id", "kind", "payload"})
+_WORKFLOW_KEYS = frozenset(WorkflowGraph.__dataclass_fields__)
+_NODE_KEYS = frozenset(Node._fields)
 
 
 def parse_workflow(document: dict) -> WorkflowGraph:
@@ -283,8 +283,8 @@ def _parse_payload(kind: NodeKind, payload: dict, path: str) -> None:
                 raise SchemaError(f"{path}.branches.{label}", "expected node id string")
 
 
-_SUBWORKFLOW_KEYS = frozenset({"id", "tasks", "data_deps", "inputs"})
-_TASK_KEYS = frozenset({"id", "work", "transformation"})
+_SUBWORKFLOW_KEYS = frozenset(AbstractSubWorkflow.__dataclass_fields__)
+_TASK_KEYS = frozenset(TaskSpec._fields)
 _INPUT_KEYS = frozenset({"file", "bytes", "consumer"})
 
 
@@ -327,19 +327,23 @@ def _is_bytes(size) -> bool:
 
 def _check_subworkflow(subwf: AbstractSubWorkflow) -> None:
     """Refuse a sub-workflow, parsed or built in code, that breaks a
-    sub-workflow rule: unique task ids, ``work`` in (0, 1e12] (with the bounds
-    on resources, this keeps simulated time finite), dependencies and inputs
-    between known tasks, bytes in [0, 1e15], and an acyclic task DAG. Raises
-    SchemaError at the field's path, or CycleError. A path is formatted only
-    for the fault it names."""
+    sub-workflow rule: task ids and transformations non-empty strings, unique
+    task ids, ``work`` in (0, 1e12] (with the bounds on resources, this keeps
+    simulated time finite), dependencies and inputs between known tasks, bytes
+    in [0, 1e15], and an acyclic task DAG. Raises SchemaError at the field's
+    path, or CycleError. A path is formatted only for the fault it names."""
     seen = set()
     for i, task in enumerate(subwf.tasks):
+        if not isinstance(task.id, str) or not task.id:
+            raise SchemaError(f"subworkflow.tasks[{i}].id", "expected non-empty string")
         if task.id in seen:
             raise SchemaError(f"subworkflow.tasks[{i}].id", f"duplicate task id {task.id!r}")
         seen.add(task.id)
         work = task.work
         if isinstance(work, bool) or not isinstance(work, (int, float)) or not 0 < work <= 1e12:
             raise SchemaError(f"subworkflow.tasks[{i}].work", "work must be in (0, 1e12]")
+        if not isinstance(task.transformation, str) or not task.transformation:
+            raise SchemaError(f"subworkflow.tasks[{i}].transformation", "expected non-empty string")
     for i, (producer, consumer, size) in enumerate(subwf.data_deps):
         for end in (producer, consumer):
             if not isinstance(end, str) or end not in seen:

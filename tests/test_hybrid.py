@@ -34,7 +34,7 @@ from hybridwms.experiments import load_workflow_bundle
 from hybridwms.policy import Policy, PolicyKind, Predicate, parse_repository, parse_sla
 from hybridwms.resources import parse_pool, quorum_size
 from hybridwms.runconfig import PatientParams, RunConfig, Thresholds, candidate_signal, parse_run_config
-from hybridwms.workflow import Node, NodeKind, WorkflowGraph
+from hybridwms.workflow import AbstractSubWorkflow, Node, NodeKind, TaskSpec, WorkflowGraph
 
 
 def data_path(rel):
@@ -301,6 +301,11 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
         "run_config.vhs_grid[0]",
         "with the patient signal's duration: must be in (0, 3600]",
     ),
+    (  # unknown keys of two types: the least by its text is named
+        lambda c: RunConfig(1, PatientParams(70), candidates=[{1: 2, "x": 3, "bpm": 60}]),
+        "run_config.vhs_grid[0].1",
+        "unknown key",
+    ),
 ]
 
 
@@ -324,6 +329,7 @@ CODE_BUILT_RUN_CONFIG_FAULTS = [
         "patient-type",
         "thresholds-type",
         "candidate-past-3600-s",
+        "candidate-mixed-type-unknown-keys",
     ],
 )
 def test_a_code_built_run_config_that_breaks_a_rule_cannot_be_built(build, path, message):
@@ -812,13 +818,13 @@ DELETED = object()
 
 def edited_graph(graph, index, key, value):
     """``graph`` rebuilt with one field set in code: ``index`` None sets the
-    graph's own field, key ``"id"`` the node's id, any other key the node's
-    payload entry, which ``DELETED`` deletes."""
+    graph's own field, key ``"id"`` the node's id, key ``"payload"`` its whole
+    payload, any other key the node's payload entry, which ``DELETED`` deletes."""
     if index is None:
         return replace(graph, **{key: value})
     nodes = list(graph.nodes)
-    if key == "id":
-        nodes[index] = nodes[index]._replace(id=value)
+    if key in ("id", "payload"):
+        nodes[index] = nodes[index]._replace(**{key: value})
     else:
         payload = {k: v for k, v in nodes[index].payload.items() if k != key}
         if value is not DELETED:
@@ -835,6 +841,7 @@ CODE_BUILT_GRAPH_FAULTS = [
     ((0, "id", "a,b\nc"), "workflow.nodes[0].id", "must not contain a comma, a double quote, CR or LF"),
     ((None, "edges", (("get-patient-data",),)), "workflow.edges[0]", "expected [from-node-id, to-node-id]"),
     ((2, "branches", {1: "t", "x": "t"}), "workflow.nodes[2].payload.branches", "expected non-empty string labels, got 1"),
+    ((5, "payload", {1: 0, "b": 0}), "workflow.nodes[5].payload.1", "unknown key"),  # the Terminal node
 ]
 
 
@@ -877,6 +884,22 @@ CODE_BUILT_SUBWORKFLOW_FAULTS = [
         "work must be in (0, 1e12]",
     ),
     (lambda s: replace(s, tasks=s.tasks + s.tasks[:1]), "subworkflow.tasks[3].id", "duplicate task id 'preprocess'"),
+    # ids and transformations are strings, which the order and the catalogs sort
+    (
+        lambda s: AbstractSubWorkflow("s", (TaskSpec(1, 1.0, "t"), TaskSpec("a", 1.0, "t")), (), ()),
+        "subworkflow.tasks[0].id",
+        "expected non-empty string",
+    ),
+    (
+        lambda s: AbstractSubWorkflow("s", (TaskSpec("a", 1.0, "t"), TaskSpec("b", 1.0, 5)), (), ()),
+        "subworkflow.tasks[1].transformation",
+        "expected non-empty string",
+    ),
+    (
+        lambda s: replace(s, tasks=s.tasks[:2] + (s.tasks[2]._replace(id=""),)),
+        "subworkflow.tasks[2].id",
+        "expected non-empty string",
+    ),
 ]
 
 

@@ -14,16 +14,28 @@ The second parses the package the same way. A record that checks nothing is a
 ``typing.NamedTuple``; ``@dataclass`` is for a class with a ``__post_init__``
 and for the few listed in ``PLAIN_DATACLASSES``.
 
+The third does too: a module-level ``_*_KEYS`` set, the keys a parser lets a
+document hold, is ``frozenset`` of a record's fields, so the record owns them,
+or is listed in ``KEY_SETS_OFF_A_RECORD`` with the value it must hold and why.
+
 The others import the package in a fresh interpreter and list the modules it
 loaded.
 """
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hybridwms.ecg import EcgSignal
+from hybridwms.experiments import ExperimentSpec
+from hybridwms.policy import SLA_FIELDS, Sla
+from hybridwms.runconfig import CANDIDATE_DEFAULTS, THRESHOLD_DOMAINS, RunConfig, Thresholds
+from hybridwms.workflow import _PAYLOAD_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,6 +120,83 @@ def test_a_dataclass_in_src_checks_itself_or_is_listed(tmp_path):
 
     modules = sorted((ROOT / "src").rglob("*.py"))
     assert sorted(name for path in modules for name in plain_dataclasses(path)) == PLAIN_DATACLASSES
+
+
+#: The module-level key sets in ``src/`` that are not ``frozenset`` of one record's fields,
+#: as ``module._NAME``: the value each must hold, and why it is not a record's fields.
+KEY_SETS_OFF_A_RECORD = {
+    "runconfig._RUN_CONFIG_KEYS": (
+        {*RunConfig.__dataclass_fields__} - {"candidates"} | {"vhs_grid"},
+        "a document's vhs_grid is the record's candidates",
+    ),
+    "experiments._SPEC_KEYS": ({*ExperimentSpec.__dataclass_fields__, "kind"}, "kind names the one study a spec runs"),
+    "runconfig._SAMPLE_KEYS": (set(EcgSignal.__dataclass_fields__), "ecg.EcgSignal's fields; runconfig loads no ecg"),
+    "runconfig._CANDIDATE_KEYS": ({"bpm", *CANDIDATE_DEFAULTS}, "a VHS candidate is a mapping, not a record"),
+    "runconfig._FILE_KEYS": ({"file"}, "a patient read from a sample file holds only its path"),
+    "policy._ACTION_KEYS": ({"key", "value"}, "a policy holds each action as a (key, value) pair"),
+    "workflow._INPUT_KEYS": ({"file", "bytes", "consumer"}, "a sub-workflow holds each input as a triple"),
+    "workflow._PAYLOAD_KEYS": (
+        {kind: {*required, *optional, "min_service"} for kind, (required, optional) in _PAYLOAD_SCHEMA.items()},
+        "one set per node kind: its _PAYLOAD_SCHEMA keys and min_service",
+    ),
+}
+
+
+def key_sets(path: Path) -> dict[str, str | None]:
+    """``module._NAME`` for each module-level ``_*_KEYS`` assignment in ``path``,
+    with the record fields it is ``frozenset`` of, ``Class._fields`` or
+    ``Class.__dataclass_fields__``, or ``None`` for any other value."""
+    sets = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_[A-Z_]*_KEYS", target.id):
+                value, derived = node.value, None
+                if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "frozenset" and len(value.args) == 1:
+                    fields = value.args[0]
+                    if isinstance(fields, ast.Attribute) and isinstance(fields.value, ast.Name):
+                        if fields.attr in ("_fields", "__dataclass_fields__"):
+                            derived = f"{fields.value.id}.{fields.attr}"
+                sets[f"{path.stem}.{target.id}"] = derived
+    return sets
+
+
+def test_a_key_set_in_src_is_a_records_fields_or_is_listed(tmp_path):
+    # the scan itself: both derived forms, and the values that are not
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "_A_KEYS = frozenset(Record._fields)\n"
+        "_B_KEYS: frozenset = frozenset(Checked.__dataclass_fields__)\n"
+        "_C_KEYS = frozenset({'x', 'y'})\n"
+        "_D_KEYS = frozenset(Record._fields) | {'z'}\n"
+        "_E_KEYS = frozenset(DOMAINS)\n"
+        "_G_KEYS = frozenset(Record.__annotations__)\n"
+        "KEYS = frozenset({'x'})\n"
+        "def f():\n    _F_KEYS = frozenset({'x'})\n"
+    )
+    assert key_sets(sample) == {
+        "sample._A_KEYS": "Record._fields",
+        "sample._B_KEYS": "Checked.__dataclass_fields__",
+        "sample._C_KEYS": None,
+        "sample._D_KEYS": None,
+        "sample._E_KEYS": None,
+        "sample._G_KEYS": None,
+    }
+
+    found = {name: record for path in sorted((ROOT / "src").rglob("*.py")) for name, record in key_sets(path).items()}
+    assert sorted(name for name, record in found.items() if record is None) == sorted(KEY_SETS_OFF_A_RECORD)
+    for name, fields in found.items():
+        module_name, key_set = name.split(".")
+        module = importlib.import_module(f"hybridwms.{module_name}")
+        if fields is None:
+            assert getattr(module, key_set) == KEY_SETS_OFF_A_RECORD[name][0], name
+        else:  # the class is a record of that module
+            record, attr = fields.split(".")
+            assert getattr(module, key_set) == frozenset(getattr(getattr(module, record), attr)), name
+    assert len(found) > len(KEY_SETS_OFF_A_RECORD)  # the scan found the derived sets too
+    # the two domain tables that name a record's fields
+    assert tuple(THRESHOLD_DOMAINS) == tuple(Thresholds.__dataclass_fields__)
+    assert (*SLA_FIELDS, "soft_label") == Sla._fields
 
 
 def loaded_modules(code: str) -> list[str]:
