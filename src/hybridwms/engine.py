@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import documents as doc
 from .ecg import DISEASES, EcgFeatures, EcgSignal, estimate_disease, extract_features, feature_distance, synthesize_ecg
-from .errors import EmptyParameterGrid, InvalidConfigValue, MissingInput, NodeError, RunError, WmsError
+from .errors import EmptyParameterGrid, MissingInput, NodeError, RunError, WmsError
 from .gridengine import RateMemo, SubWorkflowResult, execute_plan, map_workflow
 from .policy import (
     DEFAULT_PROVENANCE,
@@ -380,7 +380,7 @@ def enforce_run_policy(
     try:
         params = AllocationCostParams(registry.get("resource.alpha"), registry.get("resource.beta"))
     except ValueError as exc:
-        raise InvalidConfigValue(f"config keys 'resource.alpha' and 'resource.beta': {exc}") from None
+        raise WmsError(f"config keys 'resource.alpha' and 'resource.beta': {exc}") from None
     return expanded, policies, registry, overrides, params
 
 

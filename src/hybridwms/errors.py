@@ -1,4 +1,7 @@
-"""Exception types shared across the workflow management stack."""
+"""Exception types: every document or run fault is a ``WmsError``. A subclass
+exists only if it carries fields, if package code catches it by type
+(``NoBeatsDetected``), or if ``tests/test_imports.py`` lists it with its reason
+(``EmptyParameterGrid``)."""
 
 from __future__ import annotations
 
@@ -24,16 +27,8 @@ class CycleError(WmsError):
         super().__init__("cycle through tasks: " + ", ".join(self.tasks))
 
 
-class EmptyPool(WmsError):
-    """Resource pool is empty."""
-
-
 class EmptyParameterGrid(WmsError):
     """The simulation loop was started with no candidate parameters."""
-
-
-class UnknownLabel(WmsError):
-    """Soft requirement label is not in the expansion table."""
 
 
 class NoMatchingPolicy(WmsError):
@@ -42,29 +37,6 @@ class NoMatchingPolicy(WmsError):
     def __init__(self, kind):
         self.kind = kind
         super().__init__(f"no matching policy of kind {kind}")
-
-
-class UnknownConfigKey(WmsError):
-    """A key outside the configuration registry's schema, ``policy.CONFIG_SCHEMA``."""
-
-
-class InvalidConfigValue(WmsError):
-    """A config value is outside the key's declared value domain."""
-
-
-class TypeMismatch(WmsError):
-    """A value does not match the declared type for its key."""
-
-
-class UnknownStrategy(WmsError):
-    """A scheduler name that the grid engine does not register.
-
-    Unregistered names in a workflow are ``SchemaError``s from ``engine.check_workflow``.
-    """
-
-
-class InfeasibleMapping(WmsError):
-    """A quorum has no members, or names a member absent from the resource pool."""
 
 
 class MissingInput(WmsError):

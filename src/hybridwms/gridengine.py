@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .errors import InfeasibleMapping, UnknownStrategy
+from .errors import WmsError
 from .resources import Quorum, ResourceDescriptor
 from .simkernel import (
     PlannedTask,
@@ -146,16 +146,16 @@ def map_workflow(
     and the plan is the exhaustive scan's. ``RoundRobin`` cycles through the
     quorum in rank order, and ``Random`` draws uniformly from the quorum using
     the given seed. A quorum without members, or with a member absent from
-    ``pool``, raises ``InfeasibleMapping``.
+    ``pool``, raises ``WmsError``.
     """
     if scheduler not in SCHEDULER_KINDS:
-        raise UnknownStrategy(f"unknown scheduler {scheduler!r}")
+        raise WmsError(f"unknown scheduler {scheduler!r}")
     member_ids = list(quorum.members)
     if not member_ids:
-        raise InfeasibleMapping(f"quorum {quorum.level} has no members")
+        raise WmsError(f"quorum {quorum.level} has no members")
     missing = [m for m in member_ids if m not in pool]
     if missing:
-        raise InfeasibleMapping(f"quorum members absent from pool: {missing}")
+        raise WmsError(f"quorum members absent from pool: {missing}")
     catalogs = generate_catalogs(subwf, quorum)
     replica_host = member_ids[0]
 

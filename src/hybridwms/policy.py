@@ -21,14 +21,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import documents as doc
-from .errors import (
-    InvalidConfigValue,
-    NoMatchingPolicy,
-    TypeMismatch,
-    UnknownConfigKey,
-    UnknownLabel,
-    WmsError,
-)
+from .errors import NoMatchingPolicy, WmsError
 from .gridengine import SCHEDULER_KINDS
 from .resources import LEVELS, RANDOM_LEVEL, grid_load
 from .workflow import SERVICE_LEVELS
@@ -73,7 +66,7 @@ def expand_soft_label(sla: Sla) -> Sla:
     if sla.soft_label is None:
         raise ValueError("sla has no soft label to expand")
     if sla.soft_label not in SOFT_LABELS:
-        raise UnknownLabel(f"unknown soft requirement {sla.soft_label!r}")
+        raise WmsError(f"unknown soft requirement {sla.soft_label!r}")
     level, performance, service = SOFT_LABELS[sla.soft_label]
     return Sla(
         user_id=sla.user_id,
@@ -168,22 +161,22 @@ class ConfigRegistry:
 
     def entry(self, key: str) -> ConfigEntry:
         if key not in self._entries:
-            raise UnknownConfigKey(f"config key {key!r} is not registered")
+            raise WmsError(f"config key {key!r} is not registered")
         return self._entries[key]
 
     def set(self, key: str, value, provenance: str) -> None:
         self.entry(key)  # refuses a key that is not registered
         spec = CONFIG_SCHEMA[key]
         if not _type_ok(value, spec.type):
-            raise TypeMismatch(f"config key {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
+            raise WmsError(f"config key {key!r} expects {spec.type.__name__}, got {type(value).__name__}")
         if spec.type is float:
             if not doc.is_finite_number(value):
-                raise InvalidConfigValue(f"config key {key!r} must be finite, got {value!r}")
+                raise WmsError(f"config key {key!r} must be finite, got {value!r}")
             value = float(value)
         if spec.domain is not None and value not in spec.domain:
-            raise InvalidConfigValue(f"config key {key!r} must be one of {list(spec.domain)}, got {value!r}")
+            raise WmsError(f"config key {key!r} must be one of {list(spec.domain)}, got {value!r}")
         if spec.minimum is not None and value < spec.minimum:
-            raise InvalidConfigValue(f"config key {key!r} must be >= {spec.minimum}, got {value!r}")
+            raise WmsError(f"config key {key!r} must be >= {spec.minimum}, got {value!r}")
         self._entries[key] = ConfigEntry(value, provenance)
 
     def as_dict(self) -> dict:
@@ -199,7 +192,7 @@ def _predicate_holds(predicate: Predicate, sla: Sla, pool) -> bool:
     try:
         return _OPERATORS[predicate.op](actual, predicate.value)
     except TypeError as exc:
-        raise TypeMismatch(f"cannot compare {predicate.key}={actual!r} with {predicate.value!r}") from exc
+        raise WmsError(f"cannot compare {predicate.key}={actual!r} with {predicate.value!r}") from exc
 
 
 def policy_matches(policy: Policy, sla: Sla, pool) -> bool:
@@ -210,12 +203,18 @@ def decide_policy(sla: Sla, repo: list[Policy], pool) -> tuple[Policy, ...]:
     """Select the matching policy with maximal priority for each kind, and
     return them in ``PolicyKind`` order.
 
-    Ties break by ascending policy id. A property predicate observes its
+    Ties break by ascending policy id; an id, the provenance of what its policy
+    writes, names one policy of ``repo``. A property predicate observes its
     property from ``pool`` when it is checked, so a repository that names no
     property reads no load.
     """
     if sla.soft_label is not None:
         raise ValueError("sla must be expanded before policy decision")
+    seen = set()
+    for p in repo:
+        if p.id in seen:
+            raise WmsError(f"duplicate policy id {p.id!r}")
+        seen.add(p.id)
     chosen = []
     for kind in PolicyKind:
         matching = [p for p in repo if p.kind is kind and policy_matches(p, sla, pool)]

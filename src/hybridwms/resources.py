@@ -31,7 +31,7 @@ from itertools import starmap
 from typing import NamedTuple
 
 from . import documents as doc
-from .errors import EmptyPool
+from .errors import WmsError
 
 LEVELS = ("L1", "L2", "L3")
 _LEVEL_FRACTION = {"L1": 0.25, "L2": 0.5, "L3": 1.0}
@@ -130,7 +130,7 @@ def allocation_cost(res: ResourceDescriptor, t: float, params: AllocationCostPar
 def grid_load(pool, t: float) -> float:
     """Mean system load of the pool at time t, summed in pool order."""
     if not pool:
-        raise EmptyPool("an empty pool has no load")
+        raise WmsError("an empty pool has no load")
     total = 0.0
     for res in pool:
         total += metric_at(res.sys_trace, t)
@@ -141,7 +141,7 @@ def rank_resources(pool, t: float, params: AllocationCostParams) -> list[tuple[s
     """Rank the pool ascending by allocation cost (lower cost performs better);
     ties break by ascending resource id."""
     if not pool:
-        raise EmptyPool("cannot rank an empty pool")
+        raise WmsError("cannot rank an empty pool")
     costs = [(res.id, allocation_cost(res, t, params)) for res in pool]
     return sorted(costs, key=lambda pair: (pair[1], pair[0]))
 

@@ -1,6 +1,7 @@
 """Every run input is checked once, at the boundary, by the loader that both
 ``validate`` and ``run`` call: a document set that validates runs."""
 
+import array
 import contextlib
 import copy
 import importlib.resources
@@ -19,7 +20,6 @@ from hybridwms.ecg import synthesize_ecg
 from hybridwms.engine import run_workflow
 from hybridwms.errors import (
     EmptyParameterGrid,
-    InvalidConfigValue,
     MissingInput,
     NoMatchingPolicy,
     NodeError,
@@ -457,7 +457,7 @@ def zero_cost_weights(document):
         (
             zero_cost_weights,
             "config keys 'resource.alpha' and 'resource.beta': alpha + beta must be > 0",
-            InvalidConfigValue,
+            WmsError,
         ),
     ],
     ids=["no-resource-policy", "zero-cost-weights"],
@@ -478,7 +478,7 @@ def test_validate_decides_the_policy_set_as_run_does(tmp_path, edit, message, er
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
-    assert isinstance(run_failure(run_argv), error)
+    assert type(run_failure(run_argv)) is error
 
 
 @pytest.mark.parametrize(
@@ -501,8 +501,23 @@ def test_validate_decides_the_policy_set_as_run_does(tmp_path, edit, message, er
             PACKAGED["policies.json"],
             "config keys 'resource.alpha' and 'resource.beta': alpha + beta must be > 0",
         ),
+        # Z's extra policy takes the id of the repository's RP-C, whose writes it would be credited with
+        (
+            "L3",
+            [
+                {
+                    "id": "RP-C",
+                    "kind": "Resource",
+                    "priority": 100,
+                    "condition": [{"key": "resource_level", "op": "==", "value": "L3"}],
+                    "actions": [{"key": "resource.level", "value": "RANDOM"}],
+                }
+            ],
+            PACKAGED["policies.json"],
+            "duplicate policy id 'RP-C'",
+        ),
     ],
-    ids=["no-resource-policy", "zero-cost-weights"],
+    ids=["no-resource-policy", "zero-cost-weights", "duplicate-policy-id"],
 )
 def test_validate_decides_each_spec_configuration_as_the_study_does(tmp_path, level, extra, repo, message):
     sla = {"user_id": "u", "resource_level": level, "performance": "Fast", "service_level": "EcgOnly"}
@@ -553,6 +568,40 @@ def test_sample_file_is_checked_at_parse_time(tmp_path, sample, field):
     with pytest.raises(WmsError) as err:
         parse_run_config({"seed": 1, "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
     assert err.value.path == field
+
+
+#: Sample values no recorded sample may hold, as JSON text: ``json`` reads ``NaN``,
+#: ``Infinity`` and ``1e400`` as non-finite floats, and 10**400 as an int past float range.
+SAMPLE_VALUE_FAULTS = {
+    "true": "true",
+    "string": '"2"',
+    "null": "null",
+    "nested-list": "[1.0]",
+    "nan": "NaN",
+    "infinity": "Infinity",
+    "1e400": "1e400",
+    "int-past-float-range": str(10**400),
+}
+
+
+@pytest.mark.parametrize("index", [0, 50, 99], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("fault", list(SAMPLE_VALUE_FAULTS.values()), ids=list(SAMPLE_VALUE_FAULTS))
+def test_a_sample_file_is_refused_at_its_first_bad_value(tmp_path, fault, index):
+    texts = ["0.5", "-1", "0", "2.25"] * 25  # floats and ints, each finite
+    texts[index] = fault
+    if index < 99:
+        texts[99] = "NaN"  # a later fault is not the one reported
+    (tmp_path / "sample.json").write_text('{"rate": 250, "values": [' + ", ".join(texts) + "]}")
+    with pytest.raises(SchemaError) as err:
+        parse_run_config({"seed": 1, "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
+    assert str(err.value) == f"patient_sample.values[{index}]: expected a finite number"
+
+
+def test_a_sample_file_of_ints_and_floats_holds_their_float_values(tmp_path):
+    values = [0] * 100 + [1] + [0.0] * 100 + [1.0] + [-0.0, 2] * 50
+    write_json(tmp_path / "sample.json", {"rate": 250, "values": values})
+    config = parse_run_config({"seed": 1, "patient": {"file": "sample.json"}}, base_dir=str(tmp_path))
+    assert config.patient.values.tobytes() == array.array("d", values).tobytes()  # -0.0 keeps its sign
 
 
 def test_a_run_reads_no_document(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hybridwms import gridengine, simkernel, workflow
 from hybridwms.documents import dump_json, load_json
 from hybridwms.engine import record_document, run_workflow
-from hybridwms.errors import InfeasibleMapping, UnknownStrategy
+from hybridwms.errors import WmsError
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.gridengine import execute_plan, generate_catalogs, map_workflow
 from hybridwms.policy import parse_repository, parse_sla
@@ -160,27 +160,31 @@ def test_random_scheduler_is_seed_deterministic():
 
 def test_unknown_scheduler_rejected():
     pool = two_site_pool()
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(WmsError, match=r"^unknown scheduler 'Greedy'$") as excinfo:
         map_workflow(diamond_subwf(), quorum_of(pool, "r1"), pool, scheduler="Greedy")
+    assert type(excinfo.value) is WmsError
 
 
 def test_quorum_member_missing_from_pool_rejected():
     pool = two_site_pool()
-    with pytest.raises(InfeasibleMapping):
+    with pytest.raises(WmsError, match=r"^quorum members absent from pool: \['ghost'\]$") as excinfo:
         map_workflow(diamond_subwf(), quorum_of(pool, "r1", "ghost"), pool)
+    assert type(excinfo.value) is WmsError
 
 
 def test_a_quorum_without_members_is_rejected():
     pool = parse_pool(load_json(importlib.resources.files("hybridwms") / "data" / "pool.json"))
     for scheduler in gridengine.SCHEDULER_KINDS:
-        with pytest.raises(InfeasibleMapping, match="has no members"):
+        with pytest.raises(WmsError, match=r"^quorum L1 has no members$") as excinfo:
             map_workflow(diamond_subwf(), Quorum("L1", ()), pool, scheduler=scheduler)
+        assert type(excinfo.value) is WmsError
 
 
 def test_absent_quorum_members_are_named_in_rank_order():
     pool = two_site_pool()
-    with pytest.raises(InfeasibleMapping, match=r"\['ghost', 'phantom'\]"):
+    with pytest.raises(WmsError, match=r"^quorum members absent from pool: \['ghost', 'phantom'\]$") as excinfo:
         map_workflow(diamond_subwf(), quorum_of(pool, "ghost", "r1", "phantom"), pool)
+    assert type(excinfo.value) is WmsError
 
 
 def test_min_eft_may_place_any_transformation_on_any_member():

@@ -18,6 +18,10 @@ The third does too: a module-level ``_*_KEYS`` set, the keys a parser lets a
 document hold, is ``frozenset`` of a record's fields, so the record owns them,
 or is listed in ``KEY_SETS_OFF_A_RECORD`` with the value it must hold and why.
 
+The fourth holds ``errors`` to its rule: a ``WmsError`` subclass defines
+``__init__`` to carry fields, or an ``except`` clause in the package names it,
+or it is listed in ``LISTED_ERRORS`` with its reason.
+
 The others import the package in a fresh interpreter and list the modules it
 loaded.
 """
@@ -197,6 +201,71 @@ def test_a_key_set_in_src_is_a_records_fields_or_is_listed(tmp_path):
     # the two domain tables that name a record's fields
     assert tuple(THRESHOLD_DOMAINS) == tuple(Thresholds.__dataclass_fields__)
     assert (*SLA_FIELDS, "soft_label") == Sla._fields
+
+
+#: The ``WmsError`` subclasses that carry no fields and that no package code
+#: catches by type, with the reason each still exists.
+LISTED_ERRORS = {
+    "EmptyParameterGrid": "test_boundary's RUN_OUTCOMES allows it from a run after validate passed",
+}
+
+
+def unjustified_errors(errors_path: Path, modules: list[Path], listed) -> list[str]:
+    """The subclasses of ``WmsError``, direct or not, in ``errors_path`` that define
+    no ``__init__``, that no ``except`` clause in ``modules`` names (alone or in a
+    tuple, plain or dotted), and that are not in ``listed``."""
+    bases = {}
+    for node in ast.parse(errors_path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            own_init = any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
+            bases[node.name] = ([getattr(b, "id", getattr(b, "attr", None)) for b in node.bases], own_init)
+
+    def is_error(name):
+        return name == "WmsError" or any(is_error(base) for base in bases.get(name, ((), False))[0])
+
+    caught = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(getattr(t, "id", getattr(t, "attr", None)) for t in types)
+    return [
+        name
+        for name, (_, own_init) in bases.items()
+        if name != "WmsError" and is_error(name) and not own_init and name not in caught and name not in listed
+    ]
+
+
+def test_an_error_class_carries_fields_or_is_caught_or_is_listed(tmp_path):
+    # the scan itself: fields, each form of except clause, a listed class, a subclass
+    # that defines no fields of its own, and a class that is no WmsError
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class WmsError(Exception):\n    pass\n"
+        "class Fields(WmsError):\n    def __init__(self, x):\n        self.x = x\n"
+        "class Caught(WmsError):\n    pass\n"
+        "class InTuple(WmsError):\n    pass\n"
+        "class Dotted(WmsError):\n    pass\n"
+        "class Listed(WmsError):\n    pass\n"
+        "class Plain(WmsError):\n    pass\n"
+        "class Deeper(Fields):\n    pass\n"
+        "class Other(Exception):\n    pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "try:\n    pass\nexcept Caught:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, InTuple) as exc:\n    pass\n"
+        "try:\n    pass\nexcept errors.Dotted:\n    pass\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+    )
+    assert unjustified_errors(errors, [user], {"Listed"}) == ["Plain", "Deeper"]
+    assert unjustified_errors(errors, [], ()) == ["Caught", "InTuple", "Dotted", "Listed", "Plain", "Deeper"]
+
+    src = ROOT / "src" / "hybridwms"
+    modules = sorted(src.rglob("*.py"))
+    assert unjustified_errors(src / "errors.py", modules, LISTED_ERRORS) == []
+    # a listed class has no other reason to exist, so the list holds no stale entry
+    assert sorted(unjustified_errors(src / "errors.py", modules, ())) == sorted(LISTED_ERRORS)
 
 
 def loaded_modules(code: str) -> list[str]:

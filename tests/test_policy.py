@@ -1,19 +1,13 @@
 """SLA expansion, policy decision, and configuration enforcement tests."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridwms.errors import (
-    InvalidConfigValue,
-    NoMatchingPolicy,
-    SchemaError,
-    TypeMismatch,
-    UnknownConfigKey,
-    UnknownLabel,
-)
+from hybridwms.errors import NoMatchingPolicy, SchemaError, WmsError
 from hybridwms.policy import (
     CONFIG_SCHEMA,
     DEFAULT_PROVENANCE,
@@ -79,8 +73,9 @@ def test_expand_keeps_explicit_fields():
 
 
 def test_expand_unknown_label_raises():
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(WmsError, match=r"^unknown soft requirement 'Best Effort'$") as excinfo:
         expand_soft_label(Sla(user_id="u", soft_label="Best Effort"))
+    assert type(excinfo.value) is WmsError
 
 
 def test_expand_requires_a_label():
@@ -131,6 +126,16 @@ def test_decide_requires_every_kind():
     assert err.value.kind == "LowLevelWorkflow"
 
 
+def test_decide_refuses_two_policies_with_one_id():
+    # one id is the provenance of two policies' writes; at equal priority the key
+    # (-priority, id) would keep whichever came first
+    twin = policy("R1", PolicyKind.RESOURCE, 10, [Predicate("resource_level", "==", "L1")], [("resource.level", "L2")])
+    for repo in (full_repo() + [twin], [twin] + full_repo()):
+        with pytest.raises(WmsError, match=r"^duplicate policy id 'R1'$") as excinfo:
+            decide_policy(expanded(), repo, POOL)
+        assert type(excinfo.value) is WmsError
+
+
 def test_decide_rejects_unexpanded_sla():
     with pytest.raises(ValueError):
         decide_policy(Sla(user_id="u", soft_label="Balanced"), full_repo(), POOL)
@@ -153,12 +158,13 @@ def test_numeric_predicates_and_operators():
 
 
 def test_ordered_comparison_against_none_raises():
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(WmsError, match=r"^cannot compare resource_level=None with 3$") as excinfo:
         policy_matches(
             policy("x", PolicyKind.APP, condition=[Predicate("resource_level", "<=", 3)]),
             Sla(user_id="u"),
             POOL,
         )
+    assert type(excinfo.value) is WmsError
 
 
 def test_multi_predicate_condition_is_conjunction():
@@ -182,8 +188,10 @@ def test_policy_requires_an_action():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, -(10**400)])
 def test_a_float_key_refuses_a_number_that_is_not_finite(value):
     registry = ConfigRegistry()
-    with pytest.raises(InvalidConfigValue, match="config key 'resource.alpha' must be finite"):
+    message = f"config key 'resource.alpha' must be finite, got {value!r}"
+    with pytest.raises(WmsError, match=f"^{re.escape(message)}$") as excinfo:
         registry.set("resource.alpha", value, "p")
+    assert type(excinfo.value) is WmsError
     assert registry.get("resource.alpha") == 0.5
 
 
@@ -195,20 +203,28 @@ def test_registry_defaults_cover_schema():
         assert entry.provenance == DEFAULT_PROVENANCE
 
 
-def test_registry_validates_writes():
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("resource.gamma", 1.0, "config key 'resource.gamma' is not registered"),
+        ("resource.alpha", "hot", "config key 'resource.alpha' expects float, got str"),
+        ("resource.alpha", True, "config key 'resource.alpha' expects float, got bool"),
+        ("resource.level", "L9", "config key 'resource.level' must be one of ['L1', 'L2', 'L3', 'RANDOM'], got 'L9'"),
+        ("vhs.max_iter", 0, "config key 'vhs.max_iter' must be >= 1, got 0"),
+        ("vhs.tolerance", 0.0, "config key 'vhs.tolerance' must be >= 1e-12, got 0.0"),
+    ],
+    ids=["unregistered-key", "str-for-float", "bool-for-float", "outside-domain", "int-below-minimum", "float-below-minimum"],
+)
+def test_registry_validates_writes(key, value, message):
     registry = ConfigRegistry()
-    with pytest.raises(UnknownConfigKey):
-        registry.set("resource.gamma", 1.0, "p")
-    with pytest.raises(TypeMismatch):
-        registry.set("resource.alpha", "hot", "p")
-    with pytest.raises(TypeMismatch):
-        registry.set("resource.alpha", True, "p")
-    with pytest.raises(InvalidConfigValue):
-        registry.set("resource.level", "L9", "p")
-    with pytest.raises(InvalidConfigValue):
-        registry.set("vhs.max_iter", 0, "p")
-    with pytest.raises(InvalidConfigValue):
-        registry.set("vhs.tolerance", 0.0, "p")
+    with pytest.raises(WmsError, match=f"^{re.escape(message)}$") as excinfo:
+        registry.set(key, value, "p")
+    assert type(excinfo.value) is WmsError
+    assert registry.as_dict() == ConfigRegistry().as_dict()
+
+
+def test_registry_stores_an_int_written_to_a_float_key_as_a_float():
+    registry = ConfigRegistry()
     registry.set("resource.alpha", 1, "p")
     assert registry.get("resource.alpha") == 1.0
     assert isinstance(registry.get("resource.alpha"), float)
@@ -249,8 +265,9 @@ def test_enforce_rejects_unknown_action_key():
         policy("R", PolicyKind.RESOURCE),
         policy("W", PolicyKind.WORKFLOW),
     )
-    with pytest.raises(UnknownConfigKey):
+    with pytest.raises(WmsError, match=r"^config key 'app\.colour' is not registered$") as excinfo:
         enforce(policies, registry)
+    assert type(excinfo.value) is WmsError
 
 
 #: Values each drawn action may write, for a few keys of the schema.

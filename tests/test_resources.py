@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybridwms import experiments, resources
-from hybridwms.errors import EmptyPool, SchemaError
+from hybridwms.errors import SchemaError, WmsError
 from hybridwms.resources import (
     LEVELS,
     RANDOM_LEVEL,
@@ -173,8 +173,9 @@ def test_rank_ties_break_by_id():
 
 
 def test_rank_empty_pool_raises():
-    with pytest.raises(EmptyPool):
+    with pytest.raises(WmsError, match=r"^cannot rank an empty pool$") as excinfo:
         rank_resources([], 0.0, PARAMS)
+    assert type(excinfo.value) is WmsError
 
 
 def test_grid_load_is_the_pool_mean_of_system_load_in_pool_order():
@@ -186,8 +187,9 @@ def test_grid_load_is_the_pool_mean_of_system_load_in_pool_order():
         for res in pool:
             total += metric_at(res.sys_trace, t)
         assert grid_load(pool, t) == total / len(pool)
-    with pytest.raises(EmptyPool):
+    with pytest.raises(WmsError, match=r"^an empty pool has no load$") as excinfo:
         grid_load([], 0.0)
+    assert type(excinfo.value) is WmsError
 
 
 # -- quorums ----------------------------------------------------------------
@@ -222,8 +224,9 @@ def test_generate_arq_rejects_unknown_level():
     pool = random_pool(random.Random(0), 4)
     with pytest.raises(ValueError):
         generate_arq(pool, "L9", 0.0, PARAMS)
-    with pytest.raises(EmptyPool):
+    with pytest.raises(WmsError, match=r"^cannot rank an empty pool$") as excinfo:
         generate_arq([], "L1", 0.0, PARAMS)
+    assert type(excinfo.value) is WmsError
 
 
 def test_random_quorum_is_seeded_sample_listed_by_cost():
@@ -242,8 +245,9 @@ def test_random_quorum_is_seeded_sample_listed_by_cost():
 
 
 def test_random_quorum_of_an_empty_pool_raises():
-    with pytest.raises(EmptyPool):
+    with pytest.raises(WmsError, match=r"^cannot rank an empty pool$") as excinfo:
         random_quorum([], 0.0, PARAMS, 1)
+    assert type(excinfo.value) is WmsError
 
 
 def test_random_quorum_varies_with_seed():
