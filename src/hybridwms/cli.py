@@ -104,7 +104,10 @@ def _out_dir(args) -> Path:
     """``--out-dir``, refused before any work unless the nearest part of it
     that exists is a directory this process may write into. Creates nothing."""
     out = Path(args.out_dir)
-    nearest = next(p for p in (out.absolute(), *out.absolute().parents) if p.exists())  # "/" always exists
+    try:
+        nearest = next(p for p in (out.absolute(), *out.absolute().parents) if p.exists())  # "/" always exists
+    except OSError as exc:  # such as a name too long
+        raise WmsError(f"cannot write to {out}: {exc.strerror or exc}") from exc
     if not nearest.is_dir():
         raise WmsError(f"cannot write to {out}: {nearest} is not a directory")
     if not os.access(nearest, os.W_OK | os.X_OK):

@@ -32,9 +32,9 @@ def load_json(path) -> object:
     including one nested too deeply or holding an integer longer than the
     interpreter converts, raises SchemaError at its path."""
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(str(path), "file not found")
     try:
+        if not path.exists():  # raises OSError for a name too long, among others
+            raise SchemaError(str(path), "file not found")
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:

@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import documents as doc
-from .engine import check_workflow, replace_seed, run_workflow
+from .engine import check_workflow, enforce_run_policy, replace_seed, run_workflow
+from .errors import RunError, WmsError
 from .policy import Policy, Sla, parse_repository, parse_sla
 from .resources import (
     LEVELS,
@@ -217,19 +218,27 @@ def run_policy_comparison(
     """Run every configuration x replicate and collect completion times.
 
     Replicate r of every configuration uses seed base_seed + r, so paired
-    replicates see the same patient. A failing run raises its ``RunError``
-    and the study returns nothing; ``validate`` decides every configuration's
-    policy set beforehand, as this study builds it.
+    replicates see the same patient. Every configuration's policy set is
+    decided before the first run, as ``validate`` decides it: a set that
+    cannot be decided raises the ``RunError`` of its configuration's first
+    replicate. A failing run raises its ``RunError`` and the study returns
+    nothing.
     """
+    repositories = [list(repo) + list(config.extra_policies) for config in spec.configs]
+    for config, repository in zip(spec.configs, repositories):
+        try:
+            enforce_run_policy(config.sla, repository, pool)
+        except WmsError as exc:
+            raise RunError(f"{config.name}-r1", exc) from exc
     rows: list[ComparisonRow] = []
-    for config in spec.configs:
+    for config, repository in zip(spec.configs, repositories):
         for replicate in range(1, spec.replicates + 1):
             seed = spec.base_seed + replicate
             record = run_workflow(
                 bundle.graph,
                 bundle.subworkflows,
                 pool,
-                list(repo) + list(config.extra_policies),
+                repository,
                 config.sla,
                 replace_seed(run_config, seed),
                 run_id=f"{config.name}-r{replicate}",

@@ -2,7 +2,7 @@
 
 An abstract sub-workflow (tasks, data edges, input files) is mapped onto the
 members of a resource quorum by a pluggable scheduler, producing a concrete
-plan with per-task time estimates and the transfers needed to stage data.
+plan of one ``TaskRecord`` per task and the transfers needed to stage data.
 Every quorum member provides every transformation. ``map_workflow`` runs the
 whole timing recurrence in one pass over the tasks in plan order, gathering
 each task's inputs once. Plans are topologically ordered and every resource
@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .errors import WmsError
 from .resources import Quorum, ResourceDescriptor
 from .simkernel import (
-    PlannedTask,
     PlannedTransfer,
     TaskRecord,
     TransferRecord,
@@ -38,32 +37,22 @@ RateMemo = dict[tuple[str, float], float]  # effective rate by (resource id, sta
 
 
 class Catalogs(NamedTuple):
-    """The transformation catalog of a mapping round: which members provide what."""
+    """The transformation catalog of a mapping round: every member provides
+    every transformation. Input files are staged from the first member."""
 
-    providers: dict[str, tuple[str, ...]]  # member ids by transformation
+    members: tuple[str, ...]  # rank order
 
     def resources_with(self, transformation: str) -> tuple[str, ...]:
-        return self.providers.get(transformation, ())
-
-
-def generate_catalogs(subwf: AbstractSubWorkflow, quorum: Quorum) -> Catalogs:
-    """Build the transformation catalog of every mapping round: every distinct
-    transformation is installed on every quorum member, in rank order.
-
-    Input files need no catalog: the mapper stages them from the first (best
-    ranked) member, which acts as the submit host.
-    """
-    return Catalogs(dict.fromkeys(sorted({t.transformation for t in subwf.tasks}), quorum.members))
+        return self.members
 
 
 class ConcretePlan(NamedTuple):
     subworkflow_id: str
     scheduler: str
     quorum_level: str
-    assignments: tuple[PlannedTask, ...]  # topological order
+    assignments: tuple[TaskRecord, ...]  # commit (topological) order
     dependencies: tuple[tuple[str, str, float], ...]
     transfers: tuple[PlannedTransfer, ...]  # stage-ins only; runtime edges derive from deps
-    estimates: tuple[TaskRecord, ...]  # same order as assignments
     makespan_estimate: float
 
     def as_document(self) -> dict:
@@ -72,7 +61,7 @@ class ConcretePlan(NamedTuple):
             "scheduler": self.scheduler,
             "quorum_level": self.quorum_level,
             "assignments": [
-                {"task": p.task_id, "resource": p.resource_id, "work": p.work} for p in self.assignments
+                {"task": r.task_id, "resource": r.resource_id, "work": r.work} for r in self.assignments
             ],
             "transfers": [
                 {
@@ -85,8 +74,8 @@ class ConcretePlan(NamedTuple):
                 for t in self.transfers
             ],
             "estimates": [
-                {"task": e.task_id, "resource": e.resource_id, "start": e.start, "end": e.end}
-                for e in self.estimates
+                {"task": r.task_id, "resource": r.resource_id, "start": r.start, "end": r.end}
+                for r in self.assignments
             ],
             "makespan_estimate": self.makespan_estimate,
         }
@@ -131,9 +120,10 @@ def map_workflow(
 
     Tasks are committed in topological order to single-slot resources, and
     each is timed by ``_finish_time``. A stage-in leaves the replica host at
-    0.0, and a producer's output leaves at the producer's end. The records, in
-    commit order, are the plan's estimates. ``rates`` is the rate memo; calls
-    over the same pool may share one (the engine shares one per run).
+    0.0, and a producer's output leaves at the producer's end. The records,
+    in commit order, are the plan's assignments and its estimates. ``rates``
+    is the rate memo; calls over the same pool may share one (the engine
+    shares one per run).
 
     ``MinEFT`` greedily minimizes each task's end (ties go to the lowest
     resource id). It walks the members in id order and skips one whose end
@@ -150,14 +140,14 @@ def map_workflow(
     """
     if scheduler not in SCHEDULER_KINDS:
         raise WmsError(f"unknown scheduler {scheduler!r}")
-    member_ids = list(quorum.members)
-    if not member_ids:
+    members = quorum.members
+    if not members:
         raise WmsError(f"quorum {quorum.level} has no members")
-    missing = [m for m in member_ids if m not in pool]
+    missing = [m for m in members if m not in pool]
     if missing:
         raise WmsError(f"quorum members absent from pool: {missing}")
-    catalogs = generate_catalogs(subwf, quorum)
-    replica_host = member_ids[0]
+    catalogs = Catalogs(members)
+    replica_host = members[0]
 
     order = topological_order(subwf)
     tasks = {t.id: t for t in subwf.tasks}
@@ -173,8 +163,8 @@ def map_workflow(
 
     avail = {}  # end of the last task on each resource
     done = {}  # (resource id, end) of each committed task
-    by_id = sorted((rid, pool[rid].cpu_rate, pool[rid]) for rid in member_ids)  # MinEFT's walk
-    assignments, estimates = [], []
+    by_id = sorted((rid, pool[rid].cpu_rate, pool[rid]) for rid in members)  # MinEFT's walk
+    assignments = []
     for index, task_id in enumerate(order):
         task = tasks[task_id]
         # every member, in rank order; kept as a call, since bench/tracing.py counts calls through it
@@ -204,21 +194,20 @@ def map_workflow(
             rid, ready, start, end = best
         else:
             if scheduler == "RoundRobin":
-                rid = member_ids[index % len(member_ids)]
+                rid = eligible[index % len(eligible)]
             else:
                 rid = eligible[rng.randrange(len(eligible))]
             ready, start, end = _finish_time(inputs, pool[rid], avail.get(rid, 0.0), work, rates)
         avail[rid] = end
         done[task_id] = (rid, end)
-        estimates.append(TaskRecord(task_id, rid, ready, start, end))
-        assignments.append(PlannedTask(task_id, work, rid))
+        assignments.append(TaskRecord(task_id, rid, work, ready, start, end))
 
     transfers = tuple(
         PlannedTransfer(file, replica_host, done[consumer][0], size, consumer)
         for file, size, consumer in subwf.inputs
         if done[consumer][0] != replica_host
     )
-    makespan = max((e.end for e in estimates), default=0.0)
+    makespan = max((r.end for r in assignments), default=0.0)
     return ConcretePlan(
         subworkflow_id=subwf.id,
         scheduler=scheduler,
@@ -226,14 +215,12 @@ def map_workflow(
         assignments=tuple(assignments),
         dependencies=tuple(subwf.data_deps),
         transfers=transfers,
-        estimates=tuple(estimates),
         makespan_estimate=makespan,
     )
 
 
 class SubWorkflowResult(NamedTuple):
-    plan: ConcretePlan
-    tasks: tuple[TaskRecord, ...]  # plan order
+    plan: ConcretePlan  # its assignments are the task records
     transfers: tuple[TransferRecord, ...]  # by (end, start, producer plan position, dependency order)
     makespan: float
 
@@ -248,7 +235,7 @@ class SubWorkflowResult(NamedTuple):
                     "start": r.start,
                     "end": r.end,
                 }
-                for r in self.tasks
+                for r in self.plan.assignments
             ],
             "transfers": [
                 {
@@ -267,13 +254,13 @@ class SubWorkflowResult(NamedTuple):
 
 def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> SubWorkflowResult:
     """Execute a plan that ``map_workflow`` made by reading its records: the
-    task records are the plan's estimates and the makespan is its makespan
+    task records are the plan's assignments and the makespan is its makespan
     estimate, so execution reads no load and times no task again. The engine
     runs it after each mapping, the bench tracer spans it as
     ``gridengine.execute``, and acceptance criterion 4 checks its makespan
-    against a scan simulation. A hand-built plan is not checked: its estimates
-    must be the mapping recurrence's records, in plan order. ``pool`` gives
-    the links that transfers cross.
+    against a scan simulation. A hand-built plan is not checked: its
+    assignments must be the mapping recurrence's records, in plan order.
+    ``pool`` gives the links that transfers cross.
 
     Transfer records list the plan's stage-ins, which start at time zero, and
     one transfer per dependency that crosses resources, which starts at its
@@ -283,7 +270,7 @@ def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> Sub
     transfers sort as plain ``(end, start, position, order, file, src, dst,
     bytes)`` tuples, with no key function, and become records after sorting.
     """
-    record = {r.task_id: (index, r.resource_id, r.end) for index, r in enumerate(plan.estimates)}
+    record = {r.task_id: (index, r.resource_id, r.end) for index, r in enumerate(plan.assignments)}
     transfers = []
     for i, t in enumerate(plan.transfers):
         src, dst, size = t.src_resource, t.dst_resource, t.size_bytes
@@ -297,4 +284,4 @@ def execute_plan(plan: ConcretePlan, pool: dict[str, ResourceDescriptor]) -> Sub
             transfers.append((end, leaves, position, i, f"{producer}->{consumer}", src, dst, size))
     transfers.sort()
     records = tuple(TransferRecord(file, src, dst, size, start, end) for end, start, _, _, file, src, dst, size in transfers)
-    return SubWorkflowResult(plan, plan.estimates, records, plan.makespan_estimate)
+    return SubWorkflowResult(plan, records, plan.makespan_estimate)

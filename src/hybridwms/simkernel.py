@@ -4,11 +4,11 @@
 model; ``effective_rate`` alone turns load into speed. The mapping recurrence
 in ``gridengine`` times each task once, as it places it: resources run one
 task at a time in plan order, and data moves as non-blocking transfers that
-begin the moment the producer finishes (stage-ins at time zero). Its
-``TaskRecord`` entries are the plan's estimates, and executing the plan reads
-them and derives the ``TransferRecord`` entries from them;
-``gridengine.SubWorkflowResult`` collects both. Plan entries and records are
-named tuples: immutable, hashable, and cheap to build by the thousand.
+begin the moment the producer finishes (stage-ins at time zero). Its one
+``TaskRecord`` per task is the plan's assignment, estimate and execution
+record at once; executing the plan derives the ``TransferRecord`` entries
+from them. Plan entries and records are named tuples: immutable, hashable,
+and cheap to build by the thousand.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ def transfer_time(size_bytes: float, src: ResourceDescriptor, dst: ResourceDescr
     return size_bytes / rate + max(src.latency, dst.latency)
 
 
-class PlannedTask(NamedTuple):
-    """One plan entry: a task pinned to a resource."""
-
-    task_id: str
-    work: float
-    resource_id: str
-
-
 class PlannedTransfer(NamedTuple):
     """Stage-in of an existing replica to the resource of the task that reads
     it; such transfers start at time zero."""
@@ -65,6 +57,7 @@ class PlannedTransfer(NamedTuple):
 class TaskRecord(NamedTuple):
     task_id: str
     resource_id: str
+    work: float
     ready: float
     start: float
     end: float

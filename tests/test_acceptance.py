@@ -11,6 +11,7 @@ import statistics
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -50,7 +51,7 @@ from hybridwms.resources import (
     rank_resources,
 )
 from hybridwms.runconfig import PatientParams, RunConfig, parse_run_config
-from hybridwms.simkernel import PlannedTask, exec_time, transfer_time
+from hybridwms.simkernel import exec_time, transfer_time
 from hybridwms.workflow import AbstractSubWorkflow, TaskSpec, topological_order
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "hybridwms" / "data"
@@ -183,6 +184,14 @@ def test_criterion_3_quorum_nesting_and_mean_monotonicity(capsys):
 # -- criterion 4 helpers ---------------------------------------------------------
 
 
+class Placed(NamedTuple):
+    """An enumerated plan's entry; a mapped plan's records have the same fields."""
+
+    task_id: str
+    resource_id: str
+    work: float
+
+
 def scan_simulate(assignments, deps, pool, replica_host, inputs):
     """Brute-force event simulation by repeated head-of-line scans."""
     queues = {}
@@ -233,7 +242,7 @@ def enumerate_assignments(subwf, member_ids):
     order = topological_order(subwf)
     tasks = {t.id: t for t in subwf.tasks}
     for combo in itertools.product(member_ids, repeat=len(order)):
-        yield [PlannedTask(tid, tasks[tid].work, rid) for tid, rid in zip(order, combo)]
+        yield [Placed(tid, rid, tasks[tid].work) for tid, rid in zip(order, combo)]
 
 
 def test_criterion_4_kernel_matches_brute_force_and_min_eft_bounds_optimum(capsys):

@@ -60,3 +60,11 @@ def test_tracer_installs_counts_through_the_package_and_uninstalls(monkeypatch):
         assert calls.get(span, 0) > 0, span
     for counter in ("gridengine.resources_with.calls", "workflow.topological_order.calls", "resources.metric_at.calls"):
         assert tracer.counts[counter] > 0, counter
+
+    # the plan and execution observers: one mapped task per plan record, one catalog
+    # lookup per mapped task, and one estimate match per dispatch
+    assert record.dispatches
+    tasks_mapped = sum(len(d.result.plan.assignments) for d in record.dispatches)
+    assert tracer.counts["gridengine.tasks_mapped"] == tasks_mapped
+    assert tracer.counts["gridengine.resources_with.calls"] == tasks_mapped
+    assert tracer.counts["gridengine.estimate_match"] == len(record.dispatches)

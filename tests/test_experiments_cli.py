@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hybridwms import cli, engine, experiments
 from hybridwms.cli import main
 from hybridwms.documents import load_json
-from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError
+from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError, WmsError
 from hybridwms.experiments import (
     ComparisonRow,
     comparison_csv,
@@ -368,6 +368,28 @@ def test_a_failing_comparison_run_raises_its_run_error():
     assert isinstance(err.value.cause, NoMatchingPolicy)
 
 
+def test_comparison_decides_every_policy_set_before_its_first_run(monkeypatch):
+    # SET-B's extra policy takes the id of the repository's RP-C, so SET-B's set
+    # cannot be decided: the study refuses it before any of SET-A's runs
+    bundle, pool, repo, config = load_defaults()
+    document = load_json(data_path("comparison.json"))
+    document["configs"][1]["extra_policies"][0]["id"] = "RP-C"
+    spec = parse_experiment_spec(document)
+    runs = []
+    run_workflow = experiments.run_workflow
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs["run_id"])
+        return run_workflow(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_workflow", counting)
+    with pytest.raises(RunError) as err:
+        run_policy_comparison(spec, bundle, pool, repo, config)
+    assert str(err.value) == "run SET-B-r1: duplicate policy id 'RP-C'"
+    assert type(err.value.cause) is WmsError
+    assert runs == []
+
+
 def test_csv_layouts():
     bundle, pool, repo, config = load_defaults()
     result = run_policy_comparison(comparison_spec(replicates=1), bundle, pool, repo, config)
@@ -650,6 +672,32 @@ def test_cli_unreadable_input_is_a_clean_error(tmp_path, capsys, command, conten
     captured = capsys.readouterr()
     assert f"{target}: " in captured.out + captured.err
     assert "Traceback" not in captured.err
+
+
+LONG_NAME = "a" * 300  # past the 255-byte limit of a file name, so stat() fails with ENAMETOOLONG
+
+
+@pytest.mark.parametrize("case", ["pool", "subworkflow-id", "out-dir"])
+def test_cli_an_overlong_file_name_is_a_clean_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    reason = os.strerror(errno.ENAMETOOLONG)
+    if case == "pool":
+        command = ["validate", "--pool", LONG_NAME]
+        expected = f"pool: error: {LONG_NAME}: cannot read: {reason}"
+    elif case == "subworkflow-id":
+        workflow = load_json(data_path("workflows/heart-disease.json"))
+        workflow["nodes"][1]["payload"]["subworkflow"] = LONG_NAME  # the ecg-analysis node
+        (tmp_path / "workflow.json").write_text(json.dumps(workflow))
+        command = ["validate", "--workflow", str(tmp_path / "workflow.json")]
+        expected = f"workflow: error: {tmp_path / LONG_NAME}.json: cannot read: {reason}"
+    else:
+        command = ["experiment", "cost-table", "--out-dir", LONG_NAME]
+        expected = f"error: cannot write to {LONG_NAME}: {reason}"
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert [line for line in (captured.out + captured.err).splitlines() if "error:" in line] == [expected]
+    assert "Traceback" not in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == (["workflow.json"] if case == "subworkflow-id" else [])
 
 
 @pytest.mark.parametrize(

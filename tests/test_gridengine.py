@@ -1,4 +1,4 @@
-"""Catalog generation, workflow mapping, and plan execution tests."""
+"""Catalogs, workflow mapping, and plan execution tests."""
 
 import hashlib
 import importlib.resources
@@ -17,7 +17,7 @@ from hybridwms.documents import dump_json, load_json
 from hybridwms.engine import record_document, run_workflow
 from hybridwms.errors import WmsError
 from hybridwms.experiments import load_workflow_bundle
-from hybridwms.gridengine import execute_plan, generate_catalogs, map_workflow
+from hybridwms.gridengine import execute_plan, map_workflow
 from hybridwms.policy import parse_repository, parse_sla
 from hybridwms.resources import (
     AllocationCostParams,
@@ -110,13 +110,23 @@ def random_pool(rng, n):
 # -- catalogs -----------------------------------------------------------------
 
 
-def test_catalogs_list_providers_in_quorum_rank_order():
+def test_catalogs_list_providers_in_quorum_rank_order(monkeypatch):
+    # the mapper asks the catalog once per task, and every member provides
+    # every transformation, in rank order
     pool = two_site_pool()
+    resources_with = gridengine.Catalogs.resources_with
+    asked = []
+
+    def recording(catalogs, transformation):
+        asked.append((transformation, resources_with(catalogs, transformation)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(gridengine.Catalogs, "resources_with", recording)
+    subwf = diamond_subwf()
     for members in (("r3", "r1", "r2"), ("r2", "r1"), ("r1", "r3")):
-        catalogs = generate_catalogs(diamond_subwf(), quorum_of(pool, *members))
-        for transformation in ("prep", "solve", "merge"):
-            assert catalogs.resources_with(transformation) == members
-        assert catalogs.resources_with("nope") == ()
+        asked.clear()
+        map_workflow(subwf, quorum_of(pool, *members), pool)
+        assert sorted(asked) == sorted((t.transformation, members) for t in subwf.tasks)
 
 
 # -- scheduling ----------------------------------------------------------------
@@ -276,16 +286,12 @@ def seeded_plans():
 def test_estimates_match_independent_replay_and_simulation():
     for plan, pool, _, _ in seeded_plans():
         replay = replay_estimates(plan, pool)
-        for estimate, (tid, ready, start, end) in zip(plan.estimates, replay):
+        for estimate, (tid, ready, start, end) in zip(plan.assignments, replay):
             assert estimate.task_id == tid
             assert estimate.ready == ready
             assert estimate.start == start
             assert estimate.end == end
         result = execute_plan(plan, pool)
-        for estimate, simulated in zip(plan.estimates, result.tasks):
-            assert estimate.task_id == simulated.task_id
-            assert estimate.start == simulated.start
-            assert estimate.end == simulated.end
         assert result.makespan == plan.makespan_estimate
 
 
@@ -298,7 +304,7 @@ def test_execution_reads_the_plans_records_and_no_load(monkeypatch):
     monkeypatch.setattr(simkernel, "metric_at", no_load)
     for plan, pool, _, _ in plans:
         result = execute_plan(plan, pool)
-        assert result.tasks == plan.estimates
+        assert result.plan is plan
         assert result.makespan == plan.makespan_estimate
 
 
@@ -412,7 +418,7 @@ def test_transfer_records_follow_producer_ends():
         result = execute_plan(plan, pool)
         placed = {p.task_id: p.resource_id for p in plan.assignments}
         position = {p.task_id: i for i, p in enumerate(plan.assignments)}
-        end = {r.task_id: r.end for r in result.tasks}
+        end = {r.task_id: r.end for r in result.plan.assignments}
         keyed = []
         for index, (file, size, consumer) in enumerate(subwf.inputs):
             dst = placed[consumer]
@@ -643,9 +649,8 @@ def test_mapping_and_replay_equal_a_scan_simulation_of_each_scheduler_rule(case,
     placement = oracle_placement(subwf, members, pool, scheduler, seed)
     assert [(p.task_id, p.work, p.resource_id) for p in plan.assignments] == placement
     expected = scan_records(placement, subwf.data_deps, subwf.inputs, pool, host)
-    tasks = [TaskRecord(task_id, *expected[task_id]) for task_id, _, _ in placement]
-    assert list(plan.estimates) == tasks
-    assert list(result.tasks) == tasks
+    tasks = [TaskRecord(task_id, rid, work, *expected[task_id][1:]) for task_id, work, rid in placement]
+    assert list(plan.assignments) == tasks
     makespan = max((r.end for r in tasks), default=0.0)
     assert plan.makespan_estimate == result.makespan == makespan
 
@@ -762,7 +767,7 @@ def exhaustive_min_eft(subwf, quorum, pool):
             start = max(ready, free.get(rid, 0.0))
             end = start + task.work / effective_rate(r, start)
             if best is None or end < best.end:
-                best = TaskRecord(task.id, rid, ready, start, end)
+                best = TaskRecord(task.id, rid, task.work, ready, start, end)
         free[best.resource_id] = best.end
         done[task.id] = best
         records.append(best)
@@ -792,7 +797,7 @@ def test_min_eft_with_its_end_floor_equals_an_exhaustive_scan_at_bench_size():
         plan = map_workflow(subwf, quorum, pool, scheduler="MinEFT")
         expected = exhaustive_min_eft(subwf, quorum, pool)
         assert [(p.task_id, p.resource_id) for p in plan.assignments] == [(r.task_id, r.resource_id) for r in expected]
-        assert list(plan.estimates) == expected
+        assert list(plan.assignments) == expected
 
 
 def test_min_eft_times_fewer_than_half_of_all_placements_on_a_large_quorum(monkeypatch):

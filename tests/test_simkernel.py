@@ -10,7 +10,6 @@ from hybridwms import gridengine
 from hybridwms.gridengine import ConcretePlan, execute_plan
 from hybridwms.resources import MetricTrace, ResourceDescriptor, metric_at
 from hybridwms.simkernel import (
-    PlannedTask,
     PlannedTransfer,
     TaskRecord,
     effective_rate,
@@ -102,32 +101,30 @@ def test_transfer_time_bottleneck_and_latency():
 
 
 def task(result, task_id):
-    return next(r for r in result.tasks if r.task_id == task_id)
+    return next(r for r in result.plan.assignments if r.task_id == task_id)
 
 
 def run(plan, deps=(), transfers=(), resources=()):
-    """Execute a hand-built plan whose estimates are the mapping recurrence's
-    records: ``gridengine._finish_time`` times each task in plan order, on
-    its planned resource, as ``map_workflow`` does."""
+    """Execute a hand-built plan of ``(task, work, resource)`` entries whose
+    records are the mapping recurrence's: ``gridengine._finish_time`` times
+    each task in plan order, on its planned resource, as ``map_workflow`` does."""
     pool = {r.id: r for r in resources}
-    avail, done, rates, estimates = {}, {}, {}, []  # done: (resource id, end) of each task
-    for planned in plan:
-        rid = planned.resource_id
-        inputs = [(0.0, pool[t.src_resource], t.size_bytes) for t in transfers if t.consumer == planned.task_id]
-        inputs += [(done[p][1], pool[done[p][0]], size) for p, c, size in deps if c == planned.task_id]
+    avail, done, rates, records = {}, {}, {}, []  # done: (resource id, end) of each task
+    for task_id, work, rid in plan:
+        inputs = [(0.0, pool[t.src_resource], t.size_bytes) for t in transfers if t.consumer == task_id]
+        inputs += [(done[p][1], pool[done[p][0]], size) for p, c, size in deps if c == task_id]
         gathered = [(leaves, r.site, r.bandwidth, r.latency, size) for leaves, r, size in inputs]
-        ready, start, end = gridengine._finish_time(gathered, pool[rid], avail.get(rid, 0.0), planned.work, rates)
-        avail[rid], done[planned.task_id] = end, (rid, end)
-        estimates.append(TaskRecord(planned.task_id, rid, ready, start, end))
-    estimates = tuple(estimates)
-    makespan = max((r.end for r in estimates), default=0.0)
-    concrete = ConcretePlan("w", "MinEFT", "L1", tuple(plan), tuple(deps), tuple(transfers), estimates, makespan)
+        ready, start, end = gridengine._finish_time(gathered, pool[rid], avail.get(rid, 0.0), work, rates)
+        avail[rid], done[task_id] = end, (rid, end)
+        records.append(TaskRecord(task_id, rid, work, ready, start, end))
+    makespan = max((r.end for r in records), default=0.0)
+    concrete = ConcretePlan("w", "MinEFT", "L1", tuple(records), tuple(deps), tuple(transfers), makespan)
     return execute_plan(concrete, pool)
 
 
 def test_single_task():
     r1 = make_resource("r1", cpu_rate=100.0)
-    result = run([PlannedTask("t", 250.0, "r1")], resources=[r1])
+    result = run([("t", 250.0, "r1")], resources=[r1])
     record = task(result, "t")
     assert (record.ready, record.start) == (0.0, 0.0)
     assert record.end == pytest.approx(2.5)
@@ -136,7 +133,7 @@ def test_single_task():
 
 def test_chain_on_one_resource_runs_back_to_back():
     r1 = make_resource("r1", cpu_rate=100.0)
-    plan = [PlannedTask("a", 100.0, "r1"), PlannedTask("b", 200.0, "r1"), PlannedTask("c", 300.0, "r1")]
+    plan = [("a", 100.0, "r1"), ("b", 200.0, "r1"), ("c", 300.0, "r1")]
     deps = [("a", "b", 10.0), ("b", "c", 10.0)]
     result = run(plan, deps, resources=[r1])
     a, b, c = task(result, "a"), task(result, "b"), task(result, "c")
@@ -151,7 +148,7 @@ def test_chain_on_one_resource_runs_back_to_back():
 def test_fork_join_with_cross_site_transfer():
     r1 = make_resource("r1", site="x", cpu_rate=100.0, sys_base=0.5, bandwidth=1e6, latency=0.1)
     r2 = make_resource("r2", site="y", cpu_rate=200.0, sys_base=0.0, bandwidth=2e6, latency=0.05)
-    plan = [PlannedTask("a", 110.0, "r1"), PlannedTask("b", 400.0, "r2"), PlannedTask("c", 55.0, "r1")]
+    plan = [("a", 110.0, "r1"), ("b", 400.0, "r2"), ("c", 55.0, "r1")]
     deps = [("a", "c", 0.0), ("b", "c", 1e6)]
     result = run(plan, deps, resources=[r1, r2])
     assert task(result, "a").end == pytest.approx(2.0)
@@ -174,9 +171,9 @@ def test_queue_serves_in_plan_order_even_if_later_task_is_ready():
     r1 = make_resource("r1", site="s", cpu_rate=100.0)
     r2 = make_resource("r2", site="s", cpu_rate=100.0)
     plan = [
-        PlannedTask("slow", 500.0, "r2"),
-        PlannedTask("blocked", 100.0, "r1"),
-        PlannedTask("quick", 100.0, "r1"),
+        ("slow", 500.0, "r2"),
+        ("blocked", 100.0, "r1"),
+        ("quick", 100.0, "r1"),
     ]
     deps = [("slow", "blocked", 1.0)]
     result = run(plan, deps, resources=[r1, r2])
@@ -188,7 +185,7 @@ def test_queue_serves_in_plan_order_even_if_later_task_is_ready():
 def test_stage_in_transfers_start_at_time_zero():
     r1 = make_resource("r1", site="x", bandwidth=1e6, latency=0.1)
     r2 = make_resource("r2", site="y", bandwidth=1e6, latency=0.1)
-    plan = [PlannedTask("t", 100.0, "r1")]
+    plan = [("t", 100.0, "r1")]
     transfers = [
         PlannedTransfer("in-a", "r2", "r1", 1e6, "t"),
         PlannedTransfer("in-b", "r2", "r1", 3e6, "t"),
@@ -206,7 +203,7 @@ def test_stage_in_precedes_a_transfer_with_equal_start_and_end():
     # start at 0 and end at 1.1; stage-ins sort first
     r1 = make_resource("r1", site="x", bandwidth=1e6, latency=0.1)
     r2 = make_resource("r2", site="y", bandwidth=1e6, latency=0.1)
-    plan = [PlannedTask("p", 0.0, "r2"), PlannedTask("c", 100.0, "r1")]
+    plan = [("p", 0.0, "r2"), ("c", 100.0, "r1")]
     transfers = [PlannedTransfer("in", "r2", "r1", 1e6, "c")]
     result = run(plan, [("p", "c", 1e6)], transfers, resources=[r1, r2])
     assert [(t.file, t.start, t.end) for t in result.transfers] == [("in", 0.0, pytest.approx(1.1)), ("p->c", 0.0, pytest.approx(1.1))]
@@ -219,7 +216,7 @@ def test_equal_transfers_follow_their_producers_plan_position():
     # order in which the dependencies are listed
     r1 = make_resource("r1", site="x", bandwidth=1e6, latency=0.1)
     r2 = make_resource("r2", site="y", bandwidth=1e6, latency=0.1)
-    plan = [PlannedTask("p1", 0.0, "r2"), PlannedTask("p2", 0.0, "r2"), PlannedTask("c", 100.0, "r1")]
+    plan = [("p1", 0.0, "r2"), ("p2", 0.0, "r2"), ("c", 100.0, "r1")]
     result = run(plan, [("p2", "c", 1e6), ("p1", "c", 1e6)], resources=[r1, r2])
     assert [t.file for t in result.transfers] == ["p1->c", "p2->c"]
     assert result.transfers[0].end == result.transfers[1].end == pytest.approx(1.1)
@@ -229,7 +226,7 @@ def test_load_dependent_duration_uses_start_time():
     # sinusoidal load, no noise: duration must be evaluated at the task's start
     trace = MetricTrace(base=0.5, amplitude=0.4, period=40.0)
     r1 = ResourceDescriptor("r1", "s", 100.0, MetricTrace(base=0.1), trace, 1e6, 0.0)
-    plan = [PlannedTask("a", 100.0, "r1"), PlannedTask("b", 100.0, "r1")]
+    plan = [("a", 100.0, "r1"), ("b", 100.0, "r1")]
     result = run(plan, [("a", "b", 0.0)], resources=[r1])
     b = task(result, "b")
     assert b.start == pytest.approx(task(result, "a").end)
@@ -242,7 +239,7 @@ def test_simulation_is_deterministic():
         make_resource(f"r{i}", site=f"s{i % 2}", cpu_rate=rng.uniform(50, 200), sys_base=rng.uniform(0, 0.8), noise=0.05, seed=i)
         for i in range(3)
     ]
-    plan = [PlannedTask(f"t{i}", rng.uniform(10, 500), resources[rng.randrange(3)].id) for i in range(8)]
+    plan = [(f"t{i}", rng.uniform(10, 500), resources[rng.randrange(3)].id) for i in range(8)]
     deps = [(f"t{i}", f"t{j}", rng.uniform(0, 1e6)) for i in range(8) for j in range(i + 1, 8) if rng.random() < 0.25]
     first = run(plan, deps, resources=resources)
     second = run(plan, deps, resources=resources)
@@ -252,5 +249,5 @@ def test_simulation_is_deterministic():
 def test_empty_plan_finishes_at_zero():
     result = run([], resources=[make_resource("r1")])
     assert result.makespan == 0.0
-    assert result.tasks == ()
+    assert result.plan.assignments == ()
 
