@@ -11,11 +11,12 @@ what its own nodes computed: a data-retrieval node reads its registered source
 when it runs, and a user-input node requires its key in the run configuration
 and records it, but no engine function reads the value. The run configuration
 checked itself when it was built (``runconfig``), so every signal a run
-synthesizes is in domain, and ``runconfig.candidate_signal`` gives each VHS
-candidate's synthesis arguments. Every run is a pure function of its documents and
-seed, so one features memo serves every run in the process: each distinct
-synthesized signal, a patient's or a VHS candidate's, is made and extracted
-once. Features are kept, never signals.
+synthesizes is in domain, and ``runconfig.patient_signal`` and
+``candidate_signal`` give a patient's and each VHS candidate's synthesis
+arguments. Every run is a pure function of its documents and seed, so one
+features memo serves every run in the process: each distinct synthesized
+signal, a patient's or a VHS candidate's, is made and extracted once. Features
+are kept, never signals.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .resources import (
     generate_arq,
     random_quorum,
 )
-from .runconfig import PatientParams, RunConfig, candidate_signal
+from .runconfig import RunConfig, candidate_signal, patient_signal
 from .runconfig import parse_run_config  # noqa: F401 -- kept at this name; bench/workloads.py calls it through engine
 from .workflow import AbstractSubWorkflow, Node, NodeKind, WorkflowGraph, service_rank
 
@@ -67,26 +68,18 @@ def derive_seed(run_seed: int, scheduler_seed: int, index: int, purpose: str) ->
 # Run inputs
 
 
-def _patient(config: RunConfig) -> PatientParams | EcgSignal:
-    """The run's patient: a recorded signal, or its synthesis parameters with the seed resolved."""
-    patient = config.patient
-    if isinstance(patient, EcgSignal) or patient.seed is not None:
-        return patient
-    return dataclasses.replace(patient, seed=config.seed)
-
-
 #: Each key a data-retrieval node may read, and the run input behind it.
-DATA_SOURCES = {"patient.ecg": _patient}
+DATA_SOURCES = {"patient.ecg": lambda config: config.patient}
 
 
 @functools.lru_cache(maxsize=1024)
-def _signal_features(bpm, irregularity, st_offset, noise, duration, rate, seed) -> EcgFeatures:
+def _signal_features(*signal) -> EcgFeatures:
     """Features of the signal ``synthesize_ecg`` makes from these arguments,
     which depend on them alone: each distinct signal, a patient's or a VHS
     candidate's, is synthesized and extracted once while it stays among the
     memo's most recently used. Features are kept, never signals; a failure is
     not kept (memo functions: Michie 1968)."""
-    return extract_features(synthesize_ecg(bpm, irregularity, st_offset, noise, duration, rate, seed))
+    return extract_features(synthesize_ecg(*signal))
 
 
 # --------------------------------------------------------------------------
@@ -173,10 +166,8 @@ def _fn_extract_features(ctx: _Context) -> dict:
     source = _input(ctx, "patient.ecg")  # a recorded signal is unhashable, and extracted at each run
     if isinstance(source, EcgSignal):
         features = extract_features(source)
-    else:  # PatientParams, read field by field: dataclasses.astuple would deep-copy
-        features = _signal_features(
-            source.bpm, source.irregularity, source.st_offset, source.noise, source.duration, source.rate, source.seed
-        )
+    else:
+        features = _signal_features(*patient_signal(source, ctx.config.seed))
     ctx.workspace["features"] = features
     return {"features": features._asdict()}
 

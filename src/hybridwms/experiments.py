@@ -22,7 +22,6 @@ from .resources import (
     ResourceDescriptor,
     average_cost_table,
     cost_grid,
-    cost_table_csv,
     generate_arq,
     quorum_grid_mean,
 )
@@ -69,9 +68,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise doc.SchemaError("experiment", "replicates must be >= 1")
         if len(self.configs) < 2:
-            raise ValueError("policy comparison needs at least two configurations")
+            raise doc.SchemaError("experiment", "policy comparison needs at least two configurations")
 
 
 _SPEC_KEYS = frozenset({"kind", "replicates", "base_seed", "configs"})
@@ -103,10 +102,7 @@ def parse_experiment_spec(document) -> ExperimentSpec:
         extra = tuple(parse_repository(record["extra_policies"])) if "extra_policies" in record else ()
         configs.append(PolicySetConfig(name=name, sla=sla, extra_policies=extra))
 
-    try:
-        return ExperimentSpec(configs=tuple(configs), **fields)
-    except ValueError as exc:
-        raise doc.SchemaError("experiment", str(exc)) from exc
+    return ExperimentSpec(configs=tuple(configs), **fields)
 
 
 # --------------------------------------------------------------------------
@@ -134,9 +130,11 @@ def run_cost_study(
     evaluated once per grid instant; table and means reduce that one grid."""
     grid = cost_grid(pool, horizon, samples_per_hour, params)
     quorums = [generate_arq(pool, level, 0.0, params) for level in LEVELS]
-    table = average_cost_table(grid, quorums[-1].members[:6], samples_per_hour)
+    ids = quorums[-1].members[:6]
+    rows = average_cost_table(grid, ids, samples_per_hour)
     means = [(quorum.level, quorum_grid_mean(grid, quorum)) for quorum in quorums]
-    return CostStudy(cost_table_csv(table), doc.csv_text(("level", "mean_ac"), means), tuple(means))
+    table_csv = doc.csv_text(("hour", *ids), ((hour, *row) for hour, row in enumerate(rows)))
+    return CostStudy(table_csv, doc.csv_text(("level", "mean_ac"), means), tuple(means))
 
 
 # --------------------------------------------------------------------------

@@ -99,6 +99,10 @@ class AllocationCostParams:
             raise ValueError("weights must be >= 0")
         if self.alpha + self.beta <= 0:
             raise ValueError("alpha + beta must be > 0")
+        if not math.isfinite(self.alpha):  # after the range checks: a value that fails one keeps its message
+            raise ValueError("alpha must be finite")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,10 @@ class ResourceDescriptor:
             raise ValueError("bandwidth must be >= 0.001")
         if not 0 <= self.latency <= 1e6:
             raise ValueError("latency must be in [0, 1e6]")
+        if not math.isfinite(self.cpu_rate):  # after the range checks: a value that fails one keeps its message
+            raise ValueError("cpu_rate must be finite")
+        if not math.isfinite(self.bandwidth):
+            raise ValueError("bandwidth must be finite")
 
 
 def allocation_cost(res: ResourceDescriptor, t: float, params: AllocationCostParams) -> float:
@@ -182,11 +190,6 @@ def random_quorum(pool, t: float, params: AllocationCostParams, seed: int) -> Qu
     chosen = set(rng.sample([res.id for res in pool], size))
     ranked = [rid for rid, _ in rank_resources(pool, t, params) if rid in chosen]
     return Quorum(RANDOM_LEVEL, tuple(ranked))
-
-
-class CostTable(NamedTuple):
-    resource_ids: tuple[str, ...]  # rank order at t=0
-    rows: tuple[tuple[float, ...], ...]  # one row per hour
 
 
 def hour_instants(hour: int, samples_per_hour: int) -> list[float]:
@@ -262,8 +265,9 @@ def _u1(a):
     return np.where(succ == np.uint64(0), 2.0**64, succ.astype(np.float64)) / 2.0**64
 
 
-def average_cost_table(grid: dict[str, np.ndarray], resource_ids, samples_per_hour: int) -> CostTable:
-    """Mean allocation cost per hour of each listed resource, from its grid costs.
+def average_cost_table(grid: dict[str, np.ndarray], resource_ids, samples_per_hour: int) -> list[list[float]]:
+    """Mean allocation cost per hour of each listed resource, from its grid
+    costs: one row per hour, one column per resource in the order listed.
 
     An hour's costs are added one after another in time order, by one
     ``np.add.accumulate`` over a copy of the listed rows, in place.
@@ -272,12 +276,7 @@ def average_cost_table(grid: dict[str, np.ndarray], resource_ids, samples_per_ho
 
     sums = np.array([grid[rid] for rid in resource_ids]).reshape(len(resource_ids), -1, samples_per_hour)
     np.add.accumulate(sums, axis=2, out=sums)
-    rows = (sums[:, :, -1].T / samples_per_hour).tolist()  # hour-major
-    return CostTable(tuple(resource_ids), tuple(map(tuple, rows)))
-
-
-def cost_table_csv(table: CostTable) -> str:
-    return doc.csv_text(("hour", *table.resource_ids), ((hour, *row) for hour, row in enumerate(table.rows)))
+    return (sums[:, :, -1].T / samples_per_hour).tolist()  # hour-major
 
 
 def quorum_grid_mean(grid: dict[str, np.ndarray], quorum: Quorum) -> float:

@@ -6,8 +6,8 @@ Each record checks its rules when it is built, parsed or in code, and raises
 integers, values in their domains, signals able to show two beats. A checked
 ``RunConfig`` holds read-only candidates and user inputs, a ``Thresholds``, and
 a patient: ``PatientParams``, or a checked, read-only copy of an ``EcgSignal``.
-``candidate_signal``, which the candidate check and the engine's loop call,
-alone decides how a VHS candidate is synthesized. numpy is imported only to
+``patient_signal`` and ``candidate_signal`` alone give a synthesized patient's
+and a VHS candidate's ``synthesize_ecg`` arguments. numpy is imported only to
 load or check a recorded sample.
 """
 
@@ -125,6 +125,12 @@ class PatientParams:
 _PATIENT_NUMBERS = tuple(key for key in PatientParams.__dataclass_fields__ if key != "seed")
 _PATIENT_KEYS = frozenset(PatientParams.__dataclass_fields__)
 _CANDIDATE_KEYS = frozenset({"bpm", *CANDIDATE_DEFAULTS})
+
+
+def patient_signal(patient: PatientParams, run_seed: int) -> tuple:
+    """``synthesize_ecg``'s arguments for a synthesized patient: its fields, and its own seed or else the run's."""
+    seed = run_seed if patient.seed is None else patient.seed
+    return patient.bpm, patient.irregularity, patient.st_offset, patient.noise, patient.duration, patient.rate, seed
 
 
 def candidate_signal(candidate, patient) -> tuple:

@@ -25,6 +25,7 @@ from hybridwms.documents import load_json
 from hybridwms.errors import NoMatchingPolicy, RunError, SchemaError, WmsError
 from hybridwms.experiments import (
     ComparisonRow,
+    ExperimentSpec,
     comparison_csv,
     load_workflow_bundle,
     parse_experiment_spec,
@@ -96,6 +97,20 @@ def test_parse_experiment_spec_comparison():
     assert spec.replicates == 20
     assert [c.name for c in spec.configs] == ["SET-A", "SET-B", "SET-C"]
     assert spec.configs[1].extra_policies[0].id == "RP-RND"
+
+
+@pytest.mark.parametrize(
+    "replicates, n_configs, message",
+    [(0, 2, "replicates must be >= 1"), (1, 1, "policy comparison needs at least two configurations")],
+)
+def test_a_spec_raises_a_schema_error_at_experiment_in_code_as_in_its_document(replicates, n_configs, message):
+    document = two_config_spec(replicates=replicates)
+    document["configs"] = document["configs"][:n_configs]
+    configs = parse_experiment_spec(two_config_spec()).configs[:n_configs]
+    for build in (lambda: parse_experiment_spec(document), lambda: ExperimentSpec(replicates, 0, configs)):
+        with pytest.raises(SchemaError) as err:
+            build()
+        assert (err.value.path, err.value.message) == ("experiment", message)
 
 
 def test_parse_experiment_spec_rejections():

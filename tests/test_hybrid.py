@@ -33,7 +33,7 @@ from hybridwms.errors import (
 from hybridwms.experiments import load_workflow_bundle
 from hybridwms.policy import Policy, PolicyKind, Predicate, parse_repository, parse_sla
 from hybridwms.resources import parse_pool, quorum_size
-from hybridwms.runconfig import PatientParams, RunConfig, Thresholds, candidate_signal, parse_run_config
+from hybridwms.runconfig import PatientParams, RunConfig, Thresholds, candidate_signal, parse_run_config, patient_signal
 from hybridwms.workflow import AbstractSubWorkflow, Node, NodeKind, TaskSpec, WorkflowGraph
 
 
@@ -633,6 +633,34 @@ def test_empty_candidate_grid_fails_the_loop_node():
     assert isinstance(err.value.cause, NodeError)
     assert err.value.cause.node_id == "vhs-loop"
     assert isinstance(err.value.cause.cause, EmptyParameterGrid)
+
+
+# -- patient signal ------------------------------------------------------------------
+
+
+def test_patient_signal_takes_the_run_seed_unless_the_patient_has_its_own():
+    patient = PatientParams(bpm=72, irregularity=0.1, st_offset=0.05, noise=0.02, duration=20, rate=300)
+    fields = (72.0, 0.1, 0.05, 0.02, 20.0, 300.0)
+    assert patient_signal(patient, 9) == (*fields, 9)
+    assert patient_signal(replace(patient, seed=4), 9) == (*fields, 4)
+    assert patient_signal(replace(patient, seed=0), 9) == (*fields, 0)
+    # the record's float fields, as its check left them
+    assert [type(value) for value in patient_signal(patient, 9)[:6]] == [float] * 6
+
+
+def test_a_run_of_the_packaged_documents_builds_no_patient_params(monkeypatch):
+    bundle, pool, repo, config = load_defaults()
+    built = []
+    check = PatientParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PatientParams, "__post_init__", counted)
+    for label in ("High Performance", "Balanced", "Low Cost"):
+        run_workflow(bundle.graph, bundle.subworkflows, pool, repo, sla_label(label), config)
+    assert built == []
 
 
 # -- features memo ------------------------------------------------------------------

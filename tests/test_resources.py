@@ -16,14 +16,12 @@ from hybridwms.resources import (
     LEVELS,
     RANDOM_LEVEL,
     AllocationCostParams,
-    CostTable,
     MetricTrace,
     Quorum,
     ResourceDescriptor,
     allocation_cost,
     average_cost_table,
     cost_grid,
-    cost_table_csv,
     generate_arq,
     grid_load,
     hour_instants,
@@ -157,6 +155,28 @@ def test_cost_params_validation():
         AllocationCostParams(0.0, 0.0)
 
 
+#: (field, a value that is not finite, the message a code-built record refuses it
+#: with): each passed every range check, so ranking and the cost study read a NaN
+#: cost, or every task on the resource took no time.
+NON_FINITE_COST_FIELDS = [
+    ("alpha", math.nan, "alpha must be finite"),
+    ("alpha", math.inf, "alpha must be finite"),
+    ("beta", math.nan, "beta must be finite"),
+    ("beta", math.inf, "beta must be finite"),
+    ("cpu_rate", math.inf, "cpu_rate must be finite"),
+    ("bandwidth", math.inf, "bandwidth must be finite"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", NON_FINITE_COST_FIELDS)
+def test_code_built_weights_and_resources_refuse_a_non_finite_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if field in ("alpha", "beta"):
+            AllocationCostParams(**{"alpha": 0.5, "beta": 0.5, field: value})
+        else:
+            make_resource("r", 0.2, 0.3, **{field: value})
+
+
 def test_rank_is_ascending_by_cost():
     rng = random.Random(2)
     for _ in range(20):
@@ -260,7 +280,8 @@ def test_random_quorum_varies_with_seed():
 
 
 def study_table(pool, horizon, samples_per_hour, params=PARAMS):
-    """``run_cost_study`` on the pool, and the cost table it reduced from its grid."""
+    """``run_cost_study`` on the pool: the resource ids its table CSV's header
+    lists, the hour-major rows it reduced from its grid, and the study."""
     built = []
 
     def keep(*args):
@@ -270,12 +291,12 @@ def study_table(pool, horizon, samples_per_hour, params=PARAMS):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "average_cost_table", keep)
         study = experiments.run_cost_study(pool, params, horizon, samples_per_hour)
-    return built[0], study
+    return study.table_csv.splitlines()[0].split(",")[1:], built[0], study
 
 
 def oracle_cost_table(pool, horizon, samples_per_hour, params):
-    """Loop version of the study's table: every cell evaluates its own instants
-    and adds their costs in time order."""
+    """Loop version of the study's table, its resource ids and hour-major rows:
+    every cell evaluates its own instants and adds their costs in time order."""
     ranking = rank_resources(pool, 0.0, params)
     ids = [rid for rid, _ in ranking[:6]] if len(ranking) > 6 else [rid for rid, _ in ranking]
     by_id = {res.id: res for res in pool}
@@ -288,8 +309,16 @@ def oracle_cost_table(pool, horizon, samples_per_hour, params):
             for t in instants:  # one after another: builtin sum compensates from Python 3.12
                 total += allocation_cost(by_id[rid], t, params)
             row.append(total / len(instants))
-        rows.append(tuple(row))
-    return CostTable(tuple(ids), tuple(rows))
+        rows.append(row)
+    return ids, rows
+
+
+def oracle_table_csv(ids, rows):
+    """The study's table CSV, written cell by cell: an ``hour`` column, then
+    one column per resource, each cost to six decimals."""
+    lines = [",".join(["hour", *ids])]
+    lines += [",".join([str(hour), *(f"{cell:.6f}" for cell in row)]) for hour, row in enumerate(rows)]
+    return "".join(line + "\n" for line in lines)
 
 
 def oracle_quorum_mean(pool, quorum, horizon, samples_per_hour, params):
@@ -307,17 +336,18 @@ def oracle_quorum_mean(pool, quorum, horizon, samples_per_hour, params):
 
 def test_cost_table_keeps_six_best_of_larger_pool():
     pool = random_pool(random.Random(3), 10)
-    table, _ = study_table(pool, horizon=4, samples_per_hour=6)
+    ids, rows, _ = study_table(pool, horizon=4, samples_per_hour=6)
     ranking = [rid for rid, _ in rank_resources(pool, 0.0, PARAMS)]
-    assert list(table.resource_ids) == ranking[:6]
-    assert len(table.rows) == 4
-    assert all(len(row) == 6 for row in table.rows)
+    assert ids == ranking[:6]
+    assert len(rows) == 4
+    assert all(len(row) == 6 for row in rows)
 
 
 def test_cost_table_small_pool_keeps_everyone():
     pool = random_pool(random.Random(4), 3)
-    table, _ = study_table(pool, horizon=2, samples_per_hour=4)
-    assert len(table.resource_ids) == 3
+    ids, rows, _ = study_table(pool, horizon=2, samples_per_hour=4)
+    assert len(ids) == 3
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_cost_table_cells_are_hourly_means():
@@ -336,10 +366,10 @@ def test_cost_table_cells_are_hourly_means():
         for i, r in enumerate(pool)
     ]
     samples = 5
-    table, _ = study_table(pool, horizon=3, samples_per_hour=samples)
+    ids, rows, _ = study_table(pool, horizon=3, samples_per_hour=samples)
     by_id = {r.id: r for r in pool}
-    for hour, row in enumerate(table.rows):
-        for rid, cell in zip(table.resource_ids, row):
+    for hour, row in enumerate(rows):
+        for rid, cell in zip(ids, row):
             instants = hour_instants(hour, samples)
             expected = sum(allocation_cost(by_id[rid], t, PARAMS) for t in instants) / samples
             assert cell == pytest.approx(expected, abs=1e-12)
@@ -347,13 +377,13 @@ def test_cost_table_cells_are_hourly_means():
 
 def test_cost_table_constant_traces_give_identical_rows():
     pool = [make_resource("a", 0.2, 0.1), make_resource("b", 0.5, 0.4)]
-    table, _ = study_table(pool, horizon=5, samples_per_hour=3)
-    assert len(set(table.rows)) == 1
+    _, rows, _ = study_table(pool, horizon=5, samples_per_hour=3)
+    assert len(set(map(tuple, rows))) == 1
 
 
 def test_cost_table_csv_layout():
     pool = [make_resource("a", 0.2, 0.1), make_resource("b", 0.5, 0.4)]
-    text = cost_table_csv(study_table(pool, 2, 2)[0])
+    text = experiments.run_cost_study(pool, PARAMS, 2, 2).table_csv
     lines = text.splitlines()
     assert lines[0] == "hour,a,b"
     assert len(lines) == 3
@@ -381,7 +411,7 @@ def test_grid_costs_are_added_one_after_another_in_grid_order():
         return total
 
     hours = [[grid[rid][16 * h : 16 * h + 16] for rid in ("a", "b")] for h in range(2)]
-    assert average_cost_table(grid, ("a", "b"), 16).rows == tuple(tuple(in_order(c) / 16 for c in hour) for hour in hours)
+    assert average_cost_table(grid, ("a", "b"), 16) == [[in_order(c) / 16 for c in hour] for hour in hours]
     assert in_order(hours[0][0]) not in (math.fsum(hours[0][0]), np.sum(hours[0][0]))
     # instant-major, members in quorum order
     costs = [cost for pair in zip(grid["b"].tolist(), grid["a"].tolist()) for cost in pair]
@@ -434,11 +464,11 @@ def cost_cases(draw):
 @given(case=cost_cases())
 def test_cost_study_equals_the_loop_oracles(case):
     pool, params, horizon, samples = case
-    table, study = study_table(pool, horizon, samples, params)
-    expected = oracle_cost_table(pool, horizon, samples, params)
-    assert table.resource_ids == expected.resource_ids
-    assert table.rows == expected.rows
-    assert study.table_csv == cost_table_csv(expected)
+    ids, rows, study = study_table(pool, horizon, samples, params)
+    expected_ids, expected_rows = oracle_cost_table(pool, horizon, samples, params)
+    assert ids == expected_ids
+    assert rows == expected_rows
+    assert study.table_csv == oracle_table_csv(expected_ids, expected_rows)
     assert study.level_means == tuple(
         (level, oracle_quorum_mean(pool, generate_arq(pool, level, 0.0, params), horizon, samples, params))
         for level in LEVELS
